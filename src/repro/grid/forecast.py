@@ -16,7 +16,8 @@ All forecasters share one contract: :meth:`Forecaster.fit` on a history
 trace, then :meth:`Forecaster.predict` returns a
 :class:`~repro.grid.intensity.CarbonIntensityTrace` of ``horizon_steps``
 samples starting at the end of the history.  Forecasts are clipped at
-zero (intensity is non-negative).
+zero (intensity is non-negative) and prefix-consistent: a longer horizon
+only appends samples.
 """
 
 from __future__ import annotations
@@ -63,7 +64,13 @@ class Forecaster(ABC):
         """Return ``n`` forecast samples (may be any float; clipped later)."""
 
     def predict(self, horizon_steps: int) -> CarbonIntensityTrace:
-        """Forecast ``horizon_steps`` samples past the end of the history."""
+        """Forecast ``horizon_steps`` samples past the end of the history.
+
+        Contract: predictions are prefix-consistent.  For ``m <= n``,
+        ``predict(n).values[:m]`` equals ``predict(m).values`` exactly, so
+        a caller may predict once at its widest horizon and read shorter
+        horizons off that forecast (the carbon-backfill gate does).
+        """
         if horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")
         h = self.history
@@ -249,6 +256,8 @@ class OracleForecaster(Forecaster):
         raise NotImplementedError("OracleForecaster overrides predict()")
 
     def predict(self, horizon_steps: int) -> CarbonIntensityTrace:
+        """The provider's actuals; past the end of its signal the last
+        sample repeats, which keeps predictions prefix-consistent."""
         if horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")
         h = self.history

@@ -8,19 +8,21 @@ operations every downstream consumer needs:
 * point lookup at arbitrary simulation times (zero-order hold, matching
   how grid data providers publish stepwise intensity signals);
 * integration against power traces (operational carbon is the time
-  integral of intensity x power, §3.1 of the paper);
+  integral of intensity x power, §3.1 of the paper), O(1) per interval
+  from a cumulative integral cached on first use;
 * daily averaging (Figure 2 plots *averaged daily* intensities);
 * resampling, slicing, and summary statistics.
 
 The class is deliberately immutable: values are stored in a read-only
 NumPy array so traces can be shared between scheduler, PowerStack and
 accounting components without defensive copies (a guide-recommended
-"views, not copies" idiom).
+"views, not copies" idiom).  The cached cumulative integral is derived
+from the values, so it takes no part in equality or ``repr``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +32,7 @@ from repro import units
 __all__ = ["CarbonIntensityTrace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CarbonIntensityTrace:
     """A regularly sampled carbon-intensity series.
 
@@ -72,6 +74,18 @@ class CarbonIntensityTrace:
         object.__setattr__(self, "values", arr)
 
     # -- basic protocol ------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        """Same samples, step, start and zone; the cached integral is ignored."""
+        if not isinstance(other, CarbonIntensityTrace):
+            return NotImplemented
+        return (self.step_seconds == other.step_seconds
+                and self.start_time == other.start_time
+                and self.zone == other.zone
+                and np.array_equal(self.values, other.values))
+
+    #: traces hold an array, so they are deliberately unhashable
+    __hash__ = None  # type: ignore[assignment]
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -150,32 +164,101 @@ class CarbonIntensityTrace:
 
     # -- integration ----------------------------------------------------------
 
-    def mean_over(self, t0: float, t1: float) -> float:
+    def _cumulative(self):
+        """``(hi, lo)``: ``hi[k] + lo[k]`` is ``sum(values[:k + 1] * step)``
+        to about twice float64 precision.
+
+        Built on the first integral and cached on the instance, so traces
+        that are never integrated pay nothing.  ``hi`` is the running sum;
+        ``lo`` accumulates the exact rounding error of each of its
+        additions (TwoSum), so a difference of two prefixes keeps full
+        precision even deep into a long trace.
+        """
+        cum = self.__dict__.get("_cum")
+        if cum is None:
+            terms = self.values * self.step_seconds
+            hi = np.cumsum(terms)
+            lo = np.zeros_like(hi)
+            carried = hi[1:] - hi[:-1]
+            np.cumsum((hi[:-1] - (hi[1:] - carried)) + (terms[1:] - carried),
+                      out=lo[1:])
+            cum = (hi, lo)
+            object.__setattr__(self, "_cum", cum)
+        return cum
+
+    def mean_over(self, t0, t1):
         """Time-weighted mean intensity over ``[t0, t1)`` (g/kWh).
 
         Partial overlap with the first/last sample interval is weighted
         exactly; this is what makes carbon accounting of jobs that start
-        and end mid-hour correct.
+        and end mid-hour correct.  Accepts scalars or NumPy arrays of bounds.
         """
-        if t1 <= t0:
+        if isinstance(t0, np.ndarray) or isinstance(t1, np.ndarray):
+            t0 = np.asarray(t0, dtype=np.float64)
+            t1 = np.asarray(t1, dtype=np.float64)
+            if (t1 <= t0).any():
+                raise ValueError("empty interval in array bounds")
+        elif t1 <= t0:
             raise ValueError(f"empty interval [{t0}, {t1})")
         return self.integrate_intensity(t0, t1) / (t1 - t0)
 
-    def integrate_intensity(self, t0: float, t1: float) -> float:
-        """``∫ CI(t) dt`` over ``[t0, t1)`` in (g/kWh)·s, with exact partial bins."""
+    def integrate_intensity(self, t0, t1):
+        """``∫ CI(t) dt`` over ``[t0, t1)`` in (g/kWh)·s, with exact partial bins.
+
+        O(1) per interval from the cached cumulative integral.  Outside the
+        trace the first/last sample holds; ``t1 <= t0`` integrates to 0.
+        Accepts scalars or NumPy arrays of bounds (broadcast like NumPy);
+        both give the same bits for the same bounds.
+        """
+        if isinstance(t0, np.ndarray) or isinstance(t1, np.ndarray):
+            return self._integrate_array(np.asarray(t0, dtype=np.float64),
+                                         np.asarray(t1, dtype=np.float64))
         if t1 <= t0:
             return 0.0
-        step = self.step_seconds
-        # Sample interval i covers [s_i, s_i + step). Overlap of [t0,t1) with
-        # each interval, vectorized.
-        i0 = int(np.floor((t0 - self.start_time) / step))
-        i1 = int(np.ceil((t1 - self.start_time) / step))
-        idx = np.arange(i0, i1)
-        starts = self.start_time + idx * step
-        overlaps = np.minimum(starts + step, t1) - np.maximum(starts, t0)
-        overlaps = np.clip(overlaps, 0.0, None)
-        vals = self.values[np.clip(idx, 0, len(self) - 1)]
-        return float(np.dot(vals, overlaps))
+        vals, start, step = self.values, self.start_time, self.step_seconds
+        last = vals.size - 1
+        end = start + vals.size * step
+        total = 0.0
+        if t0 < start:  # before the trace: the first sample holds
+            total += (min(t1, start) - t0) * vals.item(0)
+        if t1 > end:  # after it: the last sample holds
+            total += (t1 - max(t0, end)) * vals.item(last)
+        a = min(max(t0, start), end)
+        b = min(max(t1, start), end)
+        if b <= a:
+            return total
+        i = min(int((a - start) / step), last)  # a >= start: int() floors
+        j = min(int((b - start) / step), last)
+        if i == j:
+            return total + (b - a) * vals.item(i)
+        hi, lo = self._cumulative()
+        # head partial bin, full bins i+1..j-1, tail partial bin
+        return total + ((start + i * step + step - a) * vals.item(i)
+                        + (hi.item(j - 1) - hi.item(i))
+                        + (lo.item(j - 1) - lo.item(i))
+                        + (b - (start + j * step)) * vals.item(j))
+
+    def _integrate_array(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """:meth:`integrate_intensity` over arrays of bounds, same arithmetic."""
+        vals, start, step = self.values, self.start_time, self.step_seconds
+        last = vals.size - 1
+        end = start + vals.size * step
+        hi, lo = self._cumulative()
+        total = (np.maximum(np.minimum(t1, start) - t0, 0.0) * vals[0]
+                 + np.maximum(t1 - np.maximum(t0, end), 0.0) * vals[last])
+        a = np.minimum(np.maximum(t0, start), end)
+        b = np.maximum(np.minimum(np.maximum(t1, start), end), a)
+        i = np.minimum(((a - start) / step).astype(np.int64), last)
+        j = np.minimum(((b - start) / step).astype(np.int64), last)
+        jm1 = j - 1
+        vi = vals[i]
+        inner = np.where(
+            i == j,
+            (b - a) * vi,
+            (start + i * step + step - a) * vi
+            + (hi[jm1] - hi[i]) + (lo[jm1] - lo[i])
+            + (b - (start + j * step)) * vals[j])
+        return total + inner
 
     def carbon_for_power(self, power_watts: float, t0: float, t1: float) -> float:
         """Operational carbon (gCO2e) of a constant ``power_watts`` load over ``[t0, t1)``."""

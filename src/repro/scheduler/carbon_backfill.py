@@ -13,6 +13,11 @@ each startable job the policy compares the forecast mean intensity over
 times within the slack window; it holds the job when starting later
 saves at least ``min_saving_fraction``.
 
+Each scheduling pass fits the forecaster once, on trailing history, and
+predicts far enough for every pending job; each job's start slots are
+then scored in one array ``mean_over`` call, and its verdict is reused
+if the reduced second EASY pass offers it again.
+
 Starvation safety: a job whose accumulated wait exceeds ``max_delay_s``
 bypasses the gate unconditionally, so the policy degrades to plain EASY
 under persistent red skies.  The head job's reservation logic is
@@ -23,11 +28,12 @@ to later non-held jobs.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.grid.forecast import Forecaster, SeasonalNaiveForecaster
+from repro.grid.intensity import CarbonIntensityTrace
 from repro.scheduler.backfill import EasyBackfillPolicy
 from repro.scheduler.rjms import SchedulerPolicy, SchedulingContext, StartDecision
 from repro.service.core import CarbonService
@@ -44,8 +50,9 @@ class CarbonBackfillPolicy(SchedulerPolicy):
     ----------
     forecaster:
         Any :class:`~repro.grid.forecast.Forecaster`; fit on trailing
-        history each pass. Defaults to seasonal-naive (the strong cheap
-        baseline). Pass an oracle for the upper bound ablation.
+        history once each pass that has a job to gate. Defaults to
+        seasonal-naive (the strong cheap baseline). Pass an oracle for
+        the upper bound ablation.
     max_delay_s:
         Hard bound on added queue delay per job (default 12 h).
     min_saving_fraction:
@@ -90,7 +97,19 @@ class CarbonBackfillPolicy(SchedulerPolicy):
             self._service = CarbonService.ensure(provider)
         return self._service
 
-    def _forecast(self, ctx: SchedulingContext, horizon_s: float):
+    def _window(self, ctx: SchedulingContext,
+                job: Job) -> Optional[Tuple[float, float]]:
+        """``(slack, runtime)`` of a job the gate may hold; None if it must start."""
+        slack = self.max_delay_s - (ctx.now - job.submit_time)
+        if slack <= 0:
+            return None  # starvation guard: start it
+        runtime = min(job.runtime_estimate, job.work_seconds * 2)
+        if runtime < self.min_job_seconds:
+            return None
+        return slack, runtime
+
+    def _forecast(self, ctx: SchedulingContext,
+                  horizon_s: float) -> Optional[CarbonIntensityTrace]:
         """Forecast trace covering [now, now + horizon]; None if infeasible."""
         t0 = max(0.0, ctx.now - self.history_s)
         if ctx.now - t0 < 2 * units.SECONDS_PER_HOUR:
@@ -103,34 +122,22 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         steps = int(np.ceil(horizon_s / history.step_seconds)) + 1
         return self.forecaster.predict(max(1, steps))
 
-    def _should_hold(self, ctx: SchedulingContext, job: Job) -> bool:
-        """True when delaying this job promises enough carbon savings."""
-        waited = ctx.now - job.submit_time
-        slack = self.max_delay_s - waited
-        if slack <= 0:
-            return False  # starvation guard: start it
-        runtime = min(job.runtime_estimate, job.work_seconds * 2)
-        if runtime < self.min_job_seconds:
-            return False
-        forecast = self._forecast(ctx, slack + runtime)
-        if forecast is None:
-            return False
-        # mean CI if started now vs best start within the slack window
-        now_mean = forecast.mean_over(forecast.start_time,
-                                      forecast.start_time + runtime)
+    def _should_hold(self, forecast: CarbonIntensityTrace, slack: float,
+                     runtime: float) -> bool:
+        """True when delaying a job promises enough carbon savings.
+
+        Compares the forecast mean over ``[now, now + runtime)`` with the
+        best mean over start slots within the slack window, all slots
+        scored in one array call.  ``forecast`` starts now and must reach
+        past ``now + slack + runtime``, as :meth:`_forecast` guarantees.
+        """
         step = forecast.step_seconds
-        n_starts = int(slack // step)
-        best = now_mean
-        for k in range(1, n_starts + 1):
-            s = forecast.start_time + k * step
-            e = min(s + runtime, forecast.end_time)
-            if e <= s:
-                break
-            m = forecast.mean_over(s, e)
-            if m < best:
-                best = m
+        starts = forecast.start_time + np.arange(int(slack // step) + 1) * step
+        means = forecast.mean_over(starts, starts + runtime)
+        now_mean = float(means[0])
         if now_mean <= 0:
             return False
+        best = float(means.min())
         return (now_mean - best) / now_mean >= self.min_saving_fraction
 
     # -- policy ------------------------------------------------------------------
@@ -139,15 +146,27 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         base = self._inner.schedule(ctx)
         if not base:
             return base
-        held_ids = set()
-        out: List[StartDecision] = []
-        for d in base:
-            if d.job.job_id not in held_ids and self._should_hold(ctx, d.job):
-                held_ids.add(d.job.job_id)
-                continue
-            out.append(d)
-        if len(out) == len(base):
-            return out
+        if all(self._window(ctx, d.job) is None for d in base):
+            return base
+        # One forecast for the pass, long enough for every job either
+        # inner pass may offer; prefix consistency makes it exact.
+        windows = {j.job_id: w for j in ctx.pending
+                   if (w := self._window(ctx, j)) is not None}
+        forecast = self._forecast(ctx, max(map(sum, windows.values())))
+        if forecast is None:
+            return base
+        verdicts: Dict[int, bool] = {}
+
+        def holds(job: Job) -> bool:
+            if job.job_id not in verdicts:
+                window = windows.get(job.job_id)
+                verdicts[job.job_id] = (window is not None and
+                                        self._should_hold(forecast, *window))
+            return verdicts[job.job_id]
+
+        held_ids = {d.job.job_id for d in base if holds(d.job)}
+        if not held_ids:
+            return base
         # Holding freed nodes: rerun the inner policy on the reduced
         # queue so non-held jobs may use the capacity (single fixpoint
         # iteration; holding decisions are sticky within this pass).
@@ -159,10 +178,4 @@ class CarbonBackfillPolicy(SchedulerPolicy):
             running=ctx.running,
             expected_end=ctx.expected_end,
         )
-        out2 = self._inner.schedule(reduced)
-        final: List[StartDecision] = []
-        for d in out2:
-            if self._should_hold(ctx, d.job):
-                continue
-            final.append(d)
-        return final
+        return [d for d in self._inner.schedule(reduced) if not holds(d.job)]

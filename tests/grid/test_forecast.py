@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.grid import (
     ARForecaster,
     CarbonIntensityTrace,
+    EnsembleForecaster,
     ExponentialSmoothingForecaster,
     OracleForecaster,
     PersistenceForecaster,
     SeasonalNaiveForecaster,
     SyntheticProvider,
+    TraceProvider,
     forecast_skill,
 )
 
@@ -57,6 +60,52 @@ class TestForecasterContract:
     def test_rejects_zero_horizon(self):
         with pytest.raises(ValueError):
             PersistenceForecaster().fit(sine_history()).predict(0)
+
+
+class TestPrefixConsistency:
+    """``predict(n).values[:m] == predict(m).values`` exactly, for every
+    forecaster: the carbon-backfill gate fits once per scheduling pass
+    and lets every job read its own horizon off one longer forecast."""
+
+    FORECASTERS = {
+        "persistence": PersistenceForecaster,
+        "seasonal-naive": SeasonalNaiveForecaster,
+        "exp-smoothing": ExponentialSmoothingForecaster,
+        "ar": ARForecaster,
+        "ensemble": EnsembleForecaster,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORECASTERS))
+    @given(vals=st.lists(st.floats(0, 1500), min_size=1, max_size=200),
+           n=st.integers(1, 120), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_consistent(self, name, vals, n, data):
+        m = data.draw(st.integers(1, n))
+        fc = self.FORECASTERS[name]().fit(
+            CarbonIntensityTrace(np.array(vals), HOUR, 3 * HOUR))
+        long, short = fc.predict(n), fc.predict(m)
+        np.testing.assert_array_equal(long.values[:m], short.values)
+        assert short.start_time == long.start_time
+
+    def test_oracle_prefix_consistent(self):
+        p = SyntheticProvider("DE", seed=5)
+        fc = OracleForecaster(p).fit(p.history(0, 7 * DAY))
+        long = fc.predict(96)
+        for m in (1, 13, 48, 96):
+            np.testing.assert_array_equal(long.values[:m],
+                                          fc.predict(m).values)
+
+    def test_oracle_short_window_padded_with_last_value(self):
+        # the provider's trace ends 5 h after the history; longer horizons
+        # repeat its last sample, so every prefix still agrees
+        trace = CarbonIntensityTrace(np.arange(1.0, 30.0), HOUR)
+        fc = OracleForecaster(TraceProvider(trace)).fit(trace.window(0, DAY))
+        long = fc.predict(12)
+        np.testing.assert_array_equal(
+            long.values, [25.0, 26.0, 27.0, 28.0, 29.0] + [29.0] * 7)
+        for m in range(1, 13):
+            np.testing.assert_array_equal(long.values[:m],
+                                          fc.predict(m).values)
 
 
 class TestPersistence:

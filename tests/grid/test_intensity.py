@@ -133,6 +133,159 @@ class TestIntegration:
         assert whole == pytest.approx(parts, rel=1e-9, abs=1e-6)
 
 
+def per_bin_integral(trace, t0, t1):
+    """The per-bin overlap sum the cumulative integral replaced: the
+    differential reference for :meth:`integrate_intensity`."""
+    if t1 <= t0:
+        return 0.0
+    step = trace.step_seconds
+    i0 = int(np.floor((t0 - trace.start_time) / step))
+    i1 = int(np.ceil((t1 - trace.start_time) / step))
+    idx = np.arange(i0, i1)
+    starts = trace.start_time + idx * step
+    overlaps = np.minimum(starts + step, t1) - np.maximum(starts, t0)
+    overlaps = np.clip(overlaps, 0.0, None)
+    vals = trace.values[np.clip(idx, 0, len(trace) - 1)]
+    return float(np.dot(vals, overlaps))
+
+
+#: times on a quarter-second grid, so ``t - start`` and every bin edge are
+#: exact and the two formulas differ only in how they sum
+quarter_s = st.integers(-4 * 10 ** 6, 4 * 10 ** 6).map(lambda q: q / 4.0)
+
+
+@st.composite
+def trace_and_bounds(draw):
+    """A trace with a non-zero start plus a bound pair of one shape:
+    before the start, after the end, inside one bin, on bin edges, or
+    anywhere around the trace."""
+    vals = draw(st.lists(st.floats(0, 2000), min_size=1, max_size=60))
+    step = draw(st.sampled_from([1.0, 60.0, 900.0, 3600.0, 86400.0]))
+    start = draw(quarter_s.filter(lambda s: s != 0.0))
+    trace = make(vals, step=step, start=start)
+    end = trace.end_time
+    shape = draw(st.sampled_from(
+        ["before", "after", "one-bin", "edges", "anywhere"]))
+    if shape == "before":
+        t0 = start - draw(st.integers(1, 4 * 10 ** 6)) / 4.0
+        t1 = draw(st.sampled_from([start, t0 + 0.25, end + step / 2]))
+    elif shape == "after":
+        t0 = draw(st.sampled_from([end, end - step / 2, end + 0.25]))
+        t1 = t0 + draw(st.integers(1, 4 * 10 ** 6)) / 4.0
+    elif shape == "one-bin":
+        k = draw(st.integers(0, len(vals) - 1))
+        lo_q = draw(st.integers(0, int(step * 4) - 1))
+        hi_q = draw(st.integers(lo_q + 1, int(step * 4)))
+        t0 = start + k * step + lo_q / 4.0
+        t1 = start + k * step + hi_q / 4.0
+    elif shape == "edges":
+        k0 = draw(st.integers(-3, len(vals) + 3))
+        k1 = draw(st.integers(k0, len(vals) + 4))
+        t0, t1 = start + k0 * step, start + k1 * step
+    else:
+        span = int((end - start + 2 * step) * 4)
+        t0 = start - step + draw(st.integers(0, span)) / 4.0
+        t1 = start - step + draw(st.integers(0, span)) / 4.0
+    return trace, t0, t1
+
+
+class TestCumulativeIntegral:
+    """The O(1) prefix-sum integral against the per-bin formula."""
+
+    @given(trace_and_bounds())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_bin_formula(self, case):
+        trace, t0, t1 = case
+        assert trace.integrate_intensity(t0, t1) == pytest.approx(
+            per_bin_integral(trace, t0, t1), rel=1e-12)
+
+    @given(st.lists(trace_and_bounds(), min_size=1, max_size=12),
+           trace_and_bounds())
+    @settings(max_examples=100, deadline=None)
+    def test_array_bounds_match_scalar_loop(self, cases, traced):
+        trace = traced[0]
+        t0 = np.array([c[1] for c in cases])
+        t1 = np.array([c[2] for c in cases])
+        got = trace.integrate_intensity(t0, t1)
+        loop = [trace.integrate_intensity(a, b) for a, b in zip(t0, t1)]
+        assert got.shape == t0.shape
+        np.testing.assert_array_equal(got, loop)  # same arithmetic
+        for g, a, b in zip(got, t0, t1):
+            assert g == pytest.approx(per_bin_integral(trace, a, b),
+                                      rel=1e-12)
+
+    def test_before_start_holds_first_sample(self):
+        t = make([100, 200], start=5 * HOUR)
+        assert t.integrate_intensity(3 * HOUR, 4 * HOUR) == 100 * HOUR
+        # straddling the start: one hour held before, half an hour inside
+        assert t.integrate_intensity(4 * HOUR, 5.5 * HOUR) == pytest.approx(
+            100 * HOUR + 100 * HOUR / 2)
+
+    def test_empty_and_reversed_intervals_are_zero(self):
+        t = make([100, 200])
+        assert t.integrate_intensity(HOUR, HOUR) == 0.0
+        assert t.integrate_intensity(2 * HOUR, HOUR) == 0.0
+        np.testing.assert_array_equal(
+            t.integrate_intensity(np.array([HOUR, 2 * HOUR]),
+                                  np.array([HOUR, HOUR])), [0.0, 0.0])
+
+    def test_mean_over_arrays(self):
+        t = make([100, 300, 200])
+        starts = np.array([0.0, HOUR, 0.5 * HOUR])
+        means = t.mean_over(starts, starts + HOUR)
+        np.testing.assert_allclose(means, [100.0, 300.0, 200.0])
+        assert t.mean_over(0.5 * HOUR, 1.5 * HOUR) == means[2]
+
+    def test_mean_over_arrays_rejects_empty(self):
+        t = make([100, 300])
+        with pytest.raises(ValueError, match="empty"):
+            t.mean_over(np.array([0.0, HOUR]), np.array([HOUR, HOUR]))
+
+    def test_long_trace_keeps_precision(self):
+        # a month of minutes on a coal-heavy grid, then a green day: the
+        # prefix reaches ~1e9 g/kWh*s while a green window integrates to
+        # ~1e4, so a plain prefix difference would keep only ~5 digits
+        rng = np.random.default_rng(3)
+        t = make(np.concatenate([rng.uniform(600, 900, 30 * 1440),
+                                 rng.uniform(5, 20, 1440)]), step=60.0)
+        for k in (5, 20_000, 43_500, 44_000):
+            a, b = k * 60.0 + 7.5, k * 60.0 + 610.25
+            assert t.integrate_intensity(a, b) == pytest.approx(
+                per_bin_integral(t, a, b), rel=1e-12)
+
+    def test_cumulative_integral_is_lazy(self):
+        t = make([100, 200])
+        assert "_cum" not in vars(t)
+        t.integrate_intensity(0.0, 1.5 * HOUR)
+        assert "_cum" in vars(t)
+
+
+class TestEquality:
+    def test_equal_traces(self):
+        a = make([100, 200], start=10.0)
+        assert a == make([100, 200], start=10.0)
+        assert not a != make([100, 200], start=10.0)
+
+    def test_field_differences(self):
+        a = make([100, 200])
+        assert a != make([100, 201])
+        assert a != make([100, 200, 300])
+        assert a != make([100, 200], step=60.0)
+        assert a != make([100, 200], start=1.0)
+        assert a != CarbonIntensityTrace(a.values, HOUR, 0.0, zone="DE")
+        assert a != "not a trace"
+
+    def test_built_prefix_sum_ignored(self):
+        a = make([100, 200, 300], start=-HOUR)
+        a.integrate_intensity(-HOUR, 0.5 * HOUR)
+        assert a == make([100, 200, 300], start=-HOUR)
+        assert "_cum" not in repr(a)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(make([100]))
+
+
 class TestTransforms:
     def test_daily_means(self):
         vals = [100.0] * 24 + [200.0] * 24

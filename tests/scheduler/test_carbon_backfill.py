@@ -2,12 +2,18 @@
 
 import copy
 
+import numpy as np
 import pytest
 
-from repro.grid import SyntheticProvider
-from repro.grid.forecast import OracleForecaster, PersistenceForecaster
+from repro.grid import CarbonIntensityTrace, SyntheticProvider
+from repro.grid.forecast import (
+    OracleForecaster,
+    PersistenceForecaster,
+    SeasonalNaiveForecaster,
+)
 from repro.scheduler import CarbonBackfillPolicy, EasyBackfillPolicy, RJMS
 from repro.simulator import Cluster, WorkloadConfig, WorkloadGenerator
+from tests.grid.test_intensity import per_bin_integral
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -99,3 +105,93 @@ class TestBehaviour:
                      CarbonBackfillPolicy(max_delay_s=DAY,
                                           min_saving_fraction=0.03))
         assert carbon.mean_wait_s > base.mean_wait_s
+
+
+def per_bin_mean(trace, t0, t1):
+    """Mean intensity over [t0, t1) by the per-bin overlap sum."""
+    return per_bin_integral(trace, t0, t1) / (t1 - t0)
+
+
+def slot_loop_holds(forecast, slack, runtime, min_saving_fraction):
+    """The gate's verdict by the scalar slot loop it replaced."""
+    now_mean = per_bin_mean(forecast, forecast.start_time,
+                            forecast.start_time + runtime)
+    step = forecast.step_seconds
+    best = now_mean
+    for k in range(1, int(slack // step) + 1):
+        s = forecast.start_time + k * step
+        e = min(s + runtime, forecast.end_time)
+        if e <= s:
+            break
+        best = min(best, per_bin_mean(forecast, s, e))
+    if now_mean <= 0:
+        return False
+    return (now_mean - best) / now_mean >= min_saving_fraction
+
+
+class TestGate:
+    def test_array_gate_matches_slot_loop(self):
+        """One array ``mean_over`` per job gives the slot loop's verdict,
+        on a forecast of the job's own horizon or a longer one."""
+        rng = np.random.default_rng(11)
+        held = 0
+        for _ in range(400):
+            step = float(rng.choice([900.0, HOUR]))
+            slack = float(rng.uniform(0.1, 30.0)) * HOUR
+            runtime = float(rng.uniform(0.25, 20.0)) * HOUR
+            frac = float(rng.choice([0.0, 0.01, 0.03, 0.05, 0.2, 0.5]))
+            steps = int(np.ceil((slack + runtime) / step)) + 1
+            extra = int(rng.integers(0, 30))
+            hours = np.arange(steps + extra) * step / HOUR
+            values = np.clip(300 + 150 * np.sin(2 * np.pi * hours / 24)
+                             + rng.normal(0, 40, hours.size), 0, None)
+            if rng.random() < 0.1:
+                values[:] = 250.0  # flat: nothing to gain
+            start = float(rng.integers(1, 400)) * step
+            own = CarbonIntensityTrace(values[:steps], step, start)
+            wide = CarbonIntensityTrace(values, step, start)
+            policy = CarbonBackfillPolicy(min_saving_fraction=frac)
+            expected = slot_loop_holds(own, slack, runtime, frac)
+            assert policy._should_hold(own, slack, runtime) == expected
+            assert policy._should_hold(wide, slack, runtime) == expected
+            held += expected
+        assert 0 < held < 400
+
+    def test_one_forecast_per_pass(self, node_power_model, light_workload):
+        """At most one fit per ``schedule()``, also in passes where holds
+        trigger the reduced second inner pass."""
+
+        class CountingForecaster(SeasonalNaiveForecaster):
+            fits = 0
+
+            def fit(self, history):
+                CountingForecaster.fits += 1
+                return super().fit(history)
+
+        policy = CarbonBackfillPolicy(CountingForecaster(), max_delay_s=DAY,
+                                      min_saving_fraction=0.03)
+        inner_schedule = policy._inner.schedule
+        inner_calls = []
+
+        def counted_inner(ctx):
+            inner_calls[-1] += 1
+            return inner_schedule(ctx)
+
+        policy._inner.schedule = counted_inner
+        schedule = policy.schedule
+        fits_per_pass = []
+
+        def counted(ctx):
+            before = CountingForecaster.fits
+            inner_calls.append(0)
+            out = schedule(ctx)
+            fits_per_pass.append(CountingForecaster.fits - before)
+            return out
+
+        policy.schedule = counted
+        result = run(node_power_model, light_workload, policy)
+        assert len(result.completed_jobs) == len(light_workload)
+        assert max(fits_per_pass) == 1
+        assert inner_calls.count(2) > 0  # holds ran the second pass
+        assert all(f == 1 for f, n in zip(fits_per_pass, inner_calls)
+                   if n == 2)
