@@ -13,9 +13,17 @@ carbon-aware plugins attach:
   (§3.1) are all managers.
 
 Accounting is exact: cluster power is piecewise constant between
-events; before any state change the RJMS accrues the cluster integrator
-and the per-job integrators, and carbon is the per-segment product with
-the intensity trace's exact partial-bin integral.
+events, so before any state change the RJMS accrues one step
+``[t0, now)`` from the cluster's previous accrual time.  Only running
+jobs draw power, and every one of them was last accrued at ``t0`` too,
+so the step costs one intensity integral over the exact partial-bin
+history window, shared by the cluster segment and every running job's
+account.  Energy is power times the step; carbon is
+``(watts / WATTS_PER_KW) * integral / SECONDS_PER_HOUR``, the order of
+:meth:`~repro.grid.intensity.CarbonIntensityTrace.carbon_for_power`, so
+totals are the same bits as integrating each job's own window and
+every cluster segment after the run.  The cluster total is kept as a
+running sum.
 """
 
 from __future__ import annotations
@@ -103,7 +111,7 @@ class JobAccount:
 
     energy_kwh: float = 0.0
     carbon_g: float = 0.0
-    last_update: float = 0.0
+    #: draw of the job's allocation (W); nonzero only while it runs
     current_power_w: float = 0.0
 
 
@@ -219,6 +227,8 @@ class RJMS:
         self._managers: List[_Manager] = []
         self._max_seen_time = start_time
         self._finalized = False
+        #: cluster carbon accrued so far (g), one term per power segment
+        self._carbon_g = 0.0
 
         can_mold = bool(getattr(policy, "can_mold", False))
         for job in self.jobs:
@@ -249,19 +259,30 @@ class RJMS:
         return self.engine.now
 
     def _accrue_all(self) -> None:
-        """Integrate cluster and per-job power up to now."""
-        now = self.now
-        self.cluster.accrue(now)
-        for jid, acc in self.accounts.items():
-            if acc.current_power_w > 0 and now > acc.last_update:
-                dt = now - acc.last_update
-                kwh = acc.current_power_w * dt / units.SECONDS_PER_HOUR \
+        """Integrate cluster and running-job power over ``[t0, now)``.
+
+        ``t0`` is the cluster's previous accrual time.  Completion,
+        suspension and node failure all take a job out of ``running``
+        and zero its power, so the running jobs are the only accounts
+        that accrue; one intensity integral serves them and the cluster.
+        """
+        t0, now = self.cluster.last_accrual, self.now
+        watts = self.cluster.accrue(now)
+        if now <= t0 or (watts <= 0 and not self.running):
+            return
+        integral = self.provider.history(t0, now).integrate_intensity(t0, now)
+        if watts > 0:
+            self._carbon_g += (watts / units.WATTS_PER_KW) * integral \
+                / units.SECONDS_PER_HOUR
+        dt = now - t0
+        for jid in self.running:
+            acc = self.accounts[jid]
+            w = acc.current_power_w
+            if w > 0:
+                acc.energy_kwh += w * dt / units.SECONDS_PER_HOUR \
                     / units.WATTS_PER_KW
-                acc.energy_kwh += kwh
-                trace = self.provider.history(acc.last_update, now)
-                acc.carbon_g += trace.carbon_for_power(
-                    acc.current_power_w, acc.last_update, now)
-            acc.last_update = now
+                acc.carbon_g += (w / units.WATTS_PER_KW) * integral \
+                    / units.SECONDS_PER_HOUR
 
     def _job_power_now(self, job: Job) -> float:
         """Current draw of a job's allocation (W)."""
@@ -300,7 +321,7 @@ class RJMS:
         job.start(self.now, n_nodes, perf)
         self.pending.remove(job)
         self.running[job.job_id] = job
-        self.accounts[job.job_id] = JobAccount(last_update=self.now)
+        self.accounts[job.job_id] = JobAccount()
         self._refresh_job_power(job)
         self._schedule_completion(job)
 
@@ -456,19 +477,17 @@ class RJMS:
             self.accounts[job.job_id].current_power_w = 0.0
             self.pending.append(job)
 
-        node.mark_down()
-        self.engine.schedule_in(repair_seconds, self._repair_fn(node),
+        self.cluster.mark_down(node_id)
+        self.engine.schedule_in(repair_seconds, self._repair_fn(node_id),
                                 priority=PRIO_PHASE,
                                 label=f"repair:{node_id}")
         self._record_telemetry()
         self._schedule_pass()
 
-    def _repair_fn(self, node):
+    def _repair_fn(self, node_id: int):
         def _repair() -> None:
             self._accrue_all()
-            node.repair()
-            if self.cluster.idle_power_off:
-                node.power_off()
+            self.cluster.repair(node_id)
             self._record_telemetry()
             self._schedule_pass()
         return _repair
@@ -565,9 +584,10 @@ class RJMS:
         # mid-redistribution states have zero duration and would show
         # phantom budget overshoots
         self._record_telemetry()
-        # keep ticking while there is (or will be) anything to manage
+        # keep ticking while there is (or will be) anything to manage;
+        # peek_time drops cancelled heads, which step() would skip anyway
         if self.pending or self.running or self.suspended \
-                or self.engine.pending > 0:
+                or self.engine.peek_time() is not None:
             self.engine.schedule_in(self.tick_seconds, self._tick,
                                     priority=PRIO_TICK, label="tick")
 
@@ -604,12 +624,6 @@ class RJMS:
         self._accrue_all()
         self._finalized = True
 
-        total_carbon_g = 0.0
-        segs = self.cluster.power_segments()
-        for t0, t1, watts in segs:
-            if watts > 0:
-                trace = self.provider.history(t0, t1)
-                total_carbon_g += trace.carbon_for_power(watts, t0, t1)
         ends = [j.end_time for j in self.jobs if j.end_time is not None]
         makespan = (max(ends) - min(j.submit_time for j in self.jobs)) \
             if ends else 0.0
@@ -617,7 +631,7 @@ class RJMS:
             jobs=self.jobs,
             accounts=self.accounts,
             total_energy_kwh=self.cluster.energy_kwh,
-            total_carbon_kg=total_carbon_g / units.GRAMS_PER_KG,
+            total_carbon_kg=self._carbon_g / units.GRAMS_PER_KG,
             makespan_s=makespan,
             power_trace=self.cluster.power_trace(),
             provider=self.provider,

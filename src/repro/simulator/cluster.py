@@ -11,6 +11,13 @@ so :meth:`Cluster.accrue` (called by the RJMS before *every* state
 change) integrates energy exactly and appends a segment to the power
 log, from which :meth:`power_trace` reconstructs the full
 :class:`~repro.core.operational.PowerTrace` for carbon accounting.
+
+Cluster power and the free-node count are cached between state changes:
+the RJMS reads both on every event, but they only change on an
+allocation, release, resize, cap, failure or repair.  Every such change
+goes through a :class:`Cluster` method, which drops the cache; a miss
+recomputes the same sum over all nodes, in node order, so cached values
+are the same bits as a fresh scan.
 """
 
 from __future__ import annotations
@@ -50,6 +57,12 @@ class Cluster:
     idle_power_off:
         If True, idle nodes are powered off (draw 0) — an aggressive
         carbon policy usable as an ablation.
+
+    Node state changes go through the cluster (:meth:`allocate`,
+    :meth:`release`, :meth:`grow`, :meth:`shrink`, :meth:`set_job_cap`,
+    :meth:`mark_down`, :meth:`repair`): its cached power and free-node
+    count are only dropped there.  Mutating a :class:`Node` directly
+    leaves them stale.
     """
 
     def __init__(self, n_nodes: int, power_model: NodePowerModel,
@@ -66,6 +79,9 @@ class Cluster:
         self._segments: List[_PowerSegment] = []
         self._last_accrual = 0.0
         self._energy_joules = 0.0
+        #: cached current_power() and n_free; None until the next query
+        self._power: Optional[float] = None
+        self._free: Optional[int] = None
 
     # -- queries --------------------------------------------------------------
 
@@ -75,12 +91,14 @@ class Cluster:
 
     @property
     def n_free(self) -> int:
-        return sum(1 for nd in self.nodes
-                   if nd.state in (NodeState.IDLE, NodeState.POWERED_OFF))
+        if self._free is None:
+            self._free = self._scan_free()
+        return self._free
 
     @property
     def n_busy(self) -> int:
-        return sum(1 for nd in self.nodes if nd.state is NodeState.BUSY)
+        # busy nodes are exactly the allocated ones (check_invariants)
+        return sum(len(held) for held in self._alloc.values())
 
     def nodes_of_job(self, job_id: int) -> List[Node]:
         """Nodes currently allocated to ``job_id`` (empty if none)."""
@@ -88,7 +106,21 @@ class Cluster:
 
     def current_power(self) -> float:
         """Instantaneous cluster draw (W)."""
+        if self._power is None:
+            self._power = self._scan_power()
+        return self._power
+
+    def _scan_free(self) -> int:
+        return sum(1 for nd in self.nodes
+                   if nd.state in (NodeState.IDLE, NodeState.POWERED_OFF))
+
+    def _scan_power(self) -> float:
         return sum(nd.current_power() for nd in self.nodes)
+
+    def _invalidate(self) -> None:
+        """Drop the cached power and free count (before any node change)."""
+        self._power = None
+        self._free = None
 
     def max_power(self) -> float:
         """Upper bound: every node busy at full utilization, uncapped."""
@@ -115,6 +147,7 @@ class Cluster:
             raise ValueError(
                 f"only {len(free)} nodes free, {n_nodes} requested")
         chosen = free[:n_nodes]
+        self._invalidate()
         for nd in chosen:
             if nd.state is NodeState.POWERED_OFF:
                 nd.power_on()
@@ -128,6 +161,7 @@ class Cluster:
             held = self._alloc.pop(job_id)
         except KeyError:
             raise ValueError(f"job {job_id} holds no nodes") from None
+        self._invalidate()
         for nd in held:
             nd.release()
             nd.set_cap(None)
@@ -145,6 +179,7 @@ class Cluster:
         if len(free) < extra_nodes:
             raise ValueError(f"only {len(free)} nodes free")
         chosen = free[:extra_nodes]
+        self._invalidate()
         for nd in chosen:
             if nd.state is NodeState.POWERED_OFF:
                 nd.power_on()
@@ -160,6 +195,7 @@ class Cluster:
         if drop_nodes < 1 or drop_nodes >= len(held):
             raise ValueError(
                 f"can drop 1..{len(held) - 1} nodes, got {drop_nodes}")
+        self._invalidate()
         for _ in range(drop_nodes):
             nd = held.pop()
             nd.release()
@@ -172,21 +208,55 @@ class Cluster:
         held = self._alloc.get(job_id)
         if not held:
             raise ValueError(f"job {job_id} holds no nodes")
+        self._invalidate()
         for nd in held:
             nd.set_cap(cap_watts_per_node)
         return held[0].perf_factor
 
+    # -- failures -------------------------------------------------------------------
+
+    def _node(self, node_id: int) -> Node:
+        if not 0 <= node_id < self.n_nodes:
+            raise ValueError(f"no node {node_id}")
+        return self.nodes[node_id]
+
+    def mark_down(self, node_id: int) -> None:
+        """Fail a node; a busy node must be released first."""
+        node = self._node(node_id)
+        self._invalidate()
+        node.mark_down()
+
+    def repair(self, node_id: int) -> None:
+        """Return a down node to service (powered off under
+        ``idle_power_off``, like every other idle node)."""
+        node = self._node(node_id)
+        self._invalidate()
+        node.repair()
+        if self.idle_power_off:
+            node.power_off()
+
     # -- power integration -----------------------------------------------------
 
-    def accrue(self, now: float) -> None:
-        """Integrate power up to ``now``; call before any state change."""
+    @property
+    def last_accrual(self) -> float:
+        """End of the integrated history (s): the last :meth:`accrue` time."""
+        return self._last_accrual
+
+    def accrue(self, now: float) -> float:
+        """Integrate power up to ``now``; call before any state change.
+
+        Returns the watts of the segment ``[last_accrual, now)`` it
+        appended, or 0.0 if no time passed.
+        """
         if now < self._last_accrual - 1e-9:
             raise ValueError("accrual time went backwards")
-        if now > self._last_accrual:
-            watts = self.current_power()
-            self._segments.append(_PowerSegment(self._last_accrual, now, watts))
-            self._energy_joules += watts * (now - self._last_accrual)
-            self._last_accrual = now
+        if now <= self._last_accrual:
+            return 0.0
+        watts = self.current_power()
+        self._segments.append(_PowerSegment(self._last_accrual, now, watts))
+        self._energy_joules += watts * (now - self._last_accrual)
+        self._last_accrual = now
+        return watts
 
     @property
     def energy_kwh(self) -> float:
@@ -226,7 +296,14 @@ class Cluster:
                           label="cluster")
 
     def check_invariants(self) -> None:
-        """Assert allocation bookkeeping consistency (used by tests)."""
+        """Assert allocation bookkeeping consistency and that the cached
+        power and free count equal a fresh scan (used by tests)."""
+        if self._power is not None and self._power != self._scan_power():
+            raise AssertionError(
+                f"cached power {self._power} W != scan {self._scan_power()} W")
+        if self._free is not None and self._free != self._scan_free():
+            raise AssertionError(
+                f"cached n_free {self._free} != scan {self._scan_free()}")
         seen: Dict[int, int] = {}
         for job_id, held in self._alloc.items():
             for nd in held:

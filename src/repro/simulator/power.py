@@ -17,6 +17,7 @@ knobs' effect on both power and performance:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -133,8 +134,11 @@ class NodePowerModel:
             raise ValueError("base power must be non-negative")
 
     # -- bounds -----------------------------------------------------------------
+    # Cached on first use: every node's power query reads them.  The
+    # cache lives in the instance ``__dict__``, outside the dataclass
+    # fields, so equality and hashing ignore it.
 
-    @property
+    @functools.cached_property
     def idle_watts(self) -> float:
         """Draw of a powered-on idle node."""
         return (self.base_watts
@@ -142,7 +146,7 @@ class NodePowerModel:
                 + sum(g.idle_watts for g in self.gpus)
                 + self.dram.idle_watts)
 
-    @property
+    @functools.cached_property
     def peak_watts(self) -> float:
         """Draw at full utilization, uncapped."""
         return (self.base_watts
@@ -150,7 +154,7 @@ class NodePowerModel:
                 + sum(g.peak_watts for g in self.gpus)
                 + self.dram.peak_watts)
 
-    @property
+    @functools.cached_property
     def dynamic_range_watts(self) -> float:
         return self.peak_watts - self.idle_watts
 

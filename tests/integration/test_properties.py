@@ -115,6 +115,32 @@ class TestCarbonAccountingInvariants:
         assert job_energy <= result.total_energy_kwh + 1e-6
         assert job_carbon / 1000.0 <= result.total_carbon_kg + 1e-6
 
+    @given(seed=st.integers(0, 1000), case=st.integers(0, 3))
+    @SIM_SETTINGS
+    def test_job_sums_equal_cluster_totals_idle_off(self, seed, case):
+        """With idle nodes powered off the cluster draws exactly what its
+        running jobs draw, so per-job energy and carbon add up to the
+        cluster totals: an equality, under FCFS, EASY, carbon backfill,
+        and checkpoint suspend/resume."""
+        policy = [FCFSPolicy(), EasyBackfillPolicy(),
+                  CarbonBackfillPolicy(max_delay_s=6 * HOUR),
+                  EasyBackfillPolicy()][case]
+        checkpoint = case == 3
+        jobs = workload(seed, n_jobs=20,
+                        suspendable=1.0 if checkpoint else 0.0)
+        rjms = RJMS(Cluster(8, power_model(), idle_power_off=True), jobs,
+                    policy, provider=SyntheticProvider("DE", seed=seed))
+        if checkpoint:
+            rjms.register_manager(CarbonCheckpointPolicy())
+        result = rjms.run()
+        job_energy = sum(a.energy_kwh for a in result.accounts.values())
+        job_carbon_kg = sum(a.carbon_g for a in result.accounts.values()) \
+            / 1000.0
+        assert job_energy == pytest.approx(result.total_energy_kwh,
+                                           rel=1e-12)
+        assert job_carbon_kg == pytest.approx(result.total_carbon_kg,
+                                              rel=1e-12)
+
     @given(seed=st.integers(0, 300))
     @SIM_SETTINGS
     def test_power_trace_energy_equals_total(self, seed):

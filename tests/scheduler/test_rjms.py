@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.grid import StaticProvider
+from repro.grid import StaticProvider, SyntheticProvider
 from repro.scheduler import RJMS, FCFSPolicy
 from repro.simulator import (
     CheckpointModel,
@@ -90,7 +90,46 @@ class TestBasicLifecycle:
         assert result.total_energy_kwh > 0
 
 
+class TestTick:
+    def test_tick_chain_stops_when_only_cancelled_events_remain(
+            self, node_power_model):
+        """A cancelled event left in the heap must not keep the
+        management tick alive: the run ends at the first tick after the
+        last job, not at the cancelled event's time."""
+        rjms = make_rjms(node_power_model, make_jobs((0.0, 1, HOUR)))
+        stale = rjms.engine.schedule_at(100 * HOUR, lambda: None)
+        stale.cancel()
+        rjms.run()
+        assert rjms.now == HOUR
+        assert rjms.engine.peek_time() is None
+        # arrival, completion, and ticks at 900 s .. 3600 s; the last
+        # tick runs after the completion and does not reschedule
+        assert rjms.engine.processed == 2 + 4
+
+    def test_tick_keeps_running_while_live_events_remain(
+            self, node_power_model):
+        rjms = make_rjms(node_power_model, make_jobs((0.0, 1, HOUR)))
+        fired = []
+        rjms.engine.schedule_at(10 * HOUR, lambda: fired.append(rjms.now))
+        rjms.run()
+        assert fired == [10 * HOUR]
+
+
 class TestEnergyCarbonAccounting:
+    def test_one_intensity_window_per_accrual_step(self, node_power_model):
+        """All running jobs share one step, so accrual fetches one
+        history window per step, however many jobs run."""
+        jobs = make_jobs(*[(60.0 * i, 2, HOUR * (1 + i)) for i in range(4)])
+        rjms = make_rjms(node_power_model, jobs,
+                         provider=SyntheticProvider("DE", seed=1))
+        windows = []
+        history = rjms.provider.history
+        rjms.provider.history = \
+            lambda t0, t1: windows.append((t0, t1)) or history(t0, t1)
+        rjms.run()
+        segments = rjms.cluster.power_segments()
+        assert windows == [(t0, t1) for t0, t1, _ in segments]
+
     def test_cluster_energy_exact(self, node_power_model):
         jobs = make_jobs((0.0, 4, HOUR, dict(utilization=1.0)))
         rjms = make_rjms(node_power_model, jobs, n_nodes=4)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulator import Cluster, NodeState
+from repro.simulator import (
+    Cluster,
+    ComponentPowerModel,
+    NodePowerModel,
+    NodeState,
+)
+
+PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
 
 
 class TestAllocation:
@@ -146,3 +153,117 @@ class TestCaps:
     def test_cap_unknown_job(self, small_cluster):
         with pytest.raises(ValueError):
             small_cluster.set_job_cap(9, 400.0)
+
+
+class TestFailures:
+    def test_mark_down_and_repair(self, small_cluster):
+        small_cluster.mark_down(3)
+        assert small_cluster.nodes[3].state is NodeState.DOWN
+        assert small_cluster.n_free == 7
+        assert small_cluster.current_power() == 7 * PM.idle_watts
+        small_cluster.repair(3)
+        assert small_cluster.nodes[3].state is NodeState.IDLE
+        assert small_cluster.n_free == 8
+        small_cluster.check_invariants()
+
+    def test_mark_down_busy_node_raises(self, small_cluster):
+        small_cluster.allocate(1, 2, 0.9)
+        busy = small_cluster.nodes_of_job(1)[0].node_id
+        with pytest.raises(ValueError, match="release"):
+            small_cluster.mark_down(busy)
+        assert small_cluster.nodes[busy].state is NodeState.BUSY
+
+    def test_repair_powers_off_under_idle_power_off(self):
+        cluster = Cluster(4, PM, idle_power_off=True)
+        cluster.mark_down(1)
+        cluster.repair(1)
+        assert cluster.nodes[1].state is NodeState.POWERED_OFF
+        assert cluster.current_power() == 0.0
+        assert cluster.n_free == 4
+
+    def test_repair_needs_a_down_node(self, small_cluster):
+        with pytest.raises(ValueError, match="not down"):
+            small_cluster.repair(0)
+
+    def test_unknown_node(self, small_cluster):
+        for bad in (-1, 8):
+            with pytest.raises(ValueError, match="no node"):
+                small_cluster.mark_down(bad)
+            with pytest.raises(ValueError, match="no node"):
+                small_cluster.repair(bad)
+
+    def test_down_nodes_are_not_allocated(self, small_cluster):
+        small_cluster.mark_down(0)
+        nodes = small_cluster.allocate(1, 7, 0.9)
+        assert all(nd.node_id != 0 for nd in nodes)
+        with pytest.raises(ValueError, match="free"):
+            small_cluster.grow(1, 1, 0.9)
+
+
+def fresh_power(cluster):
+    return sum(nd.current_power() for nd in cluster.nodes)
+
+
+def fresh_free(cluster):
+    return sum(1 for nd in cluster.nodes
+               if nd.state in (NodeState.IDLE, NodeState.POWERED_OFF))
+
+
+_OP = st.tuples(
+    st.sampled_from(["allocate", "release", "grow", "shrink", "set_job_cap",
+                     "mark_down", "repair"]),
+    st.integers(1, 4),               # job id
+    st.integers(0, 7),               # node count / node id
+    st.sampled_from([None, 250.0, 400.0]),  # per-node cap
+    st.sampled_from([0.3, 0.8, 1.0]))       # utilization
+
+
+class TestPowerCache:
+    """``current_power()`` and ``n_free`` are cached between mutations;
+    every mutator must drop the cache so reads equal a fresh scan."""
+
+    @given(ops=st.lists(_OP, min_size=1, max_size=40),
+           idle_power_off=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_cache_equals_fresh_scan_after_every_op(self, ops,
+                                                    idle_power_off):
+        cluster = Cluster(8, PM, idle_power_off=idle_power_off)
+        for op, jid, n, cap, util in ops:
+            try:
+                if op == "allocate":
+                    cluster.allocate(jid, max(n, 1), util)
+                elif op == "release":
+                    cluster.release(jid)
+                elif op == "grow":
+                    cluster.grow(jid, max(n, 1), util)
+                elif op == "shrink":
+                    cluster.shrink(jid, max(n, 1))
+                elif op == "set_job_cap":
+                    cluster.set_job_cap(jid, cap)
+                elif op == "mark_down":
+                    cluster.mark_down(n)
+                else:
+                    cluster.repair(n)
+            except ValueError:
+                pass  # invalid for the current state: must change nothing
+            # exact equality: a miss recomputes the same sum in node order
+            assert cluster.current_power() == fresh_power(cluster)
+            assert cluster.n_free == fresh_free(cluster)
+            cluster.check_invariants()
+
+    def test_accrue_returns_integrated_watts(self, small_cluster):
+        watts = small_cluster.current_power()
+        assert small_cluster.accrue(100.0) == watts
+        assert small_cluster.last_accrual == 100.0
+        assert small_cluster.accrue(100.0) == 0.0  # no time passed
+        assert len(small_cluster.power_segments()) == 1
+
+    def test_check_invariants_catches_a_direct_node_change(self,
+                                                           small_cluster):
+        """Node state changes must go through the cluster: mutating a
+        node directly leaves the cache stale, and the check says so."""
+        small_cluster.current_power()
+        small_cluster.n_free
+        small_cluster.nodes[0].power_off()
+        with pytest.raises(AssertionError, match="cached power"):
+            small_cluster.check_invariants()

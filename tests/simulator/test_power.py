@@ -1,5 +1,7 @@
 """Tests for component/node power models and cap-performance curves."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,3 +122,46 @@ class TestNodePowerModel:
     def test_needs_cpu(self):
         with pytest.raises(ValueError):
             NodePowerModel(cpus=())
+
+
+class TestCachedBounds:
+    """``idle_watts``/``peak_watts``/``dynamic_range_watts`` are cached on
+    first use; the cache must not change values, equality, hashing or
+    pickling (sweep workers pickle power models)."""
+
+    def test_cached_values_equal_component_sums(self, gpu_node_power_model):
+        pm = gpu_node_power_model
+        idle = (pm.base_watts + sum(c.idle_watts for c in pm.cpus)
+                + sum(g.idle_watts for g in pm.gpus) + pm.dram.idle_watts)
+        peak = (pm.base_watts + sum(c.peak_watts for c in pm.cpus)
+                + sum(g.peak_watts for g in pm.gpus) + pm.dram.peak_watts)
+        for _ in range(2):  # computed, then read from the cache
+            assert pm.idle_watts == idle
+            assert pm.peak_watts == peak
+            assert pm.dynamic_range_watts == peak - idle
+
+    def test_equality_and_hash_ignore_the_cache(self, node_power_model):
+        fresh = NodePowerModel(
+            cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
+        filled = NodePowerModel(
+            cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
+        filled.dynamic_range_watts  # fills all three
+        assert "idle_watts" in vars(filled)
+        assert "idle_watts" not in vars(fresh)
+        assert fresh == filled and hash(fresh) == hash(filled)
+        assert filled == node_power_model
+        assert len({fresh, filled, node_power_model}) == 1
+        other = NodePowerModel(
+            cpus=(ComponentPowerModel("cpu", 50.0, 250.0),) * 2)
+        other.peak_watts
+        assert other != filled
+
+    @pytest.mark.parametrize("fill", [False, True], ids=["empty", "filled"])
+    def test_pickle_round_trip(self, node_power_model, fill):
+        if fill:
+            node_power_model.peak_watts
+        back = pickle.loads(pickle.dumps(node_power_model))
+        assert back == node_power_model
+        assert hash(back) == hash(node_power_model)
+        assert back.idle_watts == 170.0 and back.peak_watts == 575.0
+        assert back.dynamic_range_watts == 405.0
