@@ -108,15 +108,20 @@ class SweepCellError(RuntimeError):
 class SweepStats:
     """Execution record of one sweep run.
 
-    ``cell_times_s`` is ordered by canonical cell index over the cells
-    that actually executed (all of them, except after a strict abort).
-    ``mode`` is ``"serial"``, ``"process-pool"``, or
-    ``"serial-fallback"`` (with ``fallback_reason`` saying why the pool
-    was not used).  Wall clock includes pool startup — speedup claims
-    must pay for their own overhead.
+    ``cell_times_s`` holds one entry per cell this invocation executed
+    (all of them, except after a strict abort or for cells replayed
+    from a journal), in canonical cell order: the final attempt's
+    time, or 0.0 for a quarantined cell whose last attempt delivered
+    none — so ``len(cell_times_s) == n_executed``.  ``mode`` is
+    ``"serial"``, ``"process-pool"``, or ``"serial-fallback"`` (with
+    ``fallback_reason`` saying why the pool was not used).  Wall clock
+    includes pool startup — speedup claims must pay for their own
+    overhead.
     """
 
     n_cells: int
+    #: futures submitted to the pool, retry and requeue resubmissions
+    #: included; 1 on the serial path, which runs in-process
     n_chunks: int
     workers: int
     mode: str

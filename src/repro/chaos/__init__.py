@@ -10,8 +10,6 @@ standard it models with ``scheduler/carbon_checkpoint.py``:
   JSONL write-ahead journal of per-cell outcomes that makes a sweep a
   checkpointable job; ``sweep(..., journal_path=..., resume=True)``
   replays it and re-executes only what is missing.
-* :mod:`repro.chaos.runner` — the robust execution loop behind
-  ``run_sweep``'s journal/watchdog/retry/quarantine keywords.
 * :class:`ChaosPlan` / :class:`FaultSpec` (:mod:`repro.chaos.plan`) —
   seeded, composable fault schedules that exercise every recovery
   path deterministically, from worker SIGKILL to flaky carbon
@@ -32,7 +30,6 @@ from repro.chaos.journal import (
     params_hash,
 )
 from repro.chaos.plan import ChaosInjectedError, ChaosPlan, FaultSpec
-from repro.chaos.runner import RobustRun, execute_robust
 from repro.service.faults import FlakyProvider, SlowProvider
 
 __all__ = [
@@ -41,10 +38,8 @@ __all__ = [
     "FaultSpec",
     "FlakyProvider",
     "JournalError",
-    "RobustRun",
     "SlowProvider",
     "SweepJournal",
-    "execute_robust",
     "grid_hash",
     "params_hash",
 ]

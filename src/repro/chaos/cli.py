@@ -98,7 +98,7 @@ def run_run(args) -> int:
     s = result.stats
     print()
     print(f"{s.n_cells} cells in {s.wall_s:.2f} s wall "
-          f"({s.mode}, workers={s.workers}): "
+          f"({s.mode}, workers={s.workers}, dispatches={s.n_chunks}): "
           f"{len(result.rows)} rows, {len(result.failures)} failed, "
           f"{len(result.quarantined)} quarantined, "
           f"{s.n_retried} retried, {s.n_replayed} replayed")

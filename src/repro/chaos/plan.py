@@ -20,7 +20,7 @@ plan seed, so a chaos run is exactly reproducible — the point is to
 *test* recovery, and a flaky test of flakiness would be self-defeating.
 Injections are counted in the :mod:`repro.obs` registry
 (``chaos.faults_injected_total`` / ``chaos.faults_recovered_total``,
-labeled by kind) by the executor's robust path.
+labeled by kind) by the sweep executor when a plan arms it.
 """
 
 from __future__ import annotations

@@ -434,9 +434,10 @@ def _cmd_sweep(args) -> int:
     s = result.stats
     print()
     print(f"{s.n_cells} cells in {s.wall_s:.2f} s wall "
-          f"({s.mode}, workers={s.workers}, chunks={s.n_chunks})")
-    print(f"cell time total {s.cell_time_total_s:.2f} s -> "
-          f"speedup {s.effective_parallelism:.2f}x over one-by-one")
+          f"({s.mode}, workers={s.workers}, dispatches={s.n_chunks})")
+    if s.cell_times_s:  # a fully resumed run executed nothing
+        print(f"cell time total {s.cell_time_total_s:.2f} s -> "
+              f"speedup {s.effective_parallelism:.2f}x over one-by-one")
     if s.fallback_reason:
         print(f"serial fallback: {s.fallback_reason}")
     if s.journal_path:

@@ -1,10 +1,10 @@
-"""Process-pool sweep executor with serial-parity guarantees.
+"""Sweep executor with serial-parity guarantees and a crash-safe harness.
 
 This is the engine behind ``repro.analysis.sweep.sweep(..., workers=N)``
-and the ``repro sweep`` CLI.  It shards a parameter grid into
-deterministic chunks (:mod:`repro.parallel.grid`), evaluates
-``scenario(**params)`` cells across a ``ProcessPoolExecutor``, and
-merges per-chunk results back in canonical grid order.
+and the ``repro sweep`` / ``repro chaos run`` CLIs.  It evaluates
+``scenario(**params)`` over a parameter grid in one dispatch loop —
+serial in-process, or across a ``ProcessPoolExecutor`` — and merges the
+results back in canonical grid order.
 
 Determinism contract (DESIGN.md §5d):
 
@@ -13,8 +13,8 @@ Determinism contract (DESIGN.md §5d):
 2. **Index-keyed seeds** — with ``base_seed`` set, each cell receives
    ``derive_seed(base_seed, cell_index)``; seeds are a pure function of
    grid position, so the worker count cannot leak into results.
-3. **No harness randomness** — chunk planning is deterministic; the OS
-   may schedule chunks in any order without observable effect.
+3. **No harness randomness** — batch planning is deterministic; the OS
+   may schedule batches in any order without observable effect.
 
 Consequently ``run_sweep(..., workers=k)`` produces rows bit-identical
 to ``workers=1`` for every ``k`` (pinned by ``tests/parallel``).
@@ -28,6 +28,16 @@ mode they land on ``result.failures`` while every other cell still
 runs (the pool is not poisoned); in strict mode the lowest-index
 failure is re-raised as :exc:`~repro.analysis.sweep.SweepCellError`
 naming the offending parameters.
+
+The robustness keywords (``journal_path``/``resume``/``cell_timeout_s``/
+``retries``/``chaos``, DESIGN.md §5f) arm optional behaviours of the
+same loop — an fsync'd journal, retry, watchdog, quarantine, chaos
+faults, worker-death recovery — and set the batch size.  Unarmed,
+cells go out in the deterministic ``plan_chunks`` batches (one batch
+serially), a dead worker re-raises ``BrokenProcessPool`` and nothing
+is written to disk.  Armed, every cell is its own batch, so a SIGKILL
+costs at most the cells in flight and each finished attempt is
+journaled before the loop moves on.
 """
 
 from __future__ import annotations
@@ -35,12 +45,25 @@ from __future__ import annotations
 import inspect
 import os
 import pickle
+import shutil
+import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     List,
     Mapping,
@@ -52,6 +75,7 @@ from typing import (
 from repro import obs
 from repro.analysis.sweep import (
     CellFailure,
+    CellQuarantine,
     SweepCellError,
     SweepResult,
     SweepStats,
@@ -61,17 +85,31 @@ from repro.parallel.seeds import derive_seed
 
 __all__ = ["run_sweep"]
 
-#: (cell_index, elapsed_s, metrics | None, error | None, traceback_text,
-#:  span_dicts) — spans recorded around the cell (pool workers only;
-#:  empty serially, where spans land on the live tracer directly)
-_Outcome = Tuple[int, float, Optional[Dict[str, Any]],
-                 Optional[BaseException], str, List[dict]]
-
 #: how `_run_cells` participates in tracing: "off" (the zero-overhead
 #: default), "inline" (serial path: spans go straight to the enabled
 #: process tracer), or "capture" (pool worker: spans are drained after
-#: every cell and shipped back inside the outcome tuple)
+#: every cell and shipped back inside the outcome)
 _TRACE_OFF, _TRACE_INLINE, _TRACE_CAPTURE = "off", "inline", "capture"
+
+#: floor/ceiling for the watchdog poll period, as a fraction of the
+#: cell timeout (poll often enough to catch a hang promptly, never so
+#: often that polling itself costs)
+_MAX_POLL_S = 0.05
+_POLL_TIMEOUT_FRACTION = 0.25
+
+
+@dataclass
+class Outcome:
+    """One evaluated attempt of one cell, as the worker side reports it."""
+
+    index: int
+    elapsed_s: float
+    metrics: Optional[Dict[str, Any]] = None
+    error: Optional[BaseException] = None
+    traceback_text: str = ""
+    #: spans recorded around the cell (pool workers only; serially they
+    #: land on the live tracer directly)
+    spans: List[dict] = field(default_factory=list)
 
 
 def _portable_error(error: BaseException,
@@ -98,13 +136,19 @@ def _portable_error(error: BaseException,
         return stand_in
 
 
+def _touch(path: str) -> None:
+    with open(path, "w", encoding="utf-8"):
+        pass
+
+
 def _run_cells(scenario: Callable[..., Mapping[str, float]],
                indexed_cells: Sequence[Tuple[int, Dict[str, Any]]],
                stop_on_error: bool,
                tracing: str = _TRACE_OFF,
                chaos: Optional[Any] = None,
-               attempt: int = 1) -> List[_Outcome]:
-    """Evaluate cells in order; the worker side of one chunk.
+               attempt: int = 1,
+               marker: Optional[str] = None) -> List[Outcome]:
+    """Evaluate one batch of cells in order; the worker side of a batch.
 
     Must stay module-level (pickled by reference into pool workers).
 
@@ -112,20 +156,22 @@ def _run_cells(scenario: Callable[..., Mapping[str, float]],
     enabled, pre-existing spans are discarded (fork copies the parent's
     buffer), and each cell's spans — the ``sweep.cell`` wrapper plus
     whatever the scenario opened inside it — are drained into the
-    outcome tuple so the parent can merge one coherent timeline.
+    outcome so the parent can merge one coherent timeline.
 
-    ``chaos``/``attempt`` come from the robust path
-    (:mod:`repro.chaos.runner`): the plan's cell-level faults fire
-    here, on the worker side of the process boundary, before the
-    scenario runs — a ``raise`` fault is indistinguishable from a
-    scenario exception, a ``kill_worker`` fault from a real node loss.
+    The plan's cell-level ``chaos`` faults fire here, on the worker side
+    of the process boundary, before the scenario runs — a ``raise``
+    fault is indistinguishable from a scenario exception, a
+    ``kill_worker`` fault from a real node loss.  With ``marker`` the
+    batch is bracketed by start/finish marker files.
     """
     tracer = obs.get_tracer()
     if tracing == _TRACE_CAPTURE:
         tracer.enable()
         tracer.worker = f"worker-{os.getpid()}"
         tracer.drain()  # drop spans inherited via fork
-    out: List[_Outcome] = []
+    if marker is not None:
+        _touch(marker)
+    out: List[Outcome] = []
     for index, params in indexed_cells:
         t0 = time.perf_counter()
         try:
@@ -137,19 +183,18 @@ def _run_cells(scenario: Callable[..., Mapping[str, float]],
                 with obs.span("sweep.cell", attrs={"cell_index": index}):
                     metrics = dict(scenario(**params))
         except Exception as error:  # cell fault, not harness fault
-            spans = ([s.to_dict() for s in tracer.drain()]
-                     if tracing == _TRACE_CAPTURE else [])
             tb_text = traceback.format_exc()
-            out.append((index, time.perf_counter() - t0, None,
-                        _portable_error(error, tb_text), tb_text,
-                        spans))
-            if stop_on_error:
-                break
+            outcome = Outcome(index, time.perf_counter() - t0, None,
+                              _portable_error(error, tb_text), tb_text)
         else:
-            spans = ([s.to_dict() for s in tracer.drain()]
-                     if tracing == _TRACE_CAPTURE else [])
-            out.append((index, time.perf_counter() - t0, metrics,
-                        None, "", spans))
+            outcome = Outcome(index, time.perf_counter() - t0, metrics)
+        if tracing == _TRACE_CAPTURE:
+            outcome.spans = [s.to_dict() for s in tracer.drain()]
+        out.append(outcome)
+        if outcome.error is not None and stop_on_error:
+            break
+    if marker is not None:
+        _touch(marker + ".done")
     return out
 
 
@@ -188,31 +233,292 @@ def _check_seed_param(scenario: Callable[..., Any],
 
 def _merge(names: List[str],
            cells: Sequence[Dict[str, Any]],
-           outcomes: List[_Outcome],
+           outcomes: List[Outcome],
            metric_names: Optional[Sequence[str]]) -> SweepResult:
-    """Fold per-cell outcomes (any arrival order) into a SweepResult."""
-    outcomes.sort(key=lambda o: o[0])
+    """Fold per-cell outcomes, in cell order, into a SweepResult."""
     resolved: Optional[List[str]] = (list(metric_names)
                                      if metric_names else None)
     result = SweepResult(param_names=names, metric_names=[])
-    for index, _elapsed, metrics, error, tb_text, _spans in outcomes:
-        if error is not None:
+    for o in outcomes:
+        if o.error is not None:
             result.failures.append(CellFailure(
-                index=index, params=dict(cells[index]),
-                error=error, traceback_text=tb_text))
+                index=o.index, params=dict(cells[o.index]),
+                error=o.error, traceback_text=o.traceback_text))
             continue
-        assert metrics is not None
+        assert o.metrics is not None
         if resolved is None:  # first *successful* cell fixes the schema
-            resolved = sorted(metrics)
-        missing = set(resolved) - set(metrics)
+            resolved = sorted(o.metrics)
+        missing = set(resolved) - set(o.metrics)
         if missing:
             raise ValueError(
                 f"scenario omitted metrics {sorted(missing)}")
-        row = dict(cells[index])
-        row.update({m: metrics[m] for m in resolved})
+        row = dict(cells[o.index])
+        row.update({m: o.metrics[m] for m in resolved})
         result.rows.append(row)
     result.metric_names = resolved or []
     return result
+
+
+@dataclass
+class _Dispatch:
+    """The sweep's one dispatch loop, serial or pooled, and its state.
+    Every harvested :class:`Outcome` goes through :meth:`settle`;
+    ``armed`` (any robustness keyword) turns on markers and
+    worker-death recovery."""
+
+    scenario: Callable[..., Mapping[str, float]]
+    cells: Sequence[Dict[str, Any]]
+    params: Sequence[Dict[str, Any]]
+    armed: bool
+    strict: bool
+    tracing: str
+    retries: int
+    cell_timeout_s: Optional[float]
+    chaos: Optional[Any]
+    journal: Optional[Any] = None
+    #: batches still to run: (cell indices, attempt)
+    pending: Deque[Tuple[Tuple[int, ...], int]] = field(
+        default_factory=deque)
+    #: final outcome per cell (replayed, ok, or retries exhausted)
+    outcomes: Dict[int, Outcome] = field(default_factory=dict)
+    quarantine: Dict[int, CellQuarantine] = field(default_factory=dict)
+    #: final-attempt time of every cell this invocation executed
+    times: Dict[int, float] = field(default_factory=dict)
+    n_retried: int = 0
+    n_submitted: int = 0
+
+    def open_journal(self, path: Any, resume: bool, names: List[str],
+                     base_seed: Optional[int], seed_param: str) -> int:
+        """Open the run's journal and adopt the outcomes it replays."""
+        from repro.chaos import journal as wal
+
+        header = wal.make_header(len(self.cells),
+                                 wal.grid_hash(names, self.cells),
+                                 self.scenario, base_seed, seed_param)
+        self.journal, records = wal.SweepJournal.for_run(path, header,
+                                                         resume=resume)
+        for index, rec in records.items():
+            if rec.get("params_hash") != wal.params_hash(self.params[index]):
+                raise wal.JournalError(
+                    f"journal cell #{index} was computed with different "
+                    "parameters; refusing to replay it")
+            # replayed spans are not re-adopted: they belong to the run
+            # that recorded them, not to this timeline
+            self.outcomes[index] = Outcome(
+                index, float(rec.get("elapsed_s", 0.0)),
+                rec.get("metrics", {}))
+        if records:
+            obs.metrics().counter("sweep.journal_replayed_total").inc(
+                len(records))
+        return len(records)
+
+    def queue(self, index: int, attempt: int) -> None:
+        """Queue one cell's attempt as its own batch, counting the chaos
+        faults it will fire.  A free requeue resubmits the same batch
+        without coming back here, so injections are counted once."""
+        self.pending.append(((index,), attempt))
+        for f in self.chaos.cell_faults(index, attempt) if self.chaos else ():
+            obs.metrics().counter("chaos.faults_injected_total",
+                                  labels={"kind": f.kind}).inc()
+            with obs.span("chaos.inject",
+                          attrs={"kind": f.kind, "cell_index": index,
+                                 "attempt": attempt}):
+                pass
+
+    def retry(self, index: int, attempt: int) -> bool:
+        """Queue the next attempt if budget remains; False when spent."""
+        if attempt > self.retries:
+            return False
+        self.n_retried += 1
+        obs.metrics().counter("sweep.cells_retried_total").inc()
+        self.queue(index, attempt + 1)
+        return True
+
+    def settle(self, o: Outcome, attempt: int) -> None:
+        """Record one harvested attempt as ok, retry, or exhausted."""
+        self.times[o.index] = o.elapsed_s
+        if o.error is None:
+            if self.journal is not None:
+                self.journal.record_cell(
+                    o.index, self.params[o.index], "ok",
+                    metrics=o.metrics, elapsed_s=o.elapsed_s,
+                    attempt=attempt, spans=o.spans)
+            self.outcomes[o.index] = o
+            fired = ({f.kind for a in range(1, attempt + 1)
+                      for f in self.chaos.cell_faults(o.index, a)}
+                     if self.chaos else set())
+            for kind in sorted(fired):
+                obs.metrics().counter("chaos.faults_recovered_total",
+                                      labels={"kind": kind}).inc()
+            if attempt > 1:
+                obs.metrics().counter("sweep.cells_recovered_total").inc()
+            return
+        if self.journal is not None:
+            self.journal.record_cell(
+                o.index, self.params[o.index], "failed",
+                elapsed_s=o.elapsed_s, attempt=attempt,
+                error=f"{type(o.error).__name__}: {o.error}",
+                traceback_text=o.traceback_text)
+        if not self.retry(o.index, attempt):
+            # the failure outcome becomes an ordinary CellFailure
+            self.outcomes[o.index] = o
+
+    def quarantine_cell(self, index: int, status: str, attempt: int,
+                        detail: str) -> None:
+        # the lost attempt delivered no timing
+        self.times[index] = 0.0
+        self.quarantine[index] = CellQuarantine(
+            index=index, params=dict(self.cells[index]), status=status,
+            attempts=attempt, detail=detail)
+        obs.metrics().counter("sweep.cells_quarantined_total",
+                              labels={"status": status}).inc()
+        if self.journal is not None:
+            self.journal.record_quarantine(
+                index, self.params[index], status, attempt, detail)
+
+    def run_serial(self) -> None:
+        """In-process loop.  A single process can neither kill its own
+        hung cell nor survive killing itself, so ``run_sweep`` rejects
+        the watchdog and kill-worker faults before routing here."""
+        while self.pending:
+            batch, attempt = self.pending.popleft()
+            for o in _run_cells(self.scenario,
+                                [(i, self.params[i]) for i in batch],
+                                self.strict, self.tracing, self.chaos,
+                                attempt):
+                self.settle(o, attempt)
+
+    def run_pool(self, workers: int) -> None:
+        """Pool loop: one pool per round, respawned after a worker death
+        or a watchdog kill, until every batch is resolved."""
+        marker_dir = (tempfile.mkdtemp(prefix="repro-sweep-started-")
+                      if self.armed else None)
+        try:
+            while self.pending:
+                self._pool_round(workers, marker_dir)
+        finally:
+            if marker_dir is not None:
+                shutil.rmtree(marker_dir, ignore_errors=True)
+
+    def _pool_round(self, workers: int, marker_dir: Optional[str]) -> None:
+        timeout_s = self.cell_timeout_s
+        poll_s = (None if timeout_s is None
+                  else min(_MAX_POLL_S, timeout_s * _POLL_TIMEOUT_FRACTION))
+        pool = ProcessPoolExecutor(
+            max_workers=min(workers, len(self.pending)))
+        #: future -> (batch, attempt, its start-marker path or None)
+        in_flight: Dict[Future, Tuple[Tuple[int, ...], int, Any]] = {}
+        running_since: Dict[Future, float] = {}
+
+        def submit_pending() -> bool:
+            """Submit every pending batch; False if the pool is broken.
+            Markers are named per submission, so a batch requeued free
+            never inherits a stale start marker from its last try."""
+            while self.pending:
+                batch, attempt = self.pending.popleft()
+                marker = (os.path.join(marker_dir, str(self.n_submitted))
+                          if marker_dir is not None else None)
+                try:
+                    fut = pool.submit(
+                        _run_cells, self.scenario,
+                        [(i, self.params[i]) for i in batch], self.strict,
+                        self.tracing, self.chaos, attempt, marker)
+                except (BrokenProcessPool, RuntimeError):
+                    self.pending.append((batch, attempt))
+                    return False
+                self.n_submitted += 1
+                in_flight[fut] = (batch, attempt, marker)
+            return True
+
+        def harvest(fut: Future) -> bool:
+            """Settle one finished future; True if its pool had died.
+
+            Unarmed, a dead worker is a hard error.  Armed (single-cell
+            batches), the broken pool fails *every* outstanding future
+            wholesale, so only a cell caught mid-execution — started,
+            never finished; a chaos kill fires after the start marker —
+            is charged an attempt.  Queued bystanders and
+            finished-but-undelivered cells requeue free, uncharged
+            (cells are deterministic, so recomputing a lost result is
+            bit-identical)."""
+            batch, attempt, marker = in_flight.pop(fut)
+            running_since.pop(fut, None)
+            try:
+                outcomes = fut.result(timeout=0)
+            except BrokenProcessPool:
+                if not self.armed:
+                    raise
+                if (os.path.exists(marker)
+                        and not os.path.exists(marker + ".done")):
+                    with obs.span("chaos.worker_death",
+                                  attrs={"cell_index": batch[0]}):
+                        pass
+                    if not self.retry(batch[0], attempt):
+                        self.quarantine_cell(
+                            batch[0], "killed", attempt,
+                            "worker process died (BrokenProcessPool)")
+                else:
+                    self.pending.append((batch, attempt))
+                return True
+            except (CancelledError, FuturesTimeoutError):
+                self.pending.append((batch, attempt))
+                return False
+            for o in outcomes:
+                self.settle(o, attempt)
+            return False
+
+        try:
+            broken = not submit_pending()
+            while in_flight and not broken:
+                done, _ = wait(set(in_flight), timeout=poll_s,
+                               return_when=FIRST_COMPLETED)
+                for fut in done:
+                    broken = harvest(fut) or broken
+                if not broken:
+                    broken = not submit_pending()  # retries go out now
+                if broken or timeout_s is None:
+                    continue
+                # ``fut.running()`` over-reports (true from the moment an
+                # item enters the call queue), so the watchdog clock
+                # starts only once the start marker proves a worker
+                # actually began the cell
+                now_s = time.perf_counter()
+                for fut, (_, _, marker) in in_flight.items():
+                    if fut not in running_since and os.path.exists(marker):
+                        running_since[fut] = now_s
+                victim = min(running_since, key=running_since.__getitem__,
+                             default=None)
+                if (victim is None
+                        or now_s - running_since[victim] <= timeout_s):
+                    continue
+                # -- watchdog: quarantine the longest-overdue cell ----------
+                (index,), attempt, _ = in_flight.pop(victim)
+                self.quarantine_cell(index, "timed_out", attempt,
+                                     f"exceeded cell_timeout_s={timeout_s:g}")
+                obs.metrics().counter("sweep.worker_deaths_total").inc()
+                with obs.span("chaos.watchdog_kill",
+                              attrs={"cell_index": index}):
+                    pass
+                # harvest bystanders that finished between the wait()
+                # and now: their results are real, and discarding them
+                # would re-run the cells and duplicate their journal
+                # records; innocents still in flight requeue with no
+                # attempt charged — the harness, not the cell, is
+                # killing their worker
+                for fut in [f for f in in_flight if f.done()]:
+                    harvest(fut)
+                for batch, attempt, _ in in_flight.values():
+                    self.pending.append((batch, attempt))
+                in_flight.clear()
+                for proc in list(getattr(pool, "_processes", {}).values()):
+                    proc.kill()
+            # classify whatever the dead pool still owed us
+            for fut in list(in_flight):
+                harvest(fut)
+            if broken:
+                obs.metrics().counter("sweep.worker_deaths_total").inc()
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_sweep(scenario: Callable[..., Mapping[str, float]],
@@ -236,11 +542,11 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
     their semantics cannot drift apart.
 
     Any robustness keyword (``journal_path``/``resume``/
-    ``cell_timeout_s``/``retries``/``chaos``) routes cell execution
-    through :func:`repro.chaos.runner.execute_robust` — cell-granular
-    futures, an fsync'd journal, watchdog, retry, quarantine — while
-    grid expansion, seeding, tracing, and the merge stay on this
-    path, so robust rows cannot drift from plain rows.
+    ``cell_timeout_s``/``retries``/``chaos``) arms the same loop with an
+    fsync'd journal, watchdog, retry, quarantine and chaos faults, and
+    sends every cell out as its own batch; grid expansion, seeding,
+    tracing and the merge are shared, so armed rows cannot drift from
+    plain rows.
     """
     if workers is None or workers == 0:
         workers = os.cpu_count() or 1
@@ -254,9 +560,9 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
     if cell_timeout_s is not None and cell_timeout_s <= 0:
         raise ValueError(
             f"cell_timeout_s must be positive, got {cell_timeout_s}")
-    robust = (journal_path is not None or resume
-              or cell_timeout_s is not None or retries > 0
-              or chaos is not None)
+    armed = (journal_path is not None or resume
+             or cell_timeout_s is not None or retries > 0
+             or chaos is not None)
     names, cells = expand_grid(grid)
     if base_seed is not None:
         _check_seed_param(scenario, seed_param)
@@ -267,7 +573,7 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
             p[seed_param] = derive_seed(base_seed, index)
         return p
 
-    indexed = [(i, call_params(i)) for i in range(len(cells))]
+    params = [call_params(i) for i in range(len(cells))]
 
     mode = "process-pool" if workers > 1 else "serial"
     fallback_reason: Optional[str] = None
@@ -276,11 +582,12 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
             mode, fallback_reason = "serial-fallback", (
                 "single-cell grid — a pool cannot help")
         else:
-            obstacle = _pool_obstacle(scenario, [p for _, p in indexed])
+            obstacle = _pool_obstacle(scenario, params)
             if obstacle is not None:
                 mode, fallback_reason = "serial-fallback", obstacle
+    pooled = mode == "process-pool"
 
-    if robust and mode != "process-pool":
+    if armed and not pooled:
         # journal/resume/retry/raise-faults all work in-process, but a
         # single process can neither kill its own hung cell nor
         # survive killing itself
@@ -298,70 +605,53 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
     tracer = obs.get_tracer()
     if not tracer.enabled:
         tracing = _TRACE_OFF
-    elif mode == "process-pool":
+    elif pooled:
         tracing = _TRACE_CAPTURE
     else:
         tracing = _TRACE_INLINE
 
-    robust_run = None
     t0 = time.perf_counter()
     with obs.span("sweep.run", attrs={"n_cells": len(cells),
                                       "workers": workers, "mode": mode}):
-        if robust:
-            from repro.chaos.runner import execute_robust
-            robust_run = execute_robust(
-                scenario, names, cells, indexed,
-                mode=mode, workers=workers, tracing=tracing,
-                journal_path=journal_path, resume=resume,
-                cell_timeout_s=cell_timeout_s, retries=retries,
-                chaos=chaos, base_seed=base_seed,
-                seed_param=seed_param)
-            outcomes = robust_run.outcomes
-            n_chunks = robust_run.n_chunks
-            if tracing == _TRACE_CAPTURE:
-                for _, _, _, _, _, span_dicts in sorted(
-                        outcomes, key=lambda o: o[0]):
-                    tracer.adopt(span_dicts)
-        elif mode == "process-pool":
-            plan = plan_chunks(
-                len(cells), chunk_count(len(cells), workers, chunk_size))
-            with ProcessPoolExecutor(max_workers=min(workers,
-                                                     len(plan))) as pool:
-                futures = [pool.submit(_run_cells, scenario,
-                                       [indexed[i] for i in chunk],
-                                       strict, tracing)
-                           for chunk in plan]
-                outcomes: List[_Outcome] = []
-                for f in futures:
-                    outcomes.extend(f.result())
-            n_chunks = len(plan)
-            if tracing == _TRACE_CAPTURE:
-                # one merged timeline: adopt worker spans in cell order
-                for _, _, _, _, _, span_dicts in sorted(
-                        outcomes, key=lambda o: o[0]):
-                    tracer.adopt(span_dicts)
+        run = _Dispatch(scenario, cells, params, armed, strict, tracing,
+                        retries, cell_timeout_s, chaos)
+        n_replayed = (run.open_journal(journal_path, resume, names,
+                                       base_seed, seed_param)
+                      if journal_path is not None else 0)
+        if armed:
+            for i in range(len(cells)):
+                if i not in run.outcomes:
+                    run.queue(i, 1)
         else:
-            outcomes = _run_cells(scenario, indexed, stop_on_error=strict,
-                                  tracing=tracing)
-            n_chunks = 1
+            n_batches = (chunk_count(len(cells), workers, chunk_size)
+                         if pooled else 1)
+            run.pending.extend((tuple(chunk), 1) for chunk in
+                               plan_chunks(len(cells), n_batches))
+        try:
+            if pooled:
+                run.run_pool(workers)
+            else:
+                run.run_serial()
+        finally:
+            if run.journal is not None:
+                run.journal.close()
+        outcomes = [run.outcomes[i] for i in sorted(run.outcomes)]
+        if tracing == _TRACE_CAPTURE:
+            # one merged timeline: adopt worker spans in cell order
+            for o in outcomes:
+                tracer.adopt(o.spans)
     wall_s = time.perf_counter() - t0
 
     result = _merge(names, cells, outcomes, metric_names)
+    result.quarantined = [run.quarantine[i] for i in sorted(run.quarantine)]
     result.stats = SweepStats(
-        n_cells=len(cells), n_chunks=n_chunks, workers=workers,
-        mode=mode, wall_s=wall_s,
-        cell_times_s=[o[1] for o in sorted(outcomes,
-                                           key=lambda o: o[0])],
-        fallback_reason=fallback_reason,
-        n_executed=len(outcomes))
-    if robust_run is not None:
-        result.quarantined = robust_run.quarantined
-        result.stats.n_replayed = robust_run.n_replayed
-        result.stats.n_executed = robust_run.n_executed
-        result.stats.n_retried = robust_run.n_retried
-        result.stats.journal_path = (str(journal_path)
-                                     if journal_path is not None
-                                     else None)
+        n_cells=len(cells), n_chunks=run.n_submitted if pooled else 1,
+        workers=workers, mode=mode, wall_s=wall_s,
+        cell_times_s=[run.times[i] for i in sorted(run.times)],
+        fallback_reason=fallback_reason, n_replayed=n_replayed,
+        n_executed=len(run.times), n_retried=run.n_retried,
+        journal_path=(str(journal_path) if journal_path is not None
+                      else None))
     if strict and result.failures:
         first = min(result.failures, key=lambda fl: fl.index)
         raise SweepCellError(first) from first.error

@@ -1,4 +1,4 @@
-"""End-to-end tests of the robust sweep harness (repro.chaos.runner).
+"""End-to-end tests of the robust sweep harness (the armed sweep loop).
 
 The contract under test is DESIGN §5f: any robustness feature —
 journal, resume, watchdog, retry, chaos plan — may change *how* a
@@ -299,3 +299,27 @@ class TestObsAccounting:
         # per worker process
         assert len(cell_spans) == 12
         assert "chaos.inject" in {s.name for s in spans}
+
+
+class TestResumedStats:
+    """``cell_times_s`` covers only the cells this invocation executed,
+    so a resumed run's parallelism is not inflated by replayed time."""
+
+    def test_full_resume_reports_no_cell_time(self, tmp_path):
+        jp = tmp_path / "j.jsonl"
+        sweep(stable_cell, GRID, workers=2, journal_path=jp)
+        r = sweep(stable_cell, GRID, workers=2, journal_path=jp,
+                  resume=True)
+        assert r.stats.n_executed == 0
+        assert r.stats.cell_times_s == []
+        assert r.stats.effective_parallelism == 0.0
+
+    def test_partial_resume_times_only_the_gap(self, tmp_path):
+        jp = tmp_path / "j.jsonl"
+        sweep(stable_cell, GRID, workers=1, journal_path=jp)
+        lines = jp.read_text().splitlines(keepends=True)
+        jp.write_text("".join(lines[:6]))  # header + 5 cell records
+        r = sweep(stable_cell, GRID, workers=2, journal_path=jp,
+                  resume=True)
+        assert r.stats.n_executed == 7
+        assert len(r.stats.cell_times_s) == r.stats.n_executed

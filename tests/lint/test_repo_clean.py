@@ -78,7 +78,7 @@ class TestChaosPackageCovered:
         chaos = SRC / "chaos"
         assert chaos.is_dir()
         modules = {p.name for p in chaos.glob("*.py")}
-        assert {"journal.py", "plan.py", "runner.py", "cli.py",
+        assert {"journal.py", "plan.py", "cli.py",
                 "__init__.py"} <= modules
 
     def test_chaos_package_is_clean(self):
