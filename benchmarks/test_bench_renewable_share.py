@@ -35,8 +35,8 @@ def test_bench_renewable_share(benchmark):
 
     # LRZ vs coal, with an HPC-scale footprint model
     hpc = dict(embodied_kg=4.6e5, avg_power_watts=3e6, lifetime_years=5.0)
-    lrz = FootprintModel(grid_intensity=LRZ_HYDRO_INTENSITY, **hpc)
-    coal = FootprintModel(grid_intensity=COAL_INTENSITY, **hpc)
+    lrz = FootprintModel(grid_intensity_g_per_kwh=LRZ_HYDRO_INTENSITY, **hpc)
+    coal = FootprintModel(grid_intensity_g_per_kwh=COAL_INTENSITY, **hpc)
     assert lrz.embodied_share() > 5 * coal.embodied_share()
 
     lines = [f"{'renewable %':>11s} {'embodied share %':>17s}"]

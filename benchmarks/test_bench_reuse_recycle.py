@@ -32,7 +32,7 @@ def lifecycle_comparison():
     # SuperMUC-NG's storage fleet as the reuse/recycle case study
     sto_kg = system_embodied_breakdown(SUPERMUC_NG)["storage"]
     hdd_fleet = ComponentLifecycle("hdd", count=1,
-                                   embodied_kg_each=sto_kg * 0.951)
+                                   embodied_kg_per_unit=sto_kg * 0.951)
     factors = {k: reuse_vs_recycle_factor(k)
                for k in sorted(REUSE_EFFECTIVENESS)}
     dram_reuse = memory_reuse_scenario(SUPERMUC_NG.dram_pb,

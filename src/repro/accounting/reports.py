@@ -18,18 +18,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro import units
-from repro._compat import dataclass_kwarg_aliases
 from repro.accounting.analogies import describe
 from repro.grid.green import find_green_periods
 from repro.grid.providers import CarbonIntensityProvider
 from repro.scheduler.rjms import JobAccount
-from repro.service.core import CarbonService
 from repro.simulator.jobs import Job
 
 __all__ = ["JobCarbonReport", "build_job_report", "render_report"]
 
 
-@dataclass_kwarg_aliases(mean_intensity="mean_intensity_g_per_kwh")
 @dataclass(frozen=True)
 class JobCarbonReport:
     """The carbon profile of one completed job."""
@@ -50,11 +47,6 @@ class JobCarbonReport:
         if self.energy_kwh < 0 or self.carbon_kg < 0:
             raise ValueError("energy and carbon must be non-negative")
 
-    @property
-    def mean_intensity(self) -> float:
-        """Deprecated alias for :attr:`mean_intensity_g_per_kwh`."""
-        return self.mean_intensity_g_per_kwh
-
 
 def build_job_report(job: Job, account: JobAccount,
                      provider: CarbonIntensityProvider,
@@ -71,11 +63,7 @@ def build_job_report(job: Job, account: JobAccount,
         raise ValueError(f"job {job.job_id} has not finished")
     runtime = job.end_time - job.start_time
     t0, t1 = job.start_time, job.end_time
-    # consume through the serving layer: report generation for a whole
-    # campaign re-reads many overlapping windows, and a flaky backend
-    # must degrade to cached values rather than kill the report run
-    service = CarbonService.ensure(provider)
-    history = service.history(t0, t1) if t1 > t0 else None
+    history = provider.history(t0, t1) if t1 > t0 else None
     mean_ci = history.mean_over(t0, t1) if history is not None else 0.0
     green_frac = 0.0
     if history is not None and runtime > 0:

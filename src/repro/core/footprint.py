@@ -26,7 +26,6 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro import units
-from repro._compat import dataclass_kwarg_aliases
 
 __all__ = [
     "LRZ_HYDRO_INTENSITY",
@@ -107,7 +106,6 @@ class DatacenterProfile:
         return model.lifetime_report()
 
 
-@dataclass_kwarg_aliases(grid_intensity="grid_intensity_g_per_kwh")
 @dataclass(frozen=True)
 class FootprintModel:
     """Embodied + operational footprint of a system at a site.
@@ -122,8 +120,7 @@ class FootprintModel:
     lifetime_years:
         Planned lifetime used for amortization (Table 1 values).
     grid_intensity_g_per_kwh:
-        Mean operational grid intensity (gCO2e/kWh).  The keyword
-        ``grid_intensity`` is accepted as a deprecated alias.
+        Mean operational grid intensity (gCO2e/kWh).
     """
 
     embodied_kg: float
@@ -137,11 +134,6 @@ class FootprintModel:
             raise ValueError("carbon/power/intensity must be non-negative")
         if self.lifetime_years <= 0:
             raise ValueError("lifetime must be positive")
-
-    @property
-    def grid_intensity(self) -> float:
-        """Deprecated alias for :attr:`grid_intensity_g_per_kwh`."""
-        return self.grid_intensity_g_per_kwh
 
     # -- rates ----------------------------------------------------------------
 
@@ -185,7 +177,6 @@ class FootprintModel:
         )
 
 
-@dataclass_kwarg_aliases(grid_intensity="grid_intensity_g_per_kwh")
 @dataclass(frozen=True)
 class FootprintReport:
     """Result record of a lifetime footprint evaluation."""
@@ -194,11 +185,6 @@ class FootprintReport:
     operational_kg: float
     lifetime_years: float
     grid_intensity_g_per_kwh: float
-
-    @property
-    def grid_intensity(self) -> float:
-        """Deprecated alias for :attr:`grid_intensity_g_per_kwh`."""
-        return self.grid_intensity_g_per_kwh
 
     @property
     def total_kg(self) -> float:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
 from repro import units
-from repro._compat import dataclass_kwarg_aliases
 from repro.core.metrics import cadp, cdp, cep, edp
 from repro.embodied.components import ChipletSpec
 from repro.embodied.act import logic_die_carbon
@@ -136,18 +135,12 @@ class DesignEvaluation:
         return self.embodied_kg + self.operational_kg
 
 
-@dataclass_kwarg_aliases(grid_intensity="grid_intensity_g_per_kwh")
 @dataclass(frozen=True)
 class DSEResult:
     """Outcome of a design-space sweep: all evaluations + per-metric winners."""
 
     evaluations: tuple
     grid_intensity_g_per_kwh: float
-
-    @property
-    def grid_intensity(self) -> float:
-        """Deprecated alias for :attr:`grid_intensity_g_per_kwh`."""
-        return self.grid_intensity_g_per_kwh
 
     def best(self, metric: str) -> DesignEvaluation:
         """Winning evaluation under ``metric``.

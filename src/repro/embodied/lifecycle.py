@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import units
-from repro._compat import dataclass_kwarg_aliases
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -165,14 +164,12 @@ def reuse_vs_recycle_factor(kind: str) -> float:
     return REUSE_EFFECTIVENESS[k] / RECYCLE_RECOVERY[k]
 
 
-@dataclass_kwarg_aliases(embodied_kg_each="embodied_kg_per_unit")
 @dataclass(frozen=True)
 class ComponentLifecycle:
     """End-of-life decision support for one component population.
 
     Compares the three §2.3 options for a fleet of ``count`` components
-    each embodying ``embodied_kg_per_unit`` (the keyword
-    ``embodied_kg_each`` is accepted as a deprecated alias).
+    each embodying ``embodied_kg_per_unit``.
     """
 
     kind: str
@@ -185,11 +182,6 @@ class ComponentLifecycle:
             raise ValueError("count must be non-negative")
         if self.embodied_kg_per_unit < 0:
             raise ValueError("embodied carbon must be non-negative")
-
-    @property
-    def embodied_kg_each(self) -> float:
-        """Deprecated alias for :attr:`embodied_kg_per_unit`."""
-        return self.embodied_kg_per_unit
 
     @property
     def fleet_embodied_kg(self) -> float:

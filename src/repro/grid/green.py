@@ -22,13 +22,11 @@ from typing import List
 
 import numpy as np
 
-from repro._compat import dataclass_kwarg_aliases
 from repro.grid.intensity import CarbonIntensityTrace
 
 __all__ = ["GreenPeriod", "find_green_periods", "green_fraction"]
 
 
-@dataclass_kwarg_aliases(mean_intensity="mean_intensity_g_per_kwh")
 @dataclass(frozen=True)
 class GreenPeriod:
     """A contiguous low-carbon window ``[start, end)`` (simulation seconds)."""
@@ -40,11 +38,6 @@ class GreenPeriod:
     def __post_init__(self) -> None:
         if self.end <= self.start:
             raise ValueError("green period must have positive duration")
-
-    @property
-    def mean_intensity(self) -> float:
-        """Deprecated alias for :attr:`mean_intensity_g_per_kwh`."""
-        return self.mean_intensity_g_per_kwh
 
     @property
     def duration(self) -> float:

@@ -13,7 +13,7 @@ Three parts (DESIGN.md §5e):
   parent/child nesting and cross-process span adoption;
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`
   (counters/gauges/latency histograms, optional labels, Prometheus
-  text exposition), absorbing the old ``repro.service.metrics``;
+  text exposition), re-exported by :mod:`repro.service`;
 * :mod:`repro.obs.export` — JSONL and Chrome-trace exporters plus the
   per-name aggregation behind ``repro obs stats``/``top``.
 

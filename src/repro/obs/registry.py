@@ -2,8 +2,7 @@
 
 The single metric model for the whole carbon stack — the serving
 layer's cache/breaker/latency accounting, the simulator's event-loop
-gauges, the sweep executor's throughput counters — grown out of the
-old ``repro.service.metrics`` (which remains as a deprecation shim).
+gauges, the sweep executor's throughput counters.
 
 Two export surfaces:
 

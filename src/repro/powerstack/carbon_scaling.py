@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.grid.forecast import Forecaster, SeasonalNaiveForecaster
 from repro.grid.providers import CarbonIntensityProvider
-from repro.service.core import CarbonService
 from repro import units
 
 __all__ = [
@@ -138,24 +137,12 @@ class ForecastScalingPolicy(PowerBudgetPolicy):
         self.forecaster = forecaster or SeasonalNaiveForecaster()
         self.horizon_s = float(horizon_s)
         self.history_s = float(history_s)
-        #: memoized serving-layer front (the §3.1 monitor polls every
-        #: tick; the scheduler's backfill gate asks for the *same*
-        #: trailing window — through a shared CarbonService both hit
-        #: one cached fetch instead of two backend round trips)
-        self._service: Optional[CarbonService] = None
-
-    def _service_for(self, provider: CarbonIntensityProvider) -> CarbonService:
-        if self._service is None or (
-                self._service is not provider
-                and self._service.backend is not provider):
-            self._service = CarbonService.ensure(provider)
-        return self._service
 
     def budget(self, provider: CarbonIntensityProvider, now: float) -> float:
         t0 = max(0.0, now - self.history_s)
         if now - t0 < 2 * units.SECONDS_PER_HOUR:
             return self.inner.budget(provider, now)
-        history = self._service_for(provider).history(t0, now)
+        history = provider.history(t0, now)
         self.forecaster.fit(history)
         steps = max(1, int(np.ceil(self.horizon_s / history.step_seconds)))
         forecast = self.forecaster.predict(steps)

@@ -36,7 +36,6 @@ from repro.grid.forecast import Forecaster, SeasonalNaiveForecaster
 from repro.grid.intensity import CarbonIntensityTrace
 from repro.scheduler.backfill import EasyBackfillPolicy
 from repro.scheduler.rjms import SchedulerPolicy, SchedulingContext, StartDecision
-from repro.service.core import CarbonService
 from repro.simulator.jobs import Job
 from repro import units
 
@@ -82,20 +81,8 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         self.history_s = float(history_s)
         self.min_job_seconds = float(min_job_seconds)
         self._inner = EasyBackfillPolicy()
-        #: memoized serving-layer front per backing provider — every
-        #: startable job in one pass asks for the same trailing-history
-        #: window, so fetching it through the cache turns N backend
-        #: round trips per pass into one
-        self._service: Optional[CarbonService] = None
 
     # -- carbon gate -----------------------------------------------------------
-
-    def _service_for(self, provider) -> CarbonService:
-        if self._service is None or (
-                self._service is not provider
-                and self._service.backend is not provider):
-            self._service = CarbonService.ensure(provider)
-        return self._service
 
     def _window(self, ctx: SchedulingContext,
                 job: Job) -> Optional[Tuple[float, float]]:
@@ -115,7 +102,7 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         if ctx.now - t0 < 2 * units.SECONDS_PER_HOUR:
             return None  # not enough history to say anything
         try:
-            history = self._service_for(ctx.provider).history(t0, ctx.now)
+            history = ctx.provider.history(t0, ctx.now)
         except ValueError:
             return None
         self.forecaster.fit(history)

@@ -213,7 +213,6 @@ class RJMS:
         self.telemetry.register(Sensor("cluster.power", "W"))
         self.telemetry.register(Sensor("grid.intensity", "gCO2/kWh"))
         self.telemetry.register(Sensor("cluster.nodes_busy", "nodes"))
-        self.telemetry.register(Sensor("service.cache_hit_rate", "ratio"))
 
         self.pending: List[Job] = []
         self.running: Dict[int, Job] = {}
@@ -298,8 +297,6 @@ class RJMS:
         self.telemetry.record("grid.intensity", now,
                               self.provider.intensity_at(max(now, 0.0)))
         self.telemetry.record("cluster.nodes_busy", now, self.cluster.n_busy)
-        self.telemetry.record("service.cache_hit_rate", now,
-                              self.provider.cache.hit_rate)
 
     # -- lifecycle: arrival ----------------------------------------------------------
 
@@ -321,7 +318,8 @@ class RJMS:
         job.start(self.now, n_nodes, perf)
         self.pending.remove(job)
         self.running[job.job_id] = job
-        self.accounts[job.job_id] = JobAccount()
+        # a job requeued by a node failure keeps what it already used
+        self.accounts.setdefault(job.job_id, JobAccount())
         self._refresh_job_power(job)
         self._schedule_completion(job)
 

@@ -1,33 +1,28 @@
-"""Carbon-data serving layer: cache -> coalescer -> retry/breaker -> provider.
+"""Carbon-data serving layer: cache -> retry/breaker -> provider.
 
 The production-shaped front for the repo's
 :class:`~repro.grid.providers.CarbonIntensityProvider` seam (see
-DESIGN.md §"repro.service" for the architecture sketch).  Consumers —
-the RJMS accounting loop, the carbon backfill gate, the PowerStack
-budget policies, the job reports — talk to a
-:class:`~repro.service.core.CarbonService` exactly as they would to a
-raw provider, and get caching, request coalescing, retry/backoff, a
-circuit breaker with graceful degradation, and operational metrics for
-free.
+DESIGN.md §"repro.service" for the architecture sketch), for callers
+that front a remote or flaky provider.  A
+:class:`~repro.service.core.CarbonService` answers exactly as the raw
+provider would, and adds caching, batch deduplication, retry/backoff,
+a circuit breaker with graceful degradation, and operational metrics.
 
 Public API
 ----------
-:class:`CarbonService` / :class:`CarbonServicePool`
-    The serving layer itself (single zone / multi-zone fleet).
+:class:`CarbonService`
+    The serving layer itself.
 :class:`TTLLRUCache`
     Accounted TTL+LRU cache (standalone-usable).
-:class:`RequestCoalescer` / :class:`PendingLookup`
-    Single-flight deduplication of keyed lookups.
 :class:`RetryPolicy` / :class:`CircuitBreaker` / :class:`BreakerState`
     Robustness middleware.
 :class:`FlakyProvider` / :class:`SlowProvider`
     Fault-injection wrappers for tests and benchmarks.
 :class:`ServiceMetrics` (+ :class:`Counter`, :class:`Gauge`,
 :class:`LatencyHistogram`)
-    The observability registry behind ``repro service stats`` — now an
+    The observability registry behind ``repro service stats`` — an
     alias of :class:`repro.obs.registry.MetricsRegistry`, the unified
-    stack-wide registry (``repro.service.metrics`` remains as a
-    deprecation shim).
+    stack-wide registry.
 Errors
     :class:`ServiceError`, :class:`TransientBackendError`,
     :class:`DeadlineExceededError`, :class:`CircuitOpenError`,
@@ -35,8 +30,7 @@ Errors
 """
 
 from repro.service.cache import MISSING, TTLLRUCache
-from repro.service.coalesce import PendingLookup, RequestCoalescer
-from repro.service.core import SIGNALS, CarbonService, CarbonServicePool
+from repro.service.core import SIGNALS, CarbonService
 from repro.service.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -45,7 +39,7 @@ from repro.service.errors import (
     TransientBackendError,
 )
 from repro.service.faults import FlakyProvider, SlowProvider
-from repro.obs.registry import (  # moved; repro.service.metrics is a shim
+from repro.obs.registry import (
     Counter,
     Gauge,
     LatencyHistogram,
@@ -55,12 +49,9 @@ from repro.service.retry import BreakerState, CircuitBreaker, RetryPolicy
 
 __all__ = [
     "CarbonService",
-    "CarbonServicePool",
     "SIGNALS",
     "TTLLRUCache",
     "MISSING",
-    "RequestCoalescer",
-    "PendingLookup",
     "RetryPolicy",
     "CircuitBreaker",
     "BreakerState",

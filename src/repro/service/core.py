@@ -8,15 +8,14 @@ same tick are re-fetched N times, and one flaky backend takes the whole
 scheduler down with it.  :class:`CarbonService` is the standard answer,
 assembled from this package's parts::
 
-    consumer ──> cache (TTL+LRU) ──> coalescer ──> retry/breaker ──> provider
-                    │ hit                                │ trip
-                    └── value                            └── stale / last-good /
-                                                             fallback provider
+    consumer ──> cache (TTL+LRU) ──> retry/breaker ──> provider
+                    │ hit                  │ trip
+                    └── value              └── stale / last-good /
+                                               fallback provider
 
 Because the service *is itself* a
 :class:`~repro.grid.providers.CarbonIntensityProvider`, it drops into
-every existing seam — the RJMS, the backfill policies, the PowerStack
-budget policies, the accounting reports — without changing a call site.
+any seam that takes a provider without changing a call site.
 With the defaults (no quantization, no TTL) it is **value-transparent**:
 deterministic backends yield bit-identical answers through the service,
 so simulation results are unchanged while repeated lookups collapse
@@ -27,14 +26,13 @@ throughput the way 5-minute-granularity monitors do.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.grid.intensity import CarbonIntensityTrace
 from repro.grid.providers import CarbonIntensityProvider
 from repro.service.cache import MISSING, TTLLRUCache
-from repro.service.coalesce import PendingLookup, RequestCoalescer
 from repro.service.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -45,7 +43,7 @@ from repro import obs
 from repro.obs.registry import ServiceMetrics
 from repro.service.retry import BreakerState, CircuitBreaker, RetryPolicy
 
-__all__ = ["CarbonService", "CarbonServicePool", "SIGNALS"]
+__all__ = ["CarbonService", "SIGNALS"]
 
 #: the two intensity signals a provider serves (see providers.py: the
 #: paper's Figure 2 plots *marginal*; *average* is the consumption mix)
@@ -62,7 +60,7 @@ _BREAKER_STATE_GAUGE = {BreakerState.CLOSED: 0.0,
 
 
 class CarbonService(CarbonIntensityProvider):
-    """Caching, coalescing, fault-tolerant front for one provider.
+    """Caching, fault-tolerant front for one provider.
 
     Parameters
     ----------
@@ -122,7 +120,6 @@ class CarbonService(CarbonIntensityProvider):
         self.clock = clock
         self.sleep = sleep
         self._rng = np.random.default_rng(seed)
-        self._coalescer = RequestCoalescer(self._fetch_spot_key, self.metrics)
         #: most recent fresh value per signal, for degraded reads
         self._last_good_g_per_kwh: Dict[str, float] = {}
 
@@ -278,20 +275,32 @@ class CarbonService(CarbonIntensityProvider):
     def batch_intensity(self, times: Sequence[float],
                         signal: str = "marginal") -> np.ndarray:
         """Vectorized spot lookup: cache hits answered immediately,
-        the misses coalesced so each unique quantized key costs one
-        backend call no matter how many duplicates the burst contains."""
-        slots = []
-        for t in times:
+        the misses deduplicated so each unique quantized key costs one
+        backend call no matter how many duplicates the burst contains.
+
+        Counters: ``coalesce.requests`` (misses), ``coalesce.fetches``
+        (unique misses fetched) and ``coalesce.deduplicated`` (their
+        difference)."""
+        out = np.empty(len(times), dtype=np.float64)
+        # unique missed key -> every output slot waiting on it
+        misses: Dict[tuple, List[int]] = {}
+        for i, t in enumerate(times):
             key = self._spot_key(float(t), signal)
             cached = self.cache.get(key)
             if cached is not MISSING:
-                slots.append(cached)
+                out[i] = cached
+                continue
+            self.metrics.counter("coalesce.requests").inc()
+            slots = misses.get(key)
+            if slots is None:
+                misses[key] = [i]
             else:
-                slots.append(self._coalescer.submit(key))
-        self._coalescer.flush()
-        return np.asarray(
-            [s.value if isinstance(s, PendingLookup) else s for s in slots],
-            dtype=np.float64)
+                self.metrics.counter("coalesce.deduplicated").inc()
+                slots.append(i)
+        for key, slots in misses.items():
+            self.metrics.counter("coalesce.fetches").inc()
+            out[slots] = self._fetch_spot_key(key)
+        return out
 
     # -- observability ----------------------------------------------------------------
 
@@ -308,97 +317,3 @@ class CarbonService(CarbonIntensityProvider):
                   f"ttl={'inf' if self.cache.ttl_s is None else self.cache.ttl_s} "
                   f"breaker={self.breaker.state.value}")
         return header + "\n" + self.metrics.render()
-
-
-class CarbonServicePool(CarbonIntensityProvider):
-    """A fleet of per-zone :class:`CarbonService` instances behind one
-    metrics registry — the multi-zone entry point federation-style
-    consumers use.
-
-    Parameters
-    ----------
-    providers:
-        Either a mapping ``zone -> provider`` (pre-built backends) or a
-        factory ``zone -> provider`` called on first use of a zone.
-    default_zone:
-        The zone answering the plain single-zone provider API calls on
-        the pool itself (defaults to the first mapped zone, if any).
-    **service_kwargs:
-        Forwarded to every :class:`CarbonService` the pool builds
-        (quantization, TTL, retry, fallback, ...).
-    """
-
-    def __init__(self,
-                 providers: Union[Mapping[str, CarbonIntensityProvider],
-                                  Callable[[str], CarbonIntensityProvider]],
-                 default_zone: Optional[str] = None,
-                 **service_kwargs) -> None:
-        self.metrics = service_kwargs.pop("metrics", None) or ServiceMetrics()
-        self._service_kwargs = service_kwargs
-        self._services: Dict[str, CarbonService] = {}
-        if callable(providers):
-            self._factory = providers
-        else:
-            self._factory = None
-            for zone, provider in providers.items():
-                self._services[zone] = CarbonService(
-                    provider, metrics=self.metrics, **service_kwargs)
-        if default_zone is None and self._services:
-            default_zone = next(iter(self._services))
-        self.default_zone = default_zone
-        self.zone_code = default_zone or ""
-
-    def zones(self) -> list:
-        return sorted(self._services)
-
-    def service(self, zone: str) -> CarbonService:
-        """The per-zone service, built on first use when a factory was
-        given."""
-        if zone not in self._services:
-            if self._factory is None:
-                raise KeyError(f"unknown zone {zone!r}; "
-                               f"have {self.zones()}")
-            self._services[zone] = CarbonService(
-                self._factory(zone), metrics=self.metrics,
-                **self._service_kwargs)
-        return self._services[zone]
-
-    # -- single-zone provider API (delegates to the default zone) ------------------
-
-    def _default(self) -> CarbonService:
-        if self.default_zone is None:
-            raise ValueError("pool has no default zone")
-        return self.service(self.default_zone)
-
-    def intensity_at(self, t: float) -> float:
-        return self._default().intensity_at(t)
-
-    def average_intensity_at(self, t: float) -> float:
-        return self._default().average_intensity_at(t)
-
-    def history(self, t0: float, t1: float) -> CarbonIntensityTrace:
-        return self._default().history(t0, t1)
-
-    # -- the vectorized multi-zone call --------------------------------------------
-
-    def batch_intensity(self, zones: Sequence[str], times: Sequence[float],
-                        signal: str = "marginal") -> np.ndarray:
-        """Elementwise ``(zone, time)`` lookups, grouped per zone and
-        coalesced there, so duplicate queries across the whole batch
-        still cost one backend call each."""
-        if len(zones) != len(times):
-            raise ValueError("zones and times must have equal length")
-        out = np.empty(len(zones), dtype=np.float64)
-        by_zone: Dict[str, list] = {}
-        for i, (z, t) in enumerate(zip(zones, times)):
-            by_zone.setdefault(z, []).append((i, float(t)))
-        for zone, entries in by_zone.items():
-            idx = [i for i, _ in entries]
-            ts = [t for _, t in entries]
-            out[idx] = self.service(zone).batch_intensity(ts, signal)
-        return out
-
-    def render_stats(self) -> str:
-        lines = [f"carbon service pool: zones={','.join(self.zones()) or '-'}"]
-        lines.append(self.metrics.render())
-        return "\n".join(lines)

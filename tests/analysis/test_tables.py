@@ -70,7 +70,7 @@ class TestTable1:
 
 class TestCarbon500:
     def test_renders_ranked(self):
-        zi = {z: p.mean_intensity for z, p in EUROPE_JAN2023.items()}
+        zi = {z: p.mean_intensity_g_per_kwh for z, p in EUROPE_JAN2023.items()}
         out = render_carbon500(carbon500_ranking(zone_intensities=zi))
         assert "Frontier" in out
         assert "PFLOPs/(t/yr)" in out

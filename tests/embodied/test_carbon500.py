@@ -7,7 +7,7 @@ from repro.grid.zones import EUROPE_JAN2023
 
 
 def zone_intensities():
-    return {z: p.mean_intensity for z, p in EUROPE_JAN2023.items()}
+    return {z: p.mean_intensity_g_per_kwh for z, p in EUROPE_JAN2023.items()}
 
 
 class TestRanking:
@@ -23,10 +23,11 @@ class TestRanking:
 
     def test_rates_positive(self):
         for e in carbon500_ranking(zone_intensities=zone_intensities()):
-            assert e.embodied_rate_t_per_year > 0
-            assert e.operational_rate_t_per_year > 0
-            assert e.total_rate_t_per_year == pytest.approx(
-                e.embodied_rate_t_per_year + e.operational_rate_t_per_year)
+            assert e.embodied_rate_tonnes_per_year > 0
+            assert e.operational_rate_tonnes_per_year > 0
+            assert e.total_rate_tonnes_per_year == pytest.approx(
+                e.embodied_rate_tonnes_per_year
+                + e.operational_rate_tonnes_per_year)
 
     def test_siting_changes_efficiency(self):
         """The same system ranks better at a hydro site — the point of

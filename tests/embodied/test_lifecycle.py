@@ -93,13 +93,13 @@ class TestReuseVsRecycle:
 
 class TestComponentLifecycle:
     def test_fleet_math(self):
-        lc = ComponentLifecycle("hdd", count=1000, embodied_kg_each=20.0)
+        lc = ComponentLifecycle("hdd", count=1000, embodied_kg_per_unit=20.0)
         assert lc.fleet_embodied_kg == 20000.0
         assert lc.reuse_fleet_savings() == pytest.approx(
             275.0 * lc.recycle_fleet_savings())
 
     def test_best_option_is_reuse(self):
-        lc = ComponentLifecycle("dram", count=10, embodied_kg_each=5.0)
+        lc = ComponentLifecycle("dram", count=10, embodied_kg_per_unit=5.0)
         assert lc.best_option() == "reuse"
 
     def test_validation(self):

@@ -40,7 +40,7 @@ class TestFindGreenPeriods:
         assert len(periods) == 1
         assert periods[0].start == HOUR
         assert periods[0].end == 3 * HOUR
-        assert periods[0].mean_intensity == pytest.approx(100.0)
+        assert periods[0].mean_intensity_g_per_kwh == pytest.approx(100.0)
 
     def test_flat_trace_has_no_green(self):
         t = make([200, 200, 200])

@@ -87,7 +87,7 @@ class TestSyntheticProvider:
 
     def test_average_damped_toward_mean(self):
         p = SyntheticProvider("DE", seed=3, average_damping=0.5)
-        mean = p.model.zone.mean_intensity
+        mean = p.model.zone.mean_intensity_g_per_kwh
         t = 40 * HOUR
         marg = p.intensity_at(t)
         avg = p.average_intensity_at(t)

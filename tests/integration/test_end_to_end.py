@@ -121,7 +121,7 @@ class TestFullStack:
         model = FootprintModel(embodied_kg=embodied,
                                avg_power_watts=SUPERMUC_NG.avg_power_mw * 1e6,
                                lifetime_years=SUPERMUC_NG.lifetime_years,
-                               grid_intensity=20.0)  # LRZ hydro
+                               grid_intensity_g_per_kwh=20.0)  # LRZ hydro
         report = model.lifetime_report()
         assert report.total_kg > embodied
         # at LRZ's 20 g/kWh the embodied share is substantial (>10%)

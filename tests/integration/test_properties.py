@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.grid import StaticProvider, SyntheticProvider
 from repro.scheduler import (
@@ -22,6 +22,7 @@ from repro.simulator import (
     WorkloadConfig,
     WorkloadGenerator,
 )
+from repro.simulator.failures import FailureInjector
 
 HOUR = 3600.0
 
@@ -115,13 +116,17 @@ class TestCarbonAccountingInvariants:
         assert job_energy <= result.total_energy_kwh + 1e-6
         assert job_carbon / 1000.0 <= result.total_carbon_kg + 1e-6
 
-    @given(seed=st.integers(0, 1000), case=st.integers(0, 3))
+    @given(seed=st.integers(0, 1000), case=st.integers(0, 3),
+           failures=st.booleans())
+    @example(seed=1, case=1, failures=True)
     @SIM_SETTINGS
-    def test_job_sums_equal_cluster_totals_idle_off(self, seed, case):
+    def test_job_sums_equal_cluster_totals_idle_off(self, seed, case,
+                                                    failures):
         """With idle nodes powered off the cluster draws exactly what its
         running jobs draw, so per-job energy and carbon add up to the
         cluster totals: an equality, under FCFS, EASY, carbon backfill,
-        and checkpoint suspend/resume."""
+        and checkpoint suspend/resume, with or without node failures
+        (a requeued job keeps what it used before the failure)."""
         policy = [FCFSPolicy(), EasyBackfillPolicy(),
                   CarbonBackfillPolicy(max_delay_s=6 * HOUR),
                   EasyBackfillPolicy()][case]
@@ -132,6 +137,9 @@ class TestCarbonAccountingInvariants:
                     policy, provider=SyntheticProvider("DE", seed=seed))
         if checkpoint:
             rjms.register_manager(CarbonCheckpointPolicy())
+        if failures:
+            rjms.register_manager(FailureInjector(mtbf_seconds=24 * HOUR,
+                                                  seed=seed))
         result = rjms.run()
         job_energy = sum(a.energy_kwh for a in result.accounts.values())
         job_carbon_kg = sum(a.carbon_g for a in result.accounts.values()) \

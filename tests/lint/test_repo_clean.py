@@ -6,6 +6,7 @@ suite until it is fixed or explicitly suppressed with a
 ``# repro-lint: ignore[rule]`` comment.
 """
 
+import ast
 from pathlib import Path
 
 from repro.lint import lint_paths, render_text
@@ -30,6 +31,28 @@ def test_linter_actually_scanned_the_tree():
     assert len(py_files) > 50, "suspiciously few files scanned"
 
 
+def test_no_deprecation_shims():
+    """No module imports the removed ``repro._compat`` helpers or emits
+    a ``DeprecationWarning``: renames move every caller instead."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mod = node.module or ""
+                names = [mod] + [f"{mod}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if any(n == "DeprecationWarning" or n == "repro._compat"
+                   or n.startswith("repro._compat.") for n in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders, "deprecation shims in src/repro: " + ", ".join(
+        offenders)
+
+
 class TestServicePackageCovered:
     """The serving layer is part of the carbon stack and must stay
     under the same dimensional-consistency gate — its dataclasses carry
@@ -39,8 +62,8 @@ class TestServicePackageCovered:
         service = SRC / "service"
         assert service.is_dir()
         modules = {p.name for p in service.glob("*.py")}
-        assert {"core.py", "cache.py", "coalesce.py", "retry.py",
-                "faults.py", "metrics.py", "errors.py"} <= modules
+        assert {"core.py", "cache.py", "retry.py",
+                "faults.py", "errors.py"} <= modules
 
     def test_service_package_is_clean(self):
         findings = lint_paths([SRC / "service"])

@@ -82,9 +82,3 @@ class TestSimulationResult:
         result = run_two_jobs(node_power_model, service)
         assert result.provider is service
         assert not isinstance(result.provider.backend, CarbonService)
-
-    def test_cache_hit_rate_telemetry_recorded(self, node_power_model):
-        result = run_two_jobs(node_power_model, StaticProvider(123.0))
-        _, rates = result.telemetry.series("service.cache_hit_rate")
-        assert rates.size > 0
-        assert 0.0 <= rates.min() and rates.max() <= 1.0

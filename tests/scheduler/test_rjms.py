@@ -115,6 +115,22 @@ class TestTick:
         assert fired == [10 * HOUR]
 
 
+class TestExpectedEnds:
+    def test_within_estimate_ends_at_estimate(self, node_power_model):
+        jobs = make_jobs((0.0, 1, 2 * HOUR))  # estimate 3 h
+        rjms = make_rjms(node_power_model, jobs)
+        rjms.run(until=HOUR)
+        assert rjms._expected_ends() == {1: 3 * HOUR}
+
+    def test_overran_estimate_ends_in_60_s(self, node_power_model):
+        jobs = [Job(job_id=1, submit_time=0.0, nodes_requested=1,
+                    runtime_estimate=HOUR, work_seconds=3 * HOUR)]
+        rjms = make_rjms(node_power_model, jobs)
+        rjms.run(until=2 * HOUR)
+        assert jobs[0].state is JobState.RUNNING
+        assert rjms._expected_ends() == {1: 2 * HOUR + 60.0}
+
+
 class TestEnergyCarbonAccounting:
     def test_one_intensity_window_per_accrual_step(self, node_power_model):
         """All running jobs share one step, so accrual fetches one

@@ -1,7 +1,10 @@
 """Tests for the service metrics registry."""
 
+import warnings
+
 import pytest
 
+from repro.obs import registry as obs_registry
 from repro.service import Counter, Gauge, LatencyHistogram, ServiceMetrics
 
 
@@ -101,3 +104,12 @@ class TestServiceMetrics:
         m.gauge("cache.size").set(1)
         text = m.render()
         assert "cache.hits" in text and "cache.size" in text
+
+    def test_package_level_import_is_warning_free(self):
+        """``from repro.service import Counter`` re-exports the obs
+        registry classes without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            from repro.service import Counter, ServiceMetrics
+        assert Counter is obs_registry.Counter
+        assert ServiceMetrics is obs_registry.MetricsRegistry

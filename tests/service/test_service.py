@@ -9,7 +9,6 @@ from repro.grid.intensity import CarbonIntensityTrace
 from repro.service import (
     BreakerState,
     CarbonService,
-    CarbonServicePool,
     CircuitBreaker,
     FlakyProvider,
     RetryPolicy,
@@ -218,6 +217,12 @@ class TestDegradation:
         with pytest.raises(ServiceUnavailableError):
             service.history(0.0, HOUR)
 
+    def test_batch_raises_only_when_every_tier_is_empty(self, clock):
+        backend = FlakyProvider(StaticProvider(80.0), fail_all=True)
+        service = make_service(backend, clock)  # no fallback, cold cache
+        with pytest.raises(ServiceUnavailableError):
+            service.batch_intensity([0.0, HOUR, 0.0])
+
     def test_queries_never_raise_with_fallback_under_flaky_backend(
             self, clock):
         backend = FlakyProvider(SyntheticProvider("DE", seed=0),
@@ -288,57 +293,6 @@ class TestRetryIntegration:
             assert service.intensity_at(t * HOUR) == 123.0
         assert service.snapshot().get("backend.retries", 0) > 0
         assert service.snapshot().get("backend.failures", 0) == 0
-
-
-class TestPool:
-    def test_batch_over_zones_and_times(self, clock):
-        pool = CarbonServicePool(
-            {"DE": SyntheticProvider("DE", seed=0),
-             "FR": SyntheticProvider("FR", seed=0)},
-            clock=clock, sleep=lambda _s: None)
-        zones = ["DE", "FR", "DE", "FR"]
-        times = [HOUR, HOUR, HOUR, 2 * HOUR]
-        out = pool.batch_intensity(zones, times)
-        assert out.shape == (4,)
-        assert out[0] == SyntheticProvider("DE", seed=0).intensity_at(HOUR)
-        assert out[1] == SyntheticProvider("FR", seed=0).intensity_at(HOUR)
-
-    def test_duplicate_pairs_coalesce(self, clock):
-        backend = FlakyProvider(StaticProvider(10.0, "DE"))
-        pool = CarbonServicePool({"DE": backend}, clock=clock,
-                                 sleep=lambda _s: None)
-        pool.batch_intensity(["DE"] * 20, [42.0] * 20)
-        assert backend.calls == 1
-
-    def test_factory_builds_zones_lazily(self, clock):
-        built = []
-
-        def factory(zone):
-            built.append(zone)
-            return SyntheticProvider(zone, seed=0)
-
-        pool = CarbonServicePool(factory, default_zone="DE",
-                                 clock=clock, sleep=lambda _s: None)
-        assert built == []
-        pool.intensity_at(HOUR)
-        assert built == ["DE"]
-        pool.batch_intensity(["FI"], [HOUR])
-        assert built == ["DE", "FI"]
-
-    def test_unknown_zone_without_factory(self, clock):
-        pool = CarbonServicePool({"DE": StaticProvider(1.0, "DE")},
-                                 clock=clock, sleep=lambda _s: None)
-        with pytest.raises(KeyError):
-            pool.service("XX")
-
-    def test_shared_metrics_registry(self, clock):
-        pool = CarbonServicePool(
-            {"DE": StaticProvider(1.0, "DE"),
-             "FR": StaticProvider(2.0, "FR")},
-            clock=clock, sleep=lambda _s: None)
-        pool.batch_intensity(["DE", "FR"], [0.0, 0.0])
-        assert pool.metrics.counter("cache.misses").value == 2
-        assert "carbon service pool" in pool.render_stats()
 
 
 class TestSchedulerNeverSeesAnError:

@@ -46,6 +46,18 @@ class TestScheduling:
         with pytest.raises(ValueError):
             eng.schedule_in(-1.0, lambda: None)
 
+    def test_past_within_1e9_runs_at_now(self):
+        """Float round-off up to 1e-9 s behind ``now`` is clamped to
+        ``now``; anything further back is an error."""
+        eng = SimulationEngine(start_time=10.0)
+        fired = []
+        ev = eng.schedule_at(10.0 - 1e-9, lambda: fired.append(eng.now))
+        assert ev.time == 10.0
+        eng.run()
+        assert fired == [10.0]
+        with pytest.raises(ValueError, match="past"):
+            eng.schedule_at(10.0 - 1e-8, lambda: None)
+
     def test_events_can_schedule_events(self):
         eng = SimulationEngine()
         out = []
