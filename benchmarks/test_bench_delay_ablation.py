@@ -19,8 +19,8 @@ becomes a table with an interior optimum.
 import pytest
 
 from benchmarks.conftest import report
-from repro.analysis.sweep import sweep
 from repro.grid import SyntheticProvider
+from repro.parallel import run_sweep
 from repro.scheduler import RJMS, CarbonBackfillPolicy, EasyBackfillPolicy
 from repro.simulator import (
     Cluster,
@@ -62,11 +62,11 @@ def ablation_cell(max_delay_h, min_saving):
 
 def run_ablation():
     baseline = run_one(EasyBackfillPolicy())
-    table = sweep(ablation_cell,
-                  grid={"max_delay_h": [3, 6, 12, 24],
-                        "min_saving": [0.03, 0.10]},
-                  metric_names=["carbon_kg", "wait_h", "completed"],
-                  workers=2)
+    table = run_sweep(ablation_cell,
+                      grid={"max_delay_h": [3, 6, 12, 24],
+                            "min_saving": [0.03, 0.10]},
+                      metric_names=["carbon_kg", "wait_h", "completed"],
+                      workers=2)
     return baseline, table
 
 

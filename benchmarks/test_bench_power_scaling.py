@@ -20,8 +20,8 @@ marginal-vs-average distinction [2].
 import pytest
 
 from benchmarks.conftest import report
-from repro.analysis.sweep import sweep
 from repro.grid import SyntheticProvider
+from repro.parallel import run_sweep
 from repro.powerstack import LinearScalingPolicy, SiteController, StaticBudgetPolicy
 from repro.scheduler import RJMS, EasyBackfillPolicy
 from repro.simulator import (
@@ -133,10 +133,10 @@ POLICIES = ["static", "carbon-linear", "carbon-avg-signal"]
 
 
 def run_policies():
-    return sweep(power_cell, grid={"policy": POLICIES},
-                 metric_names=["carbon_kg", "energy_kwh",
-                               "makespan_h", "completed"],
-                 workers=2)
+    return run_sweep(power_cell, grid={"policy": POLICIES},
+                     metric_names=["carbon_kg", "energy_kwh",
+                                   "makespan_h", "completed"],
+                     workers=2)
 
 
 def test_bench_power_scaling(benchmark):

@@ -4,14 +4,13 @@
 Walks the `repro.parallel` executor through its whole surface: a grid
 run serially and in a process pool (identical rows, by contract),
 index-keyed per-cell seeds that no worker count can disturb, graceful
-failure capture, and the named-sweep registry behind `repro sweep`.
+failure capture, and the named sweeps behind `repro sweep`.
 
 Run:  python examples/parallel_sweep.py
 """
 
-from repro.analysis.sweep import sweep
 from repro.parallel import derive_seed, run_registered, run_sweep
-from repro.parallel.scenarios import footprint_cell, spin_cell
+from repro.parallel.scenarios import footprint_cell
 
 
 def noisy_cell(x, seed=0):
@@ -57,14 +56,7 @@ def main() -> None:
     for f in r.failures:
         print(f"  FAILED {f.describe()}")
 
-    # --- 4. analysis.sweep is the same engine ------------------------
-    table = sweep(spin_cell, {"lane": [0, 1, 2, 3], "reps": [50_000]},
-                  workers=2)
-    s = table.stats
-    print(f"\nanalysis.sweep(..., workers=2): {s.n_cells} cells in "
-          f"{s.wall_s:.2f} s ({s.mode})")
-
-    # --- 5. named sweeps (what `repro sweep` runs) -------------------
+    # --- 4. named sweeps (what `repro sweep` runs) -------------------
     result = run_registered("footprint", workers=2,
                             grid_overrides={"lifetime_years": [6.0]})
     print("\nregistered 'footprint' sweep, lifetime pinned to 6 y:")

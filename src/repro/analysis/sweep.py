@@ -2,12 +2,9 @@
 
 The ablation experiments (DESIGN.md §5) all share one shape: vary one
 or two policy knobs over a grid, re-run the same seeded scenario, and
-tabulate a few scalar outcomes against a baseline.  This module is that
-shape, factored out:
+tabulate a few scalar outcomes against a baseline.  This module holds
+the types that describe one such run:
 
-* :func:`sweep` — run ``scenario(**params)`` over a parameter grid and
-  collect named metrics (``workers=N`` shards the grid across a process
-  pool via :mod:`repro.parallel`; output is bit-identical to serial);
 * :class:`SweepResult` — the table, with baseline-relative savings and
   an ASCII rendering;
 * :class:`CellFailure` / :exc:`SweepCellError` — how a failing cell is
@@ -15,8 +12,11 @@ shape, factored out:
 * :class:`SweepStats` — how the sweep ran: wall clock, per-cell times,
   execution mode (and, for fallbacks, why).
 
-The scenario callable owns all seeding; the harness adds none unless an
-explicit ``base_seed`` is given, in which case each cell receives
+The function that runs ``scenario(**params)`` over a grid and fills
+these in is :func:`repro.parallel.run_sweep`, serially or across a
+process pool (output is bit-identical either way).  The scenario
+callable owns all seeding; the executor adds none unless an explicit
+``base_seed`` is given, in which case each cell receives
 ``derive_seed(base_seed, cell_index)`` keyed on its *canonical grid
 position* — never on worker count or completion order (sweeps must be
 exactly reproducible).
@@ -25,7 +25,7 @@ exactly reproducible).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "CellFailure",
@@ -33,7 +33,6 @@ __all__ = [
     "SweepCellError",
     "SweepResult",
     "SweepStats",
-    "sweep",
 ]
 
 
@@ -207,51 +206,3 @@ class SweepResult:
             lines.append(" ".join(cells))
         return "\n".join(lines)
 
-
-def sweep(scenario: Callable[..., Mapping[str, float]],
-          grid: Mapping[str, Sequence[Any]],
-          metric_names: Optional[Sequence[str]] = None,
-          *,
-          workers: Optional[int] = 1,
-          chunk_size: int = 0,
-          strict: bool = True,
-          base_seed: Optional[int] = None,
-          seed_param: str = "seed",
-          journal_path: Optional[str] = None,
-          resume: bool = False,
-          cell_timeout_s: Optional[float] = None,
-          retries: int = 0,
-          chaos: Optional[Any] = None) -> SweepResult:
-    """Run ``scenario`` over the Cartesian product of ``grid``.
-
-    ``scenario(**params)`` must return a mapping of metric name ->
-    value; metric names are taken from the first row unless given.
-    Parameter order in the result follows the grid's key order.
-
-    ``workers=1`` (the default) runs serially in-process; ``workers=N``
-    shards the grid across a process pool, and ``workers=None`` or
-    ``0`` sizes the pool to the machine.  Parallel rows are
-    bit-identical to serial rows — see :mod:`repro.parallel` for the
-    determinism contract and the remaining keyword arguments.
-
-    With :mod:`repro.obs` tracing enabled, every cell is wrapped in a
-    ``sweep.cell`` span — pool workers ship their spans back with each
-    outcome, so the whole sweep renders as one merged timeline
-    (``repro obs trace``).  Tracing never changes the rows.
-
-    The robustness keywords (``journal_path``/``resume``/
-    ``cell_timeout_s``/``retries``/``chaos``) engage the crash-safe
-    harness of :mod:`repro.chaos`: an fsync'd JSONL journal of cell
-    outcomes, resume-from-journal with identical per-cell seeds, a
-    per-cell watchdog, bounded retry with a quarantine list on
-    ``result.quarantined``, and deterministic fault injection.  A
-    resumed run merges bit-identical to an uninterrupted one.
-    """
-    from repro.parallel.executor import run_sweep
-    return run_sweep(scenario, grid, metric_names,
-                     workers=workers, chunk_size=chunk_size,
-                     strict=strict, base_seed=base_seed,
-                     seed_param=seed_param,
-                     journal_path=journal_path, resume=resume,
-                     cell_timeout_s=cell_timeout_s, retries=retries,
-                     chaos=chaos)

@@ -81,8 +81,7 @@ def grid_hash(names: Sequence[str],
 def make_header(n_cells: int,
                 grid_fingerprint: str,
                 scenario: Any,
-                base_seed: Optional[int],
-                seed_param: str) -> Dict[str, Any]:
+                base_seed: Optional[int]) -> Dict[str, Any]:
     """The run fingerprint written as the journal's first record."""
     name = (f"{getattr(scenario, '__module__', '?')}."
             f"{getattr(scenario, '__qualname__', repr(scenario))}")
@@ -93,7 +92,7 @@ def make_header(n_cells: int,
         "grid_hash": grid_fingerprint,
         "scenario": name,
         "base_seed": base_seed,
-        "seed_param": seed_param,
+        "seed_param": "seed",
     }
 
 

@@ -16,12 +16,11 @@ command                what it does
 ``lint``               dimensional-consistency linter (repro.lint)
 ``service stats``      drive the carbon serving layer, print its metrics
 ``service query``      one intensity lookup through the serving layer
-``sweep``              run a registered scenario grid (repro.parallel)
+``sweep``              run a named scenario grid, optionally under faults
 ``obs trace``          traced sweep -> Chrome/JSONL timeline (repro.obs)
 ``obs stats``          instrumented run -> Prometheus text exposition
 ``obs top``            rank the slowest spans of a trace
 ``chaos plan``         print a deterministic fault schedule (repro.chaos)
-``chaos run``          run a sweep under fault injection + recovery
 ====================  ====================================================
 
 Everything prints to stdout; machine-readable exports go through
@@ -133,9 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--workers", type=int, default=1,
                     help="process-pool size; 1 = serial in-process, "
                          "0 = one per CPU (default: 1)")
-    sw.add_argument("--chunk-size", type=int, default=0,
-                    help="cells per chunk (default: auto, ~4 chunks "
-                         "per worker)")
     sw.add_argument("--no-strict", action="store_true",
                     help="report failing cells in the output instead "
                          "of aborting the sweep")
@@ -156,13 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--retries", type=int, default=0,
                     help="re-run a failing cell up to this many extra "
                          "times before giving up on it (default: 0)")
+    from repro.chaos.cli import _add_plan_arguments, add_chaos_subparsers
+    _add_plan_arguments(sw)
 
     from repro.obs.cli import add_obs_subparsers
     add_obs_subparsers(sub.add_parser(
         "obs", help="observability: tracing, metrics, profiling "
                     "(see repro.obs)"))
 
-    from repro.chaos.cli import add_chaos_subparsers
     add_chaos_subparsers(sub.add_parser(
         "chaos", help="fault injection + crash-safe sweep harness "
                       "(see repro.chaos)"))
@@ -397,30 +394,36 @@ def _parse_grid_overrides(pairs):
 
 
 def _cmd_sweep(args) -> int:
+    from repro import obs
     from repro.analysis.sweep import SweepCellError
-    from repro.parallel import available_sweeps, run_registered
+    from repro.chaos.cli import build_plan
+    from repro.parallel import SWEEPS, run_registered
 
     if args.list_sweeps:
-        specs = available_sweeps()
         print(f"{'name':>16s} {'cells':>6s}  description")
-        for spec in specs:
-            print(f"{spec.name:>16s} {spec.cell_count():6d}  "
+        for name, spec in sorted(SWEEPS.items()):
+            print(f"{name:>16s} {spec.cell_count():6d}  "
                   f"{spec.description}")
         return 0
     if args.scenario is None:
         raise SystemExit("sweep: name a registered scenario "
                          "(or use --list)")
+    plan = build_plan(args)
+    if plan.faults:
+        print(plan.describe())
+        print()
+        obs.reset()
     try:
         result = run_registered(
             args.scenario,
             workers=args.workers,
-            chunk_size=args.chunk_size,
             strict=not args.no_strict,
             grid_overrides=_parse_grid_overrides(args.overrides),
             journal_path=args.journal,
             resume=args.resume,
             cell_timeout_s=args.cell_timeout,
-            retries=args.retries)
+            retries=args.retries,
+            chaos=plan if plan.faults else None)
     except (KeyError, ValueError) as e:
         raise SystemExit(f"sweep: {e.args[0] if e.args else e}")
     except SweepCellError as e:
@@ -434,7 +437,10 @@ def _cmd_sweep(args) -> int:
     s = result.stats
     print()
     print(f"{s.n_cells} cells in {s.wall_s:.2f} s wall "
-          f"({s.mode}, workers={s.workers}, dispatches={s.n_chunks})")
+          f"({s.mode}, workers={s.workers}, dispatches={s.n_chunks}): "
+          f"{len(result.rows)} rows, {len(result.failures)} failed, "
+          f"{len(result.quarantined)} quarantined, "
+          f"{s.n_retried} retried")
     if s.cell_times_s:  # a fully resumed run executed nothing
         print(f"cell time total {s.cell_time_total_s:.2f} s -> "
               f"speedup {s.effective_parallelism:.2f}x over one-by-one")
@@ -444,6 +450,13 @@ def _cmd_sweep(args) -> int:
         extra = (f", {s.n_replayed} replayed, {s.n_executed} executed"
                  if s.n_replayed else "")
         print(f"journal: {s.journal_path}{extra}")
+    if plan.faults:
+        print("fault accounting (obs registry):")
+        for line in obs.metrics().render_prometheus(
+                prefix="repro").splitlines():
+            if ("chaos_" in line or "sweep_cells" in line
+                    or "sweep_worker" in line):
+                print(f"  {line}")
     return 0
 
 

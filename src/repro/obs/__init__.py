@@ -57,7 +57,6 @@ from repro.obs.registry import (
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    ServiceMetrics,
 )
 from repro.obs.trace import NOOP_SPAN, Span, SpanHandle, Tracer
 
@@ -65,7 +64,7 @@ __all__ = [
     # trace
     "Span", "SpanHandle", "Tracer", "NOOP_SPAN",
     # registry
-    "MetricsRegistry", "ServiceMetrics", "Counter", "Gauge",
+    "MetricsRegistry", "Counter", "Gauge",
     "LatencyHistogram",
     # export
     "SpanStat", "merge_spans", "read_jsonl", "render_stats_table",

@@ -28,8 +28,7 @@ __all__ = ["run_trace", "run_stats", "run_top"]
 _MS_PER_S = 1000.0
 
 
-def _run_registered_traced(name: str, workers: int,
-                           chunk_size: int = 0) -> List[obs.Span]:
+def _run_registered_traced(name: str, workers: int) -> List[obs.Span]:
     """Run one registered sweep under tracing; return its spans."""
     from repro.analysis.sweep import SweepCellError
     from repro.parallel import run_registered
@@ -37,7 +36,7 @@ def _run_registered_traced(name: str, workers: int,
     obs.reset()
     with obs.scope() as tracer:
         try:
-            run_registered(name, workers=workers, chunk_size=chunk_size)
+            run_registered(name, workers=workers)
         except (KeyError, ValueError) as e:
             raise SystemExit(f"obs: {e.args[0] if e.args else e}")
         except SweepCellError as e:
@@ -47,8 +46,7 @@ def _run_registered_traced(name: str, workers: int,
 
 def run_trace(args) -> int:
     """``repro obs trace``: traced sweep -> Chrome/JSONL trace files."""
-    spans = _run_registered_traced(args.scenario, args.workers,
-                                   args.chunk_size)
+    spans = _run_registered_traced(args.scenario, args.workers)
     n = obs.write_chrome(spans, args.out)
     print(f"wrote {n} spans ({len(set(s.pid for s in spans))} processes) "
           f"to {args.out} [chrome://tracing]")
@@ -128,7 +126,6 @@ def add_obs_subparsers(obs_parser) -> None:
     tr.add_argument("--workers", type=int, default=2,
                     help="process-pool size (default: 2 — exercises "
                          "cross-process span merging)")
-    tr.add_argument("--chunk-size", type=int, default=0)
     tr.add_argument("--out", default="trace.json",
                     help="Chrome trace-event JSON output path")
     tr.add_argument("--jsonl", default=None, metavar="FILE",

@@ -33,7 +33,6 @@ __all__ = [
     "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
-    "ServiceMetrics",
 ]
 
 #: ``(("k","v"), ...)`` sorted label pairs — the hashable label identity
@@ -311,8 +310,3 @@ class MetricsRegistry:
                 out.append(f"{fam}_count{_prom_labels(h.labels)} "
                            f"{h.count}")
         return "\n".join(out) + ("\n" if out else "")
-
-
-#: historical name — the registry began life as the serving layer's;
-#: kept as a first-class alias (``repro.service`` re-exports it).
-ServiceMetrics = MetricsRegistry

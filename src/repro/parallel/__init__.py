@@ -6,14 +6,14 @@ modeling sweeps — is a seeded scenario evaluated over a parameter grid.
 This package makes those grids scale with cores *without ever changing
 a single result*:
 
-* :func:`run_sweep` — the process-pool executor
-  (``analysis.sweep.sweep(..., workers=N)`` routes here);
+* :func:`run_sweep` — the one sweep function, serial or across a
+  process pool (``workers=N``);
 * :func:`derive_seed` — per-cell seeds keyed on canonical grid
   position, so worker count never leaks into results;
 * :func:`expand_grid` / :func:`plan_chunks` — canonical cell order and
   deterministic chunk sharding;
-* :func:`register_sweep` / :func:`run_registered` — named sweeps for
-  the ``repro sweep`` CLI (stock entries in
+* :data:`SWEEPS` / :func:`run_registered` — the named sweeps of the
+  ``repro sweep`` CLI (their cells live in
   :mod:`repro.parallel.scenarios`).
 
 The determinism contract and the serial-fallback conditions are
@@ -30,28 +30,20 @@ from repro.analysis.sweep import (
 )
 from repro.parallel.executor import run_sweep
 from repro.parallel.grid import chunk_count, expand_grid, plan_chunks
-from repro.parallel.registry import (
-    SweepSpec,
-    available_sweeps,
-    get_sweep,
-    register_sweep,
-    run_registered,
-)
+from repro.parallel.registry import SWEEPS, SweepSpec, run_registered
 from repro.parallel.seeds import derive_seed
 
 __all__ = [
     "CellFailure",
+    "SWEEPS",
     "SweepCellError",
     "SweepResult",
     "SweepSpec",
     "SweepStats",
-    "available_sweeps",
     "chunk_count",
     "derive_seed",
     "expand_grid",
-    "get_sweep",
     "plan_chunks",
-    "register_sweep",
     "run_registered",
     "run_sweep",
 ]

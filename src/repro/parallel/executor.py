@@ -1,7 +1,7 @@
 """Sweep executor with serial-parity guarantees and a crash-safe harness.
 
-This is the engine behind ``repro.analysis.sweep.sweep(..., workers=N)``
-and the ``repro sweep`` / ``repro chaos run`` CLIs.  It evaluates
+This is the package's one sweep function, behind the ``repro sweep``
+and ``repro obs trace`` CLIs and every E-bench grid.  It evaluates
 ``scenario(**params)`` over a parameter grid in one dispatch loop —
 serial in-process, or across a ``ProcessPoolExecutor`` — and merges the
 results back in canonical grid order.
@@ -213,8 +213,7 @@ def _pool_obstacle(scenario: Callable[..., Any],
     return None
 
 
-def _check_seed_param(scenario: Callable[..., Any],
-                      seed_param: str) -> None:
+def _check_seed_param(scenario: Callable[..., Any]) -> None:
     """Fail early if the scenario cannot accept the injected seed."""
     try:
         sig = inspect.signature(scenario)
@@ -224,11 +223,11 @@ def _check_seed_param(scenario: Callable[..., Any],
     if any(p.kind is inspect.Parameter.VAR_KEYWORD
            for p in params.values()):
         return
-    p = params.get(seed_param)
+    p = params.get("seed")
     if p is None or p.kind is inspect.Parameter.POSITIONAL_ONLY:
         raise ValueError(
             f"base_seed given but scenario {scenario!r} does not accept "
-            f"a {seed_param!r} keyword argument")
+            "a 'seed' keyword argument")
 
 
 def _merge(names: List[str],
@@ -288,13 +287,13 @@ class _Dispatch:
     n_submitted: int = 0
 
     def open_journal(self, path: Any, resume: bool, names: List[str],
-                     base_seed: Optional[int], seed_param: str) -> int:
+                     base_seed: Optional[int]) -> int:
         """Open the run's journal and adopt the outcomes it replays."""
         from repro.chaos import journal as wal
 
         header = wal.make_header(len(self.cells),
                                  wal.grid_hash(names, self.cells),
-                                 self.scenario, base_seed, seed_param)
+                                 self.scenario, base_seed)
         self.journal, records = wal.SweepJournal.for_run(path, header,
                                                          resume=resume)
         for index, rec in records.items():
@@ -526,10 +525,8 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
               metric_names: Optional[Sequence[str]] = None,
               *,
               workers: Optional[int] = 1,
-              chunk_size: int = 0,
               strict: bool = True,
               base_seed: Optional[int] = None,
-              seed_param: str = "seed",
               journal_path: Optional[str] = None,
               resume: bool = False,
               cell_timeout_s: Optional[float] = None,
@@ -537,9 +534,18 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
               chaos: Optional[Any] = None) -> SweepResult:
     """Evaluate ``scenario`` over ``grid``, optionally across processes.
 
-    Parameters mirror :func:`repro.analysis.sweep.sweep`; this is the
-    single implementation behind both the serial and parallel paths, so
-    their semantics cannot drift apart.
+    ``scenario(**params)`` must return a mapping of metric name ->
+    value; metric names are taken from the first successful row unless
+    given, and parameter order follows the grid's key order.
+    ``workers=1`` (the default) runs serially in-process; ``workers=N``
+    shards the grid across a process pool, and ``workers=None`` or
+    ``0`` sizes the pool to the machine.  Non-strict runs collect
+    failing cells on ``result.failures``; strict runs raise
+    :exc:`~repro.analysis.sweep.SweepCellError`.  With ``base_seed``
+    each cell also receives ``seed=derive_seed(base_seed, index)``.
+    With :mod:`repro.obs` tracing enabled every cell is wrapped in a
+    ``sweep.cell`` span, pool spans included; tracing never changes
+    the rows.
 
     Any robustness keyword (``journal_path``/``resume``/
     ``cell_timeout_s``/``retries``/``chaos``) arms the same loop with an
@@ -565,12 +571,12 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
              or chaos is not None)
     names, cells = expand_grid(grid)
     if base_seed is not None:
-        _check_seed_param(scenario, seed_param)
+        _check_seed_param(scenario)
 
     def call_params(index: int) -> Dict[str, Any]:
         p = dict(cells[index])
         if base_seed is not None:
-            p[seed_param] = derive_seed(base_seed, index)
+            p["seed"] = derive_seed(base_seed, index)
         return p
 
     params = [call_params(i) for i in range(len(cells))]
@@ -616,15 +622,14 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
         run = _Dispatch(scenario, cells, params, armed, strict, tracing,
                         retries, cell_timeout_s, chaos)
         n_replayed = (run.open_journal(journal_path, resume, names,
-                                       base_seed, seed_param)
+                                       base_seed)
                       if journal_path is not None else 0)
         if armed:
             for i in range(len(cells)):
                 if i not in run.outcomes:
                     run.queue(i, 1)
         else:
-            n_batches = (chunk_count(len(cells), workers, chunk_size)
-                         if pooled else 1)
+            n_batches = chunk_count(len(cells), workers) if pooled else 1
             run.pending.extend((tuple(chunk), 1) for chunk in
                                plan_chunks(len(cells), n_batches))
         try:

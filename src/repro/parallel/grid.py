@@ -1,8 +1,8 @@
 """Grid expansion and deterministic chunk planning.
 
 ``expand_grid`` fixes the *canonical cell order* of a parameter grid:
-the ``itertools.product`` order over the grid's key order — exactly the
-order the serial loop in :mod:`repro.analysis.sweep` has always used.
+the ``itertools.product`` order over the grid's key order — the order
+:func:`repro.parallel.run_sweep` merges rows in.
 Everything else in :mod:`repro.parallel` (seed derivation, result
 merging, failure reporting) is indexed against this order, which is why
 parallel output can be bit-identical to serial output.
@@ -28,9 +28,7 @@ def expand_grid(
 ) -> Tuple[List[str], List[Dict[str, Any]]]:
     """Expand a parameter grid into (names, cells in canonical order).
 
-    Raises ``ValueError`` on an empty grid or an empty value list —
-    the same contract :func:`repro.analysis.sweep.sweep` has always
-    enforced.
+    Raises ``ValueError`` on an empty grid or an empty value list.
     """
     if not grid:
         raise ValueError("empty parameter grid")
@@ -43,21 +41,14 @@ def expand_grid(
     return names, cells
 
 
-def chunk_count(n_cells: int, workers: int,
-                chunk_size: int = 0) -> int:
+def chunk_count(n_cells: int, workers: int) -> int:
     """How many chunks to shard ``n_cells`` into.
 
-    With an explicit ``chunk_size`` the count is ``ceil(n/size)``.
-    Otherwise aim for ~4 chunks per worker so a slow cell cannot
-    straggle a whole worker's share of the grid, capped at one cell
-    per chunk.
+    Aim for ~4 chunks per worker so a slow cell cannot straggle a whole
+    worker's share of the grid, capped at one cell per chunk.
     """
     if n_cells <= 0:
         return 0
-    if chunk_size:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        return -(-n_cells // chunk_size)
     return min(n_cells, max(1, workers) * 4)
 
 

@@ -1,35 +1,33 @@
-"""Named sweep registry: scenario + default grid, runnable by name.
+"""The named sweeps: scenario + default grid, runnable by name.
 
-The ``repro sweep`` CLI (and anything else that wants to launch a
-standard experiment grid without importing its modules) looks sweeps up
-here.  A :class:`SweepSpec` bundles a *picklable* scenario callable
-with its default grid and metric schema; ``run_registered`` hands it to
-the parallel executor.
+The ``repro sweep`` and ``repro obs trace`` CLIs look sweeps up in
+:data:`SWEEPS`.  A :class:`SweepSpec` bundles a *picklable* scenario
+callable with its default grid and metric schema; ``run_registered``
+hands it to the executor.
 
-Registered scenarios must be module-level functions — the process pool
-pickles callables by reference — which is why the stock entries live in
+Scenarios must be module-level functions — the process pool pickles
+callables by reference — which is why the cells live in
 :mod:`repro.parallel.scenarios` rather than inline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.analysis.sweep import SweepResult
+from repro.parallel.scenarios import (
+    backfill_delay_cell,
+    footprint_cell,
+    spin_cell,
+)
 
-__all__ = [
-    "SweepSpec",
-    "register_sweep",
-    "get_sweep",
-    "available_sweeps",
-    "run_registered",
-]
+__all__ = ["SWEEPS", "SweepSpec", "run_registered"]
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One registered sweep: scenario, default grid, and schema."""
+    """One named sweep: scenario, default grid, and schema."""
 
     name: str
     scenario: Callable[..., Mapping[str, float]]
@@ -37,7 +35,6 @@ class SweepSpec:
     description: str = ""
     metric_names: Optional[Sequence[str]] = None
     base_seed: Optional[int] = None
-    seed_param: str = "seed"
 
     def cell_count(self) -> int:
         n = 1
@@ -46,45 +43,38 @@ class SweepSpec:
         return n
 
 
-_REGISTRY: Dict[str, SweepSpec] = {}
-
-
-def register_sweep(spec: SweepSpec, replace: bool = False) -> SweepSpec:
-    """Register a sweep spec under its name.
-
-    Re-registration requires ``replace=True`` so two modules cannot
-    silently fight over a name.
-    """
-    if not spec.name:
-        raise ValueError("sweep spec needs a non-empty name")
-    if spec.name in _REGISTRY and not replace:
-        raise ValueError(f"sweep {spec.name!r} is already registered "
-                         "(pass replace=True to override)")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def get_sweep(name: str) -> SweepSpec:
-    """Look a registered sweep up by name."""
-    _ensure_stock_loaded()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise KeyError(
-            f"unknown sweep {name!r}; registered: {known}") from None
-
-
-def available_sweeps() -> List[SweepSpec]:
-    """All registered sweeps, sorted by name."""
-    _ensure_stock_loaded()
-    return [_REGISTRY[n] for n in sorted(_REGISTRY)]
+#: every named sweep, by name
+SWEEPS: Dict[str, SweepSpec] = {spec.name: spec for spec in (
+    SweepSpec(
+        name="footprint",
+        scenario=footprint_cell,
+        grid={"intensity_g_per_kwh": [20.0, 125.0, 300.0, 475.0, 1025.0],
+              "lifetime_years": [4.0, 6.0, 8.0]},
+        metric_names=("total_t", "embodied_share"),
+        description=("SuperMUC-NG lifetime footprint vs site intensity "
+                     "and lifetime (§2.2 trade-off)")),
+    SweepSpec(
+        name="backfill-delay",
+        scenario=backfill_delay_cell,
+        grid={"max_delay_h": [3.0, 12.0],
+              "min_saving": [0.03, 0.10]},
+        metric_names=("carbon_kg", "wait_h", "completed"),
+        description=("carbon-backfill knob ablation, CLI-scale "
+                     "(E19's shape: delay bound x saving gate)")),
+    SweepSpec(
+        name="spin",
+        scenario=spin_cell,
+        grid={"lane": list(range(16)),
+              "reps": [20_000, 40_000]},
+        metric_names=("checksum", "evals"),
+        description=("CPU-bound calibration kernel for executor scaling "
+                     "(E21 uses a 64-cell variant)")),
+)}
 
 
 def run_registered(name: str,
                    *,
                    workers: Optional[int] = 1,
-                   chunk_size: int = 0,
                    strict: bool = True,
                    grid_overrides: Optional[
                        Mapping[str, Sequence[Any]]] = None,
@@ -93,7 +83,7 @@ def run_registered(name: str,
                    cell_timeout_s: Optional[float] = None,
                    retries: int = 0,
                    chaos: Optional[Any] = None) -> SweepResult:
-    """Run a registered sweep through the parallel executor.
+    """Run a named sweep through the executor.
 
     ``grid_overrides`` replaces individual parameters' value lists
     (unknown parameter names are rejected — a typo must not silently
@@ -103,7 +93,11 @@ def run_registered(name: str,
     """
     from repro.parallel.executor import run_sweep
 
-    spec = get_sweep(name)
+    try:
+        spec = SWEEPS[name]
+    except KeyError:
+        raise KeyError(f"unknown sweep {name!r}; registered: "
+                       f"{', '.join(sorted(SWEEPS))}") from None
     grid = dict(spec.grid)
     for pname, values in (grid_overrides or {}).items():
         if pname not in grid:
@@ -112,14 +106,8 @@ def run_registered(name: str,
                 f"grid parameters: {sorted(grid)}")
         grid[pname] = list(values)
     return run_sweep(spec.scenario, grid, spec.metric_names,
-                     workers=workers, chunk_size=chunk_size,
-                     strict=strict, base_seed=spec.base_seed,
-                     seed_param=spec.seed_param,
+                     workers=workers, strict=strict,
+                     base_seed=spec.base_seed,
                      journal_path=journal_path, resume=resume,
                      cell_timeout_s=cell_timeout_s, retries=retries,
                      chaos=chaos)
-
-
-def _ensure_stock_loaded() -> None:
-    """Import the stock scenarios exactly once (registration on import)."""
-    import repro.parallel.scenarios  # noqa: F401  (side effect)

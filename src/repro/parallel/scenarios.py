@@ -1,11 +1,11 @@
-"""Stock registered sweep scenarios (picklable, module-level).
+"""The cells of the named sweeps (picklable, module-level).
 
 Each function here is a sweep *cell*: ``cell(**params) -> metrics``.
 They must stay module-level so the process pool can pickle them by
-reference; registration happens at import time (the registry imports
-this module lazily).
+reference; :data:`repro.parallel.registry.SWEEPS` pairs each with its
+default grid.
 
-Three stock sweeps cover the three workload classes the executor
+Three sweeps cover the three workload classes the executor
 serves:
 
 * ``footprint`` — pure-arithmetic model evaluation (the §2.2 embodied
@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro import units
-from repro.parallel.registry import SweepSpec, register_sweep
 
 __all__ = ["footprint_cell", "backfill_delay_cell", "spin_cell"]
 
@@ -96,30 +95,3 @@ def spin_cell(lane: int, reps: int) -> Dict[str, float]:
         x = 3.9990 * x * (1.0 - x)
     return {"checksum": x, "evals": float(reps)}
 
-
-register_sweep(SweepSpec(
-    name="footprint",
-    scenario=footprint_cell,
-    grid={"intensity_g_per_kwh": [20.0, 125.0, 300.0, 475.0, 1025.0],
-          "lifetime_years": [4.0, 6.0, 8.0]},
-    metric_names=("total_t", "embodied_share"),
-    description=("SuperMUC-NG lifetime footprint vs site intensity "
-                 "and lifetime (§2.2 trade-off)")))
-
-register_sweep(SweepSpec(
-    name="backfill-delay",
-    scenario=backfill_delay_cell,
-    grid={"max_delay_h": [3.0, 12.0],
-          "min_saving": [0.03, 0.10]},
-    metric_names=("carbon_kg", "wait_h", "completed"),
-    description=("carbon-backfill knob ablation, CLI-scale "
-                 "(E19's shape: delay bound x saving gate)")))
-
-register_sweep(SweepSpec(
-    name="spin",
-    scenario=spin_cell,
-    grid={"lane": list(range(16)),
-          "reps": [20_000, 40_000]},
-    metric_names=("checksum", "evals"),
-    description=("CPU-bound calibration kernel for executor scaling "
-                 "(E21 uses a 64-cell variant)")))

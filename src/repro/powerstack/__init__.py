@@ -18,13 +18,13 @@ Layers (top to bottom):
   fair-share, or priority-greedy);
 * :mod:`repro.powerstack.jobmgr` — :class:`JobPowerManager`: splits a
   job's budget across its nodes and in-node components into cap knobs;
-* :mod:`repro.powerstack.knobs` — the cap-command abstraction;
+* :mod:`repro.powerstack.knobs` — the cap clamping rule;
 * :mod:`repro.powerstack.carbon_scaling` — §3.1's new ingredient: the
   carbon-intensity monitor and the policies that derive the total
   system power budget from it.
 """
 
-from repro.powerstack.knobs import CapCommand, clamp_cap
+from repro.powerstack.knobs import clamp_cap
 from repro.powerstack.jobmgr import JobPowerManager, NodeBudget
 from repro.powerstack.sysmgr import SystemPowerManager, DistributionMode
 from repro.powerstack.site import SiteController
@@ -37,7 +37,6 @@ from repro.powerstack.carbon_scaling import (
 )
 
 __all__ = [
-    "CapCommand",
     "clamp_cap",
     "JobPowerManager",
     "NodeBudget",

@@ -1,22 +1,21 @@
-"""Hardware knobs: the cap-command abstraction.
+"""Hardware knobs: the cap clamping rule.
 
 The PowerStack's lowest layer "sets up hardware knobs, typically power
 caps" (§3.1).  In the simulator the knob is
 :meth:`repro.simulator.node.Node.set_cap`; this module provides the
-command record the upper layers emit and the clamping rule that keeps
-commands physically meaningful (a cap can never go below the node's
-idle draw — RAPL-style caps throttle dynamic power, they do not power
-the node off; node shutdown is an allocation decision, §3.2).
+clamping rule that keeps caps physically meaningful (a cap can never
+go below the node's idle draw — RAPL-style caps throttle dynamic power,
+they do not power the node off; node shutdown is an allocation
+decision, §3.2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.simulator.power import NodePowerModel
 
-__all__ = ["CapCommand", "clamp_cap"]
+__all__ = ["clamp_cap"]
 
 
 def clamp_cap(cap_watts: Optional[float],
@@ -31,16 +30,3 @@ def clamp_cap(cap_watts: Optional[float],
     if cap_watts >= power_model.peak_watts:
         return None
     return max(cap_watts, power_model.idle_watts)
-
-
-@dataclass(frozen=True)
-class CapCommand:
-    """One cap-setting command addressed to a job's nodes."""
-
-    job_id: int
-    cap_watts_per_node: Optional[float]
-
-    def __post_init__(self) -> None:
-        if (self.cap_watts_per_node is not None
-                and self.cap_watts_per_node <= 0):
-            raise ValueError("cap must be positive or None")

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.simulator.cluster import Cluster
 from repro.simulator.jobs import Job
+from repro.simulator.node import NodeState
 
 __all__ = ["DistributionMode", "SystemPowerManager"]
 
@@ -72,10 +73,8 @@ class SystemPowerManager:
 
     def idle_floor_watts(self) -> float:
         """Draw of nodes not allocated to any job (scheduler's business)."""
-        busy = sum(1 for nd in self.cluster.nodes
-                   if nd.state.value == "busy")
         idle = sum(1 for nd in self.cluster.nodes
-                   if nd.state.value == "idle")
+                   if nd.state is NodeState.IDLE)
         return idle * self.cluster.power_model.idle_watts
 
     # -- distribution ----------------------------------------------------------------

@@ -18,11 +18,10 @@ Public API
     Robustness middleware.
 :class:`FlakyProvider` / :class:`SlowProvider`
     Fault-injection wrappers for tests and benchmarks.
-:class:`ServiceMetrics` (+ :class:`Counter`, :class:`Gauge`,
+:class:`MetricsRegistry` (+ :class:`Counter`, :class:`Gauge`,
 :class:`LatencyHistogram`)
-    The observability registry behind ``repro service stats`` — an
-    alias of :class:`repro.obs.registry.MetricsRegistry`, the unified
-    stack-wide registry.
+    The observability registry behind ``repro service stats`` — the
+    unified stack-wide registry of :mod:`repro.obs.registry`.
 Errors
     :class:`ServiceError`, :class:`TransientBackendError`,
     :class:`DeadlineExceededError`, :class:`CircuitOpenError`,
@@ -43,7 +42,7 @@ from repro.obs.registry import (
     Counter,
     Gauge,
     LatencyHistogram,
-    ServiceMetrics,
+    MetricsRegistry,
 )
 from repro.service.retry import BreakerState, CircuitBreaker, RetryPolicy
 
@@ -57,7 +56,7 @@ __all__ = [
     "BreakerState",
     "FlakyProvider",
     "SlowProvider",
-    "ServiceMetrics",
+    "MetricsRegistry",
     "Counter",
     "Gauge",
     "LatencyHistogram",

@@ -21,7 +21,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Optional, Tuple
 
-from repro.obs.registry import ServiceMetrics
+from repro.obs.registry import MetricsRegistry
 
 __all__ = ["TTLLRUCache", "MISSING"]
 
@@ -51,7 +51,7 @@ class TTLLRUCache:
     def __init__(self, max_entries: int = 4096,
                  ttl_s: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic,
-                 metrics: Optional[ServiceMetrics] = None) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         if ttl_s is not None and ttl_s <= 0:
@@ -59,7 +59,7 @@ class TTLLRUCache:
         self.max_entries = int(max_entries)
         self.ttl_s = None if ttl_s is None else float(ttl_s)
         self.clock = clock
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: key -> (value, stored_at); insertion/access order = LRU order
         self._entries: "OrderedDict[Hashable, Tuple[Any, float]]" = \
             OrderedDict()

@@ -40,7 +40,7 @@ from repro.service.errors import (
     TransientBackendError,
 )
 from repro import obs
-from repro.obs.registry import ServiceMetrics
+from repro.obs.registry import MetricsRegistry
 from repro.service.retry import BreakerState, CircuitBreaker, RetryPolicy
 
 __all__ = ["CarbonService", "SIGNALS"]
@@ -101,7 +101,7 @@ class CarbonService(CarbonIntensityProvider):
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  fallback: Optional[CarbonIntensityProvider] = None,
-                 metrics: Optional[ServiceMetrics] = None,
+                 metrics: Optional[MetricsRegistry] = None,
                  seed: int = 0,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep) -> None:
@@ -110,7 +110,7 @@ class CarbonService(CarbonIntensityProvider):
         self.backend = backend
         self.zone_code = backend.zone_code
         self.quantize_s = float(quantize_s)
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = TTLLRUCache(max_entries=max_entries, ttl_s=ttl_s,
                                  clock=clock, metrics=self.metrics)
         self.retry = retry if retry is not None else RetryPolicy()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.sweep import SweepResult, sweep
+from repro.analysis.sweep import SweepResult
+from repro.parallel import run_sweep
 
 
 def quadratic_scenario(x, y=0.0):
@@ -11,26 +12,26 @@ def quadratic_scenario(x, y=0.0):
 
 class TestSweep:
     def test_full_grid_covered(self):
-        r = sweep(quadratic_scenario, {"x": [0.0, 1.0, 2.0],
-                                       "y": [0.0, 1.0]})
+        r = run_sweep(quadratic_scenario, {"x": [0.0, 1.0, 2.0],
+                                           "y": [0.0, 1.0]})
         assert len(r.rows) == 6
         assert r.param_names == ["x", "y"]
         assert set(r.metric_names) == {"loss", "calls"}
 
     def test_best_minimizes(self):
-        r = sweep(quadratic_scenario, {"x": [0.0, 1.0, 2.0, 3.0]})
+        r = run_sweep(quadratic_scenario, {"x": [0.0, 1.0, 2.0, 3.0]})
         assert r.best("loss")["x"] == 2.0
         assert r.best("loss", minimize=False)["x"] == 0.0
 
     def test_column_access(self):
-        r = sweep(quadratic_scenario, {"x": [0.0, 2.0]})
+        r = run_sweep(quadratic_scenario, {"x": [0.0, 2.0]})
         assert r.column("x") == [0.0, 2.0]
         assert r.column("loss") == [4.0, 0.0]
         with pytest.raises(KeyError, match="unknown column"):
             r.column("nope")
 
     def test_relative_to(self):
-        r = sweep(quadratic_scenario, {"x": [0.0, 2.0]})
+        r = run_sweep(quadratic_scenario, {"x": [0.0, 2.0]})
         rel = r.relative_to("loss", baseline=8.0)
         assert rel == [pytest.approx(0.5), pytest.approx(1.0)]
         with pytest.raises(ValueError):
@@ -41,22 +42,22 @@ class TestSweep:
             return {"loss": x} if x < 1 else {"other": x}
 
         with pytest.raises(ValueError, match="omitted"):
-            sweep(flaky, {"x": [0.0, 2.0]}, metric_names=["loss"])
+            run_sweep(flaky, {"x": [0.0, 2.0]}, metric_names=["loss"])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep(quadratic_scenario, {})
+            run_sweep(quadratic_scenario, {})
         with pytest.raises(ValueError):
-            sweep(quadratic_scenario, {"x": []})
+            run_sweep(quadratic_scenario, {"x": []})
 
     def test_render(self):
-        r = sweep(quadratic_scenario, {"x": [0.0]},
-                  metric_names=["loss"])
+        r = run_sweep(quadratic_scenario, {"x": [0.0]},
+                      metric_names=["loss"])
         out = r.render()
         assert "x" in out and "loss" in out and "4.00" in out
 
     def test_deterministic_order(self):
-        r = sweep(quadratic_scenario, {"x": [1.0, 0.0], "y": [2.0, 1.0]})
+        r = run_sweep(quadratic_scenario, {"x": [1.0, 0.0], "y": [2.0, 1.0]})
         assert [(row["x"], row["y"]) for row in r.rows] == [
             (1.0, 2.0), (1.0, 1.0), (0.0, 2.0), (0.0, 1.0)]
 
@@ -76,11 +77,11 @@ class TestSweep:
         assert r.column("m") == []
 
     def test_workers_kwarg_routes_through_parallel_executor(self):
-        """`sweep(..., workers=N)` is the documented entry point to
-        repro.parallel; rows must match the serial path exactly."""
-        serial = sweep(quadratic_scenario, {"x": [0.0, 1.0, 2.0]})
-        parallel = sweep(quadratic_scenario, {"x": [0.0, 1.0, 2.0]},
-                         workers=2)
+        """`run_sweep(..., workers=N)` runs the grid across a process
+        pool; rows must match the serial path exactly."""
+        serial = run_sweep(quadratic_scenario, {"x": [0.0, 1.0, 2.0]})
+        parallel = run_sweep(quadratic_scenario, {"x": [0.0, 1.0, 2.0]},
+                             workers=2)
         assert parallel.rows == serial.rows
         assert serial.stats.mode == "serial"
         assert parallel.stats.mode == "process-pool"

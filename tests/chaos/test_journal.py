@@ -20,7 +20,7 @@ def scenario_stub(x):  # the header fingerprints module.qualname
 def header_for(n_cells=4, base_seed=7):
     cells = [{"x": float(i)} for i in range(n_cells)]
     return make_header(n_cells, grid_hash(["x"], cells),
-                       scenario_stub, base_seed, "seed")
+                       scenario_stub, base_seed)
 
 
 class TestHashes:

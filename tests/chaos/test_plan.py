@@ -5,10 +5,6 @@ import pickle
 import pytest
 
 from repro.chaos import ChaosInjectedError, ChaosPlan, FaultSpec
-from repro.grid import StaticProvider
-from repro.service import TransientBackendError
-from repro.service.faults import FlakyProvider
-from repro.simulator.failures import FailureInjector
 
 
 class TestFaultSpecValidation:
@@ -28,22 +24,11 @@ class TestFaultSpecValidation:
         with pytest.raises(ValueError, match="delay_s"):
             FaultSpec.delay_at(0, -1.0)
 
-    def test_flaky_rate_bounded(self):
-        with pytest.raises(ValueError, match="rate"):
-            FaultSpec.flaky_provider(1.5)
-
-    def test_mtbf_positive(self):
-        with pytest.raises(ValueError, match="mtbf"):
-            FaultSpec.node_mtbf(0.0)
-
     def test_describe_names_every_kind(self):
         specs = [FaultSpec.raise_at(1), FaultSpec.kill_worker_at(2),
-                 FaultSpec.delay_at(3, 0.5),
-                 FaultSpec.flaky_provider(0.25),
-                 FaultSpec.node_mtbf(1000.0)]
+                 FaultSpec.delay_at(3, 0.5)]
         text = " | ".join(s.describe() for s in specs)
-        for needle in ("ChaosInjectedError", "SIGKILL", "delay",
-                       "flaky", "MTBF"):
+        for needle in ("ChaosInjectedError", "SIGKILL", "delay"):
             assert needle in text
 
 
@@ -76,65 +61,20 @@ class TestCellFaults:
 
     def test_effective_fault_count_respects_grid_size(self):
         plan = ChaosPlan(faults=(FaultSpec.raise_at(2),
-                                 FaultSpec.raise_at(99),
-                                 FaultSpec.flaky_provider(0.5)))
+                                 FaultSpec.raise_at(99)))
         assert plan.effective_fault_count(10) == 1
         assert plan.effective_fault_count(100) == 2
 
     def test_plan_pickles_by_value(self):
         """Plans cross the pool's process boundary inside submits."""
         plan = ChaosPlan(faults=(FaultSpec.raise_at(1),
-                                 FaultSpec.node_mtbf(1e6)), seed=9)
+                                 FaultSpec.delay_at(2, 0.5)))
         assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_describe_reports_schedule(self):
-        plan = ChaosPlan(faults=(FaultSpec.raise_at(2),), seed=4)
+        plan = ChaosPlan(faults=(FaultSpec.raise_at(2),))
         text = plan.describe(n_cells=8)
-        assert "seed=4" in text
         assert "cell #2" in text
         assert "8-cell grid" in text
         assert "<empty" in ChaosPlan().describe()
 
-
-class TestSubstrateWiring:
-    def test_wrap_provider_returns_flaky_wrapper(self):
-        plan = ChaosPlan(faults=(FaultSpec.flaky_provider(1.0),), seed=3)
-        wrapped = plan.wrap_provider(StaticProvider(100.0))
-        assert isinstance(wrapped, FlakyProvider)
-        with pytest.raises(TransientBackendError):
-            wrapped.intensity_at(0.0)
-
-    def test_wrap_provider_is_identity_without_spec(self):
-        plan = ChaosPlan(faults=(FaultSpec.raise_at(0),))
-        inner = StaticProvider(100.0)
-        assert plan.wrap_provider(inner) is inner
-
-    def test_wrapped_failure_sequence_is_plan_deterministic(self):
-        def sequence(seed, stream=0):
-            plan = ChaosPlan(
-                faults=(FaultSpec.flaky_provider(0.5),), seed=seed)
-            p = plan.wrap_provider(StaticProvider(1.0), stream=stream)
-            out = []
-            for t in range(40):
-                try:
-                    p.intensity_at(float(t))
-                    out.append(True)
-                except TransientBackendError:
-                    out.append(False)
-            return out
-
-        assert sequence(3) == sequence(3)
-        assert sequence(3) != sequence(4)      # seed moves the stream
-        assert sequence(3) != sequence(3, stream=1)  # so does stream
-
-    def test_failure_injector_built_from_spec(self):
-        plan = ChaosPlan(
-            faults=(FaultSpec.node_mtbf(5e5, repair_s=3600.0),), seed=2)
-        inj = plan.failure_injector(max_failures=4)
-        assert isinstance(inj, FailureInjector)
-        assert inj.mtbf_seconds == 5e5
-        assert inj.repair_seconds == 3600.0
-        assert inj.max_failures == 4
-
-    def test_failure_injector_none_without_spec(self):
-        assert ChaosPlan().failure_injector() is None

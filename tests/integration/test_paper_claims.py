@@ -138,7 +138,7 @@ class TestClaimsUnderChaos:
         grid = {"system_name": sorted(PAPER_MEMORY_STORAGE_SHARES)}
         plan = ChaosPlan(faults=(FaultSpec.raise_at(97),
                                  FaultSpec.delay_at(98, 5.0),
-                                 FaultSpec.kill_worker_at(99)), seed=5)
+                                 FaultSpec.kill_worker_at(99)))
         assert plan.effective_fault_count(len(grid["system_name"])) == 0
         plain = run_sweep(memory_storage_cell, grid, workers=2)
         chaotic = run_sweep(memory_storage_cell, grid, workers=2,

@@ -1,6 +1,7 @@
 """Cross-cutting property-based tests (hypothesis) on system invariants."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from repro.scheduler import (
     CarbonCheckpointPolicy,
     EasyBackfillPolicy,
     FCFSPolicy,
+    MoldableEasyBackfillPolicy,
 )
+from repro.scheduler.backfill import head_reservation
 from repro.simulator import (
     Cluster,
     ComponentPowerModel,
@@ -34,24 +37,71 @@ def power_model():
     return NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
 
 
-def workload(seed, n_jobs=25, suspendable=0.0):
-    cfg = WorkloadConfig(n_jobs=n_jobs, mean_interarrival_s=2000.0,
+def workload(seed, n_jobs=25, suspendable=0.0, malleable=0.0,
+             mean_interarrival_s=2000.0):
+    cfg = WorkloadConfig(n_jobs=n_jobs,
+                         mean_interarrival_s=mean_interarrival_s,
                          max_nodes_log2=3, runtime_median_s=2 * HOUR,
-                         suspendable_fraction=suspendable)
+                         suspendable_fraction=suspendable,
+                         malleable_fraction=malleable)
     return WorkloadGenerator(cfg, seed=seed).generate()
+
+
+class ReservationAudit(EasyBackfillPolicy):
+    """EASY that re-checks its blocked head's reservation after every
+    pass.
+
+    The reservation is recomputed as if the pass's backfilled jobs were
+    already running until ``now + runtime_estimate``; it must not move
+    later than the one EASY computed before backfilling.  Jobs started
+    ahead of the head are left out of both, as EASY leaves them out.
+    """
+
+    def __init__(self):
+        self.audited = 0
+
+    def schedule(self, ctx):
+        decisions = super().schedule(ctx)
+        started = {d.job.job_id for d in decisions}
+        blocked = [j for j in ctx.pending if j.job_id not in started]
+        if not blocked:
+            return decisions
+        head = blocked[0]
+        ahead = ctx.pending[:ctx.pending.index(head)]
+        free = ctx.cluster.n_free - sum(j.nodes_requested for j in ahead)
+        before, _ = head_reservation(ctx, head, free)
+        backfilled = []
+        for d in decisions[len(ahead):]:
+            job = copy.copy(d.job)
+            job.nodes_allocated = d.n_nodes
+            backfilled.append(job)
+            free -= d.n_nodes
+        after_ctx = dataclasses.replace(
+            ctx, running=ctx.running + backfilled,
+            expected_end={**ctx.expected_end,
+                          **{j.job_id: ctx.now + j.runtime_estimate
+                             for j in backfilled}})
+        after, _ = head_reservation(after_ctx, head, free)
+        assert after <= before, (
+            f"backfill at t={ctx.now:.0f} moved job {head.job_id}'s "
+            f"reservation from {before:.0f} to {after:.0f}")
+        self.audited += bool(backfilled)
+        return decisions
 
 
 class TestSchedulerInvariants:
     @given(seed=st.integers(0, 1000),
-           policy_idx=st.integers(0, 2))
+           policy_idx=st.integers(0, 3))
     @SIM_SETTINGS
     def test_no_job_lost_no_oversubscription(self, seed, policy_idx):
         """For any workload and policy: every job completes exactly once,
         the cluster bookkeeping stays consistent, and energy is positive."""
         policy = [FCFSPolicy(), EasyBackfillPolicy(),
-                  CarbonBackfillPolicy(max_delay_s=6 * HOUR)][policy_idx]
+                  CarbonBackfillPolicy(max_delay_s=6 * HOUR),
+                  MoldableEasyBackfillPolicy()][policy_idx]
         cluster = Cluster(8, power_model())
-        jobs = workload(seed)
+        # the moldable policy gets resizable jobs to mold
+        jobs = workload(seed, malleable=0.5 if policy_idx == 3 else 0.0)
         rjms = RJMS(cluster, jobs, policy,
                     provider=SyntheticProvider("DE", seed=seed))
         result = rjms.run()
@@ -59,6 +109,19 @@ class TestSchedulerInvariants:
         assert all(j.state is JobState.COMPLETED for j in jobs)
         cluster.check_invariants()
         assert result.total_energy_kwh > 0
+
+    @given(seed=st.integers(0, 1000))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_easy_never_delays_head_reservation(self, seed):
+        """At every EASY pass with a blocked head, the pass's backfills
+        leave the head's reservation where it was or earlier.  A busy
+        32-node queue backfills several jobs per pass, some on spare
+        nodes, so both of EASY's admission rules get exercised."""
+        policy = ReservationAudit()
+        jobs = workload(seed, n_jobs=80, mean_interarrival_s=300.0)
+        RJMS(Cluster(32, power_model()), jobs, policy).run()
+        assert policy.audited > 0
 
     @given(seed=st.integers(0, 1000))
     @SIM_SETTINGS

@@ -9,7 +9,6 @@ from repro.obs.registry import (
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    ServiceMetrics,
 )
 
 #: Prometheus text-exposition line format (v0.0.4): a ``# TYPE`` header
@@ -47,9 +46,6 @@ class TestCreateOnUse:
         a = reg.gauge("g", labels={"x": "1", "y": "2"})
         b = reg.gauge("g", labels={"y": "2", "x": "1"})
         assert a is b
-
-    def test_service_metrics_is_an_alias(self):
-        assert ServiceMetrics is MetricsRegistry
 
 
 class TestGaugeDeltas:

@@ -24,10 +24,9 @@ def fresh_obs():
 
 
 class TestChunkCount:
-    @pytest.mark.parametrize("chunk_size", [0, 3])
-    def test_plain_pool_submits_one_future_per_chunk(self, chunk_size):
-        r = run_sweep(cell, GRID, workers=2, chunk_size=chunk_size)
-        assert r.stats.n_chunks == chunk_count(10, 2, chunk_size)
+    def test_plain_pool_submits_one_future_per_chunk(self):
+        r = run_sweep(cell, GRID, workers=2)
+        assert r.stats.n_chunks == chunk_count(10, 2)
 
     def test_armed_pool_counts_every_attempt(self):
         plan = ChaosPlan(faults=(FaultSpec.raise_at(4),

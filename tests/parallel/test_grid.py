@@ -67,11 +67,5 @@ class TestChunkCount:
         # enough chunks to keep every worker busy (or one per cell)
         assert n >= min(n_cells, workers)
 
-    def test_explicit_chunk_size(self):
-        assert chunk_count(10, 4, chunk_size=3) == 4  # ceil(10/3)
-        assert chunk_count(9, 4, chunk_size=3) == 3
-        with pytest.raises(ValueError, match="chunk_size"):
-            chunk_count(10, 4, chunk_size=-1)
-
     def test_zero_cells(self):
         assert chunk_count(0, 4) == 0

@@ -66,14 +66,6 @@ class TestSeedParity:
         assert parallel.column("echo") == [
             float(derive_seed(42, i)) for i in range(6)]
 
-    def test_chunk_size_never_changes_rows(self, workers):
-        grid = {"x": [float(i) for i in range(10)]}
-        reference = run_sweep(poly_cell, grid, workers=1)
-        for chunk_size in (1, 3, 10):
-            got = run_sweep(poly_cell, grid, workers=workers,
-                            chunk_size=chunk_size)
-            assert got.rows == reference.rows
-
 
 class TestEdgeCases:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)

@@ -1,16 +1,9 @@
-"""Registry + ``repro sweep`` CLI tests."""
+"""Named-sweep table + ``repro sweep`` CLI tests."""
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.parallel import (
-    SweepSpec,
-    available_sweeps,
-    get_sweep,
-    register_sweep,
-    run_registered,
-)
-from repro.parallel.registry import _REGISTRY
+from repro.parallel import SWEEPS, SweepSpec, run_registered
 
 
 def toy_cell(k):
@@ -18,45 +11,32 @@ def toy_cell(k):
 
 
 @pytest.fixture
-def scratch_spec():
+def scratch_spec(monkeypatch):
     spec = SweepSpec(name="_scratch", scenario=toy_cell,
                      grid={"k": [1.0, 2.0]}, description="test-only")
-    yield spec
-    _REGISTRY.pop("_scratch", None)
+    monkeypatch.setitem(SWEEPS, "_scratch", spec)
+    return spec
 
 
 class TestRegistry:
     def test_stock_sweeps_registered(self):
-        names = {s.name for s in available_sweeps()}
-        assert {"footprint", "backfill-delay", "spin"} <= names
-
-    def test_register_get_roundtrip(self, scratch_spec):
-        register_sweep(scratch_spec)
-        assert get_sweep("_scratch") is scratch_spec
-        assert scratch_spec.cell_count() == 2
-
-    def test_duplicate_registration_rejected(self, scratch_spec):
-        register_sweep(scratch_spec)
-        with pytest.raises(ValueError, match="already registered"):
-            register_sweep(scratch_spec)
-        register_sweep(scratch_spec, replace=True)  # explicit is fine
+        assert set(SWEEPS) == {"footprint", "backfill-delay", "spin"}
+        assert all(name == spec.name for name, spec in SWEEPS.items())
+        assert SWEEPS["footprint"].cell_count() == 15
 
     def test_unknown_sweep_names_known_ones(self):
         with pytest.raises(KeyError, match="footprint"):
-            get_sweep("no-such-sweep")
+            run_registered("no-such-sweep")
 
     def test_run_registered(self, scratch_spec):
-        register_sweep(scratch_spec)
         r = run_registered("_scratch", workers=1)
         assert r.column("twice") == [2.0, 4.0]
 
     def test_grid_override_replaces_values(self, scratch_spec):
-        register_sweep(scratch_spec)
         r = run_registered("_scratch", grid_overrides={"k": [5.0]})
         assert r.column("twice") == [10.0]
 
     def test_unknown_override_parameter_rejected(self, scratch_spec):
-        register_sweep(scratch_spec)
         with pytest.raises(ValueError, match="no parameter"):
             run_registered("_scratch", grid_overrides={"typo": [1]})
 
@@ -70,7 +50,6 @@ class TestCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["sweep", "footprint"])
         assert args.workers == 1
-        assert args.chunk_size == 0
         assert not args.no_strict
 
     def test_list(self, capsys):

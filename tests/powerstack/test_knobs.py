@@ -1,8 +1,6 @@
-"""Tests for cap-command clamping."""
+"""Tests for cap clamping."""
 
-import pytest
-
-from repro.powerstack import CapCommand, clamp_cap
+from repro.powerstack import clamp_cap
 
 
 class TestClampCap:
@@ -20,13 +18,3 @@ class TestClampCap:
     def test_in_range_passes(self, node_power_model):
         mid = (node_power_model.idle_watts + node_power_model.peak_watts) / 2
         assert clamp_cap(mid, node_power_model) == mid
-
-
-class TestCapCommand:
-    def test_valid(self):
-        CapCommand(1, 400.0)
-        CapCommand(1, None)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            CapCommand(1, 0.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service import MISSING, ServiceMetrics, TTLLRUCache
+from repro.service import MISSING, MetricsRegistry, TTLLRUCache
 
 
 class TestBasics:
@@ -93,7 +93,7 @@ class TestAccounting:
         assert c.hit_rate == pytest.approx(2 / 3)
 
     def test_shared_registry(self, clock):
-        m = ServiceMetrics()
+        m = MetricsRegistry()
         c = TTLLRUCache(clock=clock, metrics=m)
         c.get("miss")
         assert m.counter("cache.misses").value == 1

@@ -72,7 +72,7 @@ class TestFlakyProvider:
     def test_injected_random_random_owns_the_sequence(self):
         """An injected ``random.Random`` replaces the seeded NumPy
         generator — same rng state, same failure sequence, in any
-        process (what ChaosPlan.wrap_provider relies on)."""
+        process."""
         import random
 
         def sequence(rng):
@@ -97,15 +97,6 @@ class TestFlakyProvider:
         f = FlakyProvider(StaticProvider(1.0), failure_rate=0.5,
                           seed=0, rng=rng)
         assert f._rng is rng
-
-    def test_chaos_reexports_the_same_classes(self):
-        """repro.chaos re-exports the providers as-is — one class, two
-        import paths, no deprecation shim to maintain."""
-        from repro import chaos
-        from repro.service import faults
-
-        assert chaos.FlakyProvider is faults.FlakyProvider
-        assert chaos.SlowProvider is faults.SlowProvider
 
 
 class TestSlowProvider:

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from repro.obs import registry as obs_registry
-from repro.service import Counter, Gauge, LatencyHistogram, ServiceMetrics
+from repro.service import Counter, Gauge, LatencyHistogram, MetricsRegistry
 
 
 class TestCounter:
@@ -80,15 +80,15 @@ class TestLatencyHistogram:
             LatencyHistogram("lat").quantile_s(1.5)
 
 
-class TestServiceMetrics:
+class TestMetricsRegistry:
     def test_create_on_use_is_idempotent(self):
-        m = ServiceMetrics()
+        m = MetricsRegistry()
         assert m.counter("a") is m.counter("a")
         assert m.gauge("b") is m.gauge("b")
         assert m.histogram("c") is m.histogram("c")
 
     def test_snapshot_flattens_everything(self):
-        m = ServiceMetrics()
+        m = MetricsRegistry()
         m.counter("cache.hits").inc(7)
         m.gauge("breaker.state").set(2.0)
         m.histogram("backend.latency").observe(0.01)
@@ -99,7 +99,7 @@ class TestServiceMetrics:
         assert snap["backend.latency.mean_s"] == pytest.approx(0.01)
 
     def test_render_contains_every_metric(self):
-        m = ServiceMetrics()
+        m = MetricsRegistry()
         m.counter("cache.hits").inc()
         m.gauge("cache.size").set(1)
         text = m.render()
@@ -110,6 +110,6 @@ class TestServiceMetrics:
         registry classes without a warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            from repro.service import Counter, ServiceMetrics
+            from repro.service import Counter, MetricsRegistry
         assert Counter is obs_registry.Counter
-        assert ServiceMetrics is obs_registry.MetricsRegistry
+        assert MetricsRegistry is obs_registry.MetricsRegistry

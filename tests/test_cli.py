@@ -100,6 +100,36 @@ class TestSweepRobustnessFlags:
         assert "4 replayed, 0 executed" in out
 
 
+class TestSweepFaultFlags:
+    def test_run_recovers_injected_raise(self, capsys, tmp_path):
+        assert main(["sweep", "backfill-delay",
+                     "--raise-at", "1", "--retries", "1",
+                     "--workers", "2", "--journal",
+                     str(tmp_path / "j.jsonl")]) == 0
+        out = capsys.readouterr().out
+        # the plan is printed first; all rows are delivered despite the
+        # fault, and the obs registry shows the injection and recovery
+        assert out.startswith("chaos plan (1 fault spec(s))")
+        assert "1 retried" in out
+        assert "0 failed, 0 quarantined" in out
+        assert 'repro_chaos_faults_injected_total{kind="raise"} 1' in out
+        assert 'repro_chaos_faults_recovered_total{kind="raise"} 1' in out
+
+    def test_run_unknown_scenario(self):
+        with pytest.raises(SystemExit, match="unknown sweep"):
+            main(["sweep", "no-such-sweep", "--raise-at", "1"])
+
+    def test_no_fault_flag_prints_no_plan(self, capsys):
+        assert main(["sweep", "footprint"]) == 0
+        out = capsys.readouterr().out
+        assert "chaos plan" not in out
+        assert "fault accounting" not in out
+
+    def test_kill_fault_needs_a_pool(self):
+        with pytest.raises(SystemExit, match="need a process pool"):
+            main(["sweep", "spin", "--kill-at", "3", "--workers", "1"])
+
+
 class TestChaosCommand:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -117,22 +147,20 @@ class TestChaosCommand:
         with pytest.raises(SystemExit, match="CELL:SECONDS"):
             main(["chaos", "plan", "--delay-at", "oops"])
 
-    def test_run_recovers_injected_raise(self, capsys, tmp_path):
-        assert main(["chaos", "run", "backfill-delay",
-                     "--raise-at", "1", "--retries", "1",
-                     "--workers", "2", "--journal",
-                     str(tmp_path / "j.jsonl")]) == 0
-        out = capsys.readouterr().out
-        # all rows delivered despite the fault, and the obs registry
-        # shows the injection and its recovery
-        assert "1 retried" in out
-        assert "0 failed, 0 quarantined" in out
-        assert 'repro_chaos_faults_injected_total{kind="raise"} 1' in out
-        assert 'repro_chaos_faults_recovered_total{kind="raise"} 1' in out
+    @pytest.mark.parametrize("flags", [["--raise-at", "-1"],
+                                       ["--kill-at", "0", "--times", "0"],
+                                       ["--delay-at", "2:-1"]])
+    def test_plan_rejects_out_of_range_faults(self, flags):
+        with pytest.raises(SystemExit, match="chaos: "):
+            main(["chaos", "plan", *flags])
 
-    def test_run_unknown_scenario(self):
-        with pytest.raises(SystemExit, match="chaos:"):
-            main(["chaos", "run", "no-such-sweep"])
+    def test_run_is_not_a_subcommand(self, capsys):
+        """Sweeps run under faults through ``repro sweep``'s fault
+        flags; ``chaos`` only plans."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["chaos", "run", "footprint"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestServiceCommand:
