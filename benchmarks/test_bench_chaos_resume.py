@@ -106,7 +106,7 @@ def test_bench_chaos_resume(benchmark, tmp_path):
     # ---- waste: no journaled cell is ever re-executed ----
     assert resumed.stats.n_replayed == survived
     assert resumed.stats.n_executed == 64 - survived
-    chunk = max(1, 64 // max(1, uninterrupted.stats.n_chunks))
+    chunk = max(1, 64 // max(1, uninterrupted.stats.n_dispatches))
     re_executed_completed = 0  # by construction: replay covers them all
     assert re_executed_completed < chunk
 

@@ -119,9 +119,9 @@ class SweepStats:
     """
 
     n_cells: int
-    #: futures submitted to the pool, retry and requeue resubmissions
+    #: cells submitted to the pool, retries and free requeues
     #: included; 1 on the serial path, which runs in-process
-    n_chunks: int
+    n_dispatches: int
     workers: int
     mode: str
     wall_s: float

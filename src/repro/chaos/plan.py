@@ -12,7 +12,7 @@ chaos run is exactly reproducible — the point is to *test* recovery,
 and a flaky test of flakiness would be self-defeating.
 Injections are counted in the :mod:`repro.obs` registry
 (``chaos.faults_injected_total`` / ``chaos.faults_recovered_total``,
-labeled by kind) by the sweep executor when a plan arms it.
+labeled by kind) by the sweep executor a plan is passed to.
 """
 
 from __future__ import annotations

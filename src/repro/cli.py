@@ -80,16 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["efficiency", "energy", "deadline"])
     adv.add_argument("--deadline-hours", type=float, default=None)
 
-    lint = sub.add_parser(
-        "lint", help="dimensional-consistency linter (see repro.lint)")
-    lint.add_argument("paths", nargs="*", default=["src/repro"],
-                      help="files or directories to lint "
-                           "(default: src/repro)")
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--baseline", metavar="FILE", default=None,
-                      help="JSON baseline of accepted finding fingerprints")
-    lint.add_argument("--write-baseline", metavar="FILE", default=None,
-                      help="record current findings as the baseline")
+    from repro.lint.cli import add_arguments as add_lint_arguments
+    add_lint_arguments(sub.add_parser(
+        "lint", help="dimensional-consistency linter (see repro.lint)"))
 
     svc = sub.add_parser(
         "service", help="carbon-data serving layer (see repro.service)")
@@ -437,7 +430,7 @@ def _cmd_sweep(args) -> int:
     s = result.stats
     print()
     print(f"{s.n_cells} cells in {s.wall_s:.2f} s wall "
-          f"({s.mode}, workers={s.workers}, dispatches={s.n_chunks}): "
+          f"({s.mode}, workers={s.workers}, dispatches={s.n_dispatches}): "
           f"{len(result.rows)} rows, {len(result.failures)} failed, "
           f"{len(result.quarantined)} quarantined, "
           f"{s.n_retried} retried")
@@ -462,12 +455,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_lint(args) -> int:
     from repro.lint.cli import run
-    try:
-        return run(args.paths, fmt=args.format, baseline_path=args.baseline,
-                   write_baseline_path=args.write_baseline)
-    except BrokenPipeError:  # report piped into head/less that exited
-        sys.stderr.close()
-        return 0
+    return run(args.paths, fmt=args.format)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -29,15 +29,14 @@ and reports:
     where a named :mod:`repro.units` constant exists.
 
 Findings can be suppressed per line with ``# repro-lint: ignore[rule]``
-(see :mod:`repro.lint.engine`) or tracked in a baseline file (see
-:mod:`repro.lint.baseline`).  Run it as ``python -m repro.lint [paths]``
+(see :mod:`repro.lint.engine`); there is no baseline file, the tree is
+kept at zero findings.  Run it as ``python -m repro.lint [paths]``
 or ``repro lint``; the meta-test ``tests/lint/test_repo_clean.py`` gates
 CI on a clean tree.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.dimensions import (
     DIMENSIONLESS,
     Unit,
@@ -49,7 +48,6 @@ from repro.lint.report import Finding, render_json, render_text
 from repro.lint.rules import RULES, Rule
 
 __all__ = [
-    "Baseline",
     "DIMENSIONLESS",
     "Finding",
     "RULES",
@@ -58,10 +56,8 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "parse_name",
     "render_json",
     "render_text",
     "unit_of_call",
-    "write_baseline",
 ]

@@ -9,11 +9,21 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.lint import baseline as baseline_mod
 from repro.lint.engine import lint_paths
 from repro.lint.report import render_json, render_text
 
-__all__ = ["build_parser", "main", "run"]
+__all__ = ["add_arguments", "build_parser", "main", "run"]
+
+
+def add_arguments(parser) -> None:
+    """The arguments shared by ``python -m repro.lint`` and
+    ``repro lint``."""
+    parser.add_argument("paths", nargs="*", default=["src/repro"],
+                        help="files or directories to lint "
+                             "(default: src/repro)")
+    parser.add_argument("--format", choices=("text", "json"),
+                        default="text",
+                        help="report format (default: text)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -21,22 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description="dimensional-consistency linter for the repro carbon "
                     "stack (unit suffixes, conversion constants)")
-    p.add_argument("paths", nargs="*", default=["src/repro"],
-                   help="files or directories to lint (default: src/repro)")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="report format (default: text)")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help="JSON baseline of accepted finding fingerprints; "
-                        "only new findings are reported")
-    p.add_argument("--write-baseline", metavar="FILE", default=None,
-                   help="record the current findings as the baseline "
-                        "and exit 0")
+    add_arguments(p)
     return p
 
 
-def run(paths, fmt: str = "text", baseline_path: Optional[str] = None,
-        write_baseline_path: Optional[str] = None,
-        stream=None) -> int:
+def run(paths, fmt: str = "text", stream=None) -> int:
     """Programmatic entry point; returns the process exit code."""
     out = stream if stream is not None else sys.stdout
     try:
@@ -44,31 +43,18 @@ def run(paths, fmt: str = "text", baseline_path: Optional[str] = None,
     except (OSError, SyntaxError) as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-    if write_baseline_path:
-        baseline_mod.write_baseline(write_baseline_path, findings)
-        print(f"repro-lint: wrote baseline with {len(findings)} "
-              f"finding(s) to {write_baseline_path}", file=out)
-        return 0
-    if baseline_path:
-        try:
-            bl = baseline_mod.load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
-        findings = bl.filter(findings)
     renderer = render_json if fmt == "json" else render_text
-    print(renderer(findings), file=out)
+    try:
+        print(renderer(findings), file=out)
+    except BrokenPipeError:  # report piped into head/less that exited
+        sys.stderr.close()
+        return 0
     return 1 if findings else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return run(args.paths, fmt=args.format, baseline_path=args.baseline,
-                   write_baseline_path=args.write_baseline)
-    except BrokenPipeError:  # report piped into head/less that exited
-        sys.stderr.close()
-        return 0
+    return run(args.paths, fmt=args.format)
 
 
 if __name__ == "__main__":  # pragma: no cover

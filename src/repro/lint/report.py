@@ -2,22 +2,16 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, List, Sequence
+from dataclasses import asdict, dataclass
+from typing import List, Sequence
 
 __all__ = ["Finding", "render_json", "render_text", "summary_line"]
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One linter diagnostic, anchored to a file position.
-
-    ``fingerprint`` identifies the finding stably across unrelated edits
-    (path + rule + the normalized source line, not the line *number*), so
-    baselines survive code moving around above the offending line.
-    """
+    """One linter diagnostic, anchored to a file position."""
 
     path: str
     line: int
@@ -25,16 +19,6 @@ class Finding:
     rule: str
     message: str
     snippet: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.path.encode())
-        h.update(b"\0")
-        h.update(self.rule.encode())
-        h.update(b"\0")
-        h.update(" ".join(self.snippet.split()).encode())
-        return h.hexdigest()[:16]
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -64,7 +48,7 @@ def render_text(findings: Sequence[Finding]) -> str:
 def render_json(findings: Sequence[Finding]) -> str:
     payload = {
         "findings": [
-            {**asdict(f), "fingerprint": f.fingerprint}
+            asdict(f)
             for f in sorted(findings,
                             key=lambda f: (f.path, f.line, f.col, f.rule))
         ],

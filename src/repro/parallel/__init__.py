@@ -7,11 +7,11 @@ This package makes those grids scale with cores *without ever changing
 a single result*:
 
 * :func:`run_sweep` — the one sweep function, serial or across a
-  process pool (``workers=N``);
+  process pool (``workers=N``) that sends each cell out on its own and
+  survives a dead worker;
 * :func:`derive_seed` — per-cell seeds keyed on canonical grid
   position, so worker count never leaks into results;
-* :func:`expand_grid` / :func:`plan_chunks` — canonical cell order and
-  deterministic chunk sharding;
+* :func:`expand_grid` — canonical cell order;
 * :data:`SWEEPS` / :func:`run_registered` — the named sweeps of the
   ``repro sweep`` CLI (their cells live in
   :mod:`repro.parallel.scenarios`).
@@ -29,7 +29,7 @@ from repro.analysis.sweep import (
     SweepStats,
 )
 from repro.parallel.executor import run_sweep
-from repro.parallel.grid import chunk_count, expand_grid, plan_chunks
+from repro.parallel.grid import expand_grid
 from repro.parallel.registry import SWEEPS, SweepSpec, run_registered
 from repro.parallel.seeds import derive_seed
 
@@ -40,10 +40,8 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "SweepStats",
-    "chunk_count",
     "derive_seed",
     "expand_grid",
-    "plan_chunks",
     "run_registered",
     "run_sweep",
 ]

@@ -13,8 +13,8 @@ Determinism contract (DESIGN.md §5d):
 2. **Index-keyed seeds** — with ``base_seed`` set, each cell receives
    ``derive_seed(base_seed, cell_index)``; seeds are a pure function of
    grid position, so the worker count cannot leak into results.
-3. **No harness randomness** — batch planning is deterministic; the OS
-   may schedule batches in any order without observable effect.
+3. **No harness randomness** — the OS may schedule cells on workers in
+   any order without observable effect.
 
 Consequently ``run_sweep(..., workers=k)`` produces rows bit-identical
 to ``workers=1`` for every ``k`` (pinned by ``tests/parallel``).
@@ -29,15 +29,14 @@ runs (the pool is not poisoned); in strict mode the lowest-index
 failure is re-raised as :exc:`~repro.analysis.sweep.SweepCellError`
 naming the offending parameters.
 
-The robustness keywords (``journal_path``/``resume``/``cell_timeout_s``/
-``retries``/``chaos``, DESIGN.md §5f) arm optional behaviours of the
-same loop — an fsync'd journal, retry, watchdog, quarantine, chaos
-faults, worker-death recovery — and set the batch size.  Unarmed,
-cells go out in the deterministic ``plan_chunks`` batches (one batch
-serially), a dead worker re-raises ``BrokenProcessPool`` and nothing
-is written to disk.  Armed, every cell is its own batch, so a SIGKILL
-costs at most the cells in flight and each finished attempt is
-journaled before the loop moves on.
+Every cell goes out as its own batch, on every path.  The robustness
+keywords (``journal_path``/``resume``/``cell_timeout_s``/``retries``/
+``chaos``, DESIGN.md §5f) switch on optional parts of that one loop:
+an fsync'd journal, retry, watchdog and chaos faults.  Worker-death
+recovery is always on: the pool path brackets each cell with start
+markers, so a SIGKILL costs at most the cells in flight, and the cell
+caught mid-run is retried or quarantined as ``killed`` instead of the
+sweep dying with ``BrokenProcessPool``.
 """
 
 from __future__ import annotations
@@ -80,15 +79,15 @@ from repro.analysis.sweep import (
     SweepResult,
     SweepStats,
 )
-from repro.parallel.grid import chunk_count, expand_grid, plan_chunks
+from repro.parallel.grid import expand_grid
 from repro.parallel.seeds import derive_seed
 
 __all__ = ["run_sweep"]
 
-#: how `_run_cells` participates in tracing: "off" (the zero-overhead
+#: how `_run_cell` participates in tracing: "off" (the zero-overhead
 #: default), "inline" (serial path: spans go straight to the enabled
 #: process tracer), or "capture" (pool worker: spans are drained after
-#: every cell and shipped back inside the outcome)
+#: the cell and shipped back inside its outcome)
 _TRACE_OFF, _TRACE_INLINE, _TRACE_CAPTURE = "off", "inline", "capture"
 
 #: floor/ceiling for the watchdog poll period, as a fraction of the
@@ -141,20 +140,20 @@ def _touch(path: str) -> None:
         pass
 
 
-def _run_cells(scenario: Callable[..., Mapping[str, float]],
-               indexed_cells: Sequence[Tuple[int, Dict[str, Any]]],
-               stop_on_error: bool,
-               tracing: str = _TRACE_OFF,
-               chaos: Optional[Any] = None,
-               attempt: int = 1,
-               marker: Optional[str] = None) -> List[Outcome]:
-    """Evaluate one batch of cells in order; the worker side of a batch.
+def _run_cell(scenario: Callable[..., Mapping[str, float]],
+              index: int,
+              params: Dict[str, Any],
+              tracing: str = _TRACE_OFF,
+              chaos: Optional[Any] = None,
+              attempt: int = 1,
+              marker: Optional[str] = None) -> Outcome:
+    """Evaluate one attempt of one cell; the worker side of a dispatch.
 
     Must stay module-level (pickled by reference into pool workers).
 
     With ``tracing="capture"`` (pool workers) the process tracer is
     enabled, pre-existing spans are discarded (fork copies the parent's
-    buffer), and each cell's spans — the ``sweep.cell`` wrapper plus
+    buffer), and the cell's spans — the ``sweep.cell`` wrapper plus
     whatever the scenario opened inside it — are drained into the
     outcome so the parent can merge one coherent timeline.
 
@@ -162,7 +161,7 @@ def _run_cells(scenario: Callable[..., Mapping[str, float]],
     of the process boundary, before the scenario runs — a ``raise``
     fault is indistinguishable from a scenario exception, a
     ``kill_worker`` fault from a real node loss.  With ``marker`` the
-    batch is bracketed by start/finish marker files.
+    cell is bracketed by start/finish marker files.
     """
     tracer = obs.get_tracer()
     if tracing == _TRACE_CAPTURE:
@@ -171,31 +170,26 @@ def _run_cells(scenario: Callable[..., Mapping[str, float]],
         tracer.drain()  # drop spans inherited via fork
     if marker is not None:
         _touch(marker)
-    out: List[Outcome] = []
-    for index, params in indexed_cells:
-        t0 = time.perf_counter()
-        try:
-            if chaos is not None:
-                chaos.apply_in_worker(index, attempt)
-            if tracing == _TRACE_OFF:
-                metrics = dict(scenario(**params))
-            else:
-                with obs.span("sweep.cell", attrs={"cell_index": index}):
-                    metrics = dict(scenario(**params))
-        except Exception as error:  # cell fault, not harness fault
-            tb_text = traceback.format_exc()
-            outcome = Outcome(index, time.perf_counter() - t0, None,
-                              _portable_error(error, tb_text), tb_text)
+    t0 = time.perf_counter()
+    try:
+        if chaos is not None:
+            chaos.apply_in_worker(index, attempt)
+        if tracing == _TRACE_OFF:
+            metrics = dict(scenario(**params))
         else:
-            outcome = Outcome(index, time.perf_counter() - t0, metrics)
-        if tracing == _TRACE_CAPTURE:
-            outcome.spans = [s.to_dict() for s in tracer.drain()]
-        out.append(outcome)
-        if outcome.error is not None and stop_on_error:
-            break
+            with obs.span("sweep.cell", attrs={"cell_index": index}):
+                metrics = dict(scenario(**params))
+    except Exception as error:  # cell fault, not harness fault
+        tb_text = traceback.format_exc()
+        outcome = Outcome(index, time.perf_counter() - t0, None,
+                          _portable_error(error, tb_text), tb_text)
+    else:
+        outcome = Outcome(index, time.perf_counter() - t0, metrics)
+    if tracing == _TRACE_CAPTURE:
+        outcome.spans = [s.to_dict() for s in tracer.drain()]
     if marker is not None:
         _touch(marker + ".done")
-    return out
+    return outcome
 
 
 def _pool_obstacle(scenario: Callable[..., Any],
@@ -261,22 +255,20 @@ def _merge(names: List[str],
 @dataclass
 class _Dispatch:
     """The sweep's one dispatch loop, serial or pooled, and its state.
-    Every harvested :class:`Outcome` goes through :meth:`settle`;
-    ``armed`` (any robustness keyword) turns on markers and
-    worker-death recovery."""
+    Every cell attempt is its own dispatch, and every harvested
+    :class:`Outcome` goes through :meth:`settle`."""
 
     scenario: Callable[..., Mapping[str, float]]
     cells: Sequence[Dict[str, Any]]
     params: Sequence[Dict[str, Any]]
-    armed: bool
     strict: bool
     tracing: str
     retries: int
     cell_timeout_s: Optional[float]
     chaos: Optional[Any]
     journal: Optional[Any] = None
-    #: batches still to run: (cell indices, attempt)
-    pending: Deque[Tuple[Tuple[int, ...], int]] = field(
+    #: cell attempts still to run: (cell index, attempt)
+    pending: Deque[Tuple[int, int]] = field(
         default_factory=deque)
     #: final outcome per cell (replayed, ok, or retries exhausted)
     outcomes: Dict[int, Outcome] = field(default_factory=dict)
@@ -312,10 +304,10 @@ class _Dispatch:
         return len(records)
 
     def queue(self, index: int, attempt: int) -> None:
-        """Queue one cell's attempt as its own batch, counting the chaos
-        faults it will fire.  A free requeue resubmits the same batch
-        without coming back here, so injections are counted once."""
-        self.pending.append(((index,), attempt))
+        """Queue one cell's attempt, counting the chaos faults it will
+        fire.  A free requeue resubmits the same attempt without coming
+        back here, so injections are counted once."""
+        self.pending.append((index, attempt))
         for f in self.chaos.cell_faults(index, attempt) if self.chaos else ():
             obs.metrics().counter("chaos.faults_injected_total",
                                   labels={"kind": f.kind}).inc()
@@ -333,8 +325,9 @@ class _Dispatch:
         self.queue(index, attempt + 1)
         return True
 
-    def settle(self, o: Outcome, attempt: int) -> None:
-        """Record one harvested attempt as ok, retry, or exhausted."""
+    def settle(self, o: Outcome, attempt: int) -> bool:
+        """Record one harvested attempt as ok, retry, or exhausted;
+        True when it was the cell's final failure."""
         self.times[o.index] = o.elapsed_s
         if o.error is None:
             if self.journal is not None:
@@ -351,16 +344,18 @@ class _Dispatch:
                                       labels={"kind": kind}).inc()
             if attempt > 1:
                 obs.metrics().counter("sweep.cells_recovered_total").inc()
-            return
+            return False
         if self.journal is not None:
             self.journal.record_cell(
                 o.index, self.params[o.index], "failed",
                 elapsed_s=o.elapsed_s, attempt=attempt,
                 error=f"{type(o.error).__name__}: {o.error}",
                 traceback_text=o.traceback_text)
-        if not self.retry(o.index, attempt):
-            # the failure outcome becomes an ordinary CellFailure
-            self.outcomes[o.index] = o
+        if self.retry(o.index, attempt):
+            return False
+        # the failure outcome becomes an ordinary CellFailure
+        self.outcomes[o.index] = o
+        return True
 
     def quarantine_cell(self, index: int, status: str, attempt: int,
                         detail: str) -> None:
@@ -378,92 +373,84 @@ class _Dispatch:
     def run_serial(self) -> None:
         """In-process loop.  A single process can neither kill its own
         hung cell nor survive killing itself, so ``run_sweep`` rejects
-        the watchdog and kill-worker faults before routing here."""
+        the watchdog and kill-worker faults before routing here.  Strict
+        mode stops at the first final failure, the one it will raise."""
         while self.pending:
-            batch, attempt = self.pending.popleft()
-            for o in _run_cells(self.scenario,
-                                [(i, self.params[i]) for i in batch],
-                                self.strict, self.tracing, self.chaos,
-                                attempt):
-                self.settle(o, attempt)
+            index, attempt = self.pending.popleft()
+            o = _run_cell(self.scenario, index, self.params[index],
+                          self.tracing, self.chaos, attempt)
+            if self.settle(o, attempt) and self.strict:
+                return
 
     def run_pool(self, workers: int) -> None:
         """Pool loop: one pool per round, respawned after a worker death
-        or a watchdog kill, until every batch is resolved."""
-        marker_dir = (tempfile.mkdtemp(prefix="repro-sweep-started-")
-                      if self.armed else None)
+        or a watchdog kill, until every cell is resolved."""
+        marker_dir = tempfile.mkdtemp(prefix="repro-sweep-started-")
         try:
             while self.pending:
                 self._pool_round(workers, marker_dir)
         finally:
-            if marker_dir is not None:
-                shutil.rmtree(marker_dir, ignore_errors=True)
+            shutil.rmtree(marker_dir, ignore_errors=True)
 
-    def _pool_round(self, workers: int, marker_dir: Optional[str]) -> None:
+    def _pool_round(self, workers: int, marker_dir: str) -> None:
         timeout_s = self.cell_timeout_s
         poll_s = (None if timeout_s is None
                   else min(_MAX_POLL_S, timeout_s * _POLL_TIMEOUT_FRACTION))
         pool = ProcessPoolExecutor(
             max_workers=min(workers, len(self.pending)))
-        #: future -> (batch, attempt, its start-marker path or None)
-        in_flight: Dict[Future, Tuple[Tuple[int, ...], int, Any]] = {}
+        #: future -> (cell index, attempt, its start-marker path)
+        in_flight: Dict[Future, Tuple[int, int, str]] = {}
         running_since: Dict[Future, float] = {}
 
         def submit_pending() -> bool:
-            """Submit every pending batch; False if the pool is broken.
-            Markers are named per submission, so a batch requeued free
+            """Submit every pending attempt; False if the pool is broken.
+            Markers are named per submission, so a cell requeued free
             never inherits a stale start marker from its last try."""
             while self.pending:
-                batch, attempt = self.pending.popleft()
-                marker = (os.path.join(marker_dir, str(self.n_submitted))
-                          if marker_dir is not None else None)
+                index, attempt = self.pending.popleft()
+                marker = os.path.join(marker_dir, str(self.n_submitted))
                 try:
                     fut = pool.submit(
-                        _run_cells, self.scenario,
-                        [(i, self.params[i]) for i in batch], self.strict,
+                        _run_cell, self.scenario, index, self.params[index],
                         self.tracing, self.chaos, attempt, marker)
                 except (BrokenProcessPool, RuntimeError):
-                    self.pending.append((batch, attempt))
+                    self.pending.append((index, attempt))
                     return False
                 self.n_submitted += 1
-                in_flight[fut] = (batch, attempt, marker)
+                in_flight[fut] = (index, attempt, marker)
             return True
 
         def harvest(fut: Future) -> bool:
             """Settle one finished future; True if its pool had died.
 
-            Unarmed, a dead worker is a hard error.  Armed (single-cell
-            batches), the broken pool fails *every* outstanding future
-            wholesale, so only a cell caught mid-execution — started,
-            never finished; a chaos kill fires after the start marker —
-            is charged an attempt.  Queued bystanders and
+            A dead worker fails *every* outstanding future wholesale,
+            so only the cell caught mid-execution — started, never
+            finished; a chaos kill fires after the start marker — is
+            charged an attempt.  Queued bystanders and
             finished-but-undelivered cells requeue free, uncharged
             (cells are deterministic, so recomputing a lost result is
             bit-identical)."""
-            batch, attempt, marker = in_flight.pop(fut)
+            index, attempt, marker = in_flight.pop(fut)
             running_since.pop(fut, None)
             try:
-                outcomes = fut.result(timeout=0)
+                outcome = fut.result(timeout=0)
             except BrokenProcessPool:
-                if not self.armed:
-                    raise
                 if (os.path.exists(marker)
                         and not os.path.exists(marker + ".done")):
                     with obs.span("chaos.worker_death",
-                                  attrs={"cell_index": batch[0]}):
+                                  attrs={"cell_index": index}):
                         pass
-                    if not self.retry(batch[0], attempt):
+                    if not self.retry(index, attempt):
                         self.quarantine_cell(
-                            batch[0], "killed", attempt,
+                            index, "killed", attempt,
                             "worker process died (BrokenProcessPool)")
                 else:
-                    self.pending.append((batch, attempt))
+                    self.pending.append((index, attempt))
                 return True
             except (CancelledError, FuturesTimeoutError):
-                self.pending.append((batch, attempt))
+                self.pending.append((index, attempt))
                 return False
-            for o in outcomes:
-                self.settle(o, attempt)
+            self.settle(outcome, attempt)
             return False
 
         try:
@@ -491,7 +478,7 @@ class _Dispatch:
                         or now_s - running_since[victim] <= timeout_s):
                     continue
                 # -- watchdog: quarantine the longest-overdue cell ----------
-                (index,), attempt, _ = in_flight.pop(victim)
+                index, attempt, _ = in_flight.pop(victim)
                 self.quarantine_cell(index, "timed_out", attempt,
                                      f"exceeded cell_timeout_s={timeout_s:g}")
                 obs.metrics().counter("sweep.worker_deaths_total").inc()
@@ -506,8 +493,8 @@ class _Dispatch:
                 # killing their worker
                 for fut in [f for f in in_flight if f.done()]:
                     harvest(fut)
-                for batch, attempt, _ in in_flight.values():
-                    self.pending.append((batch, attempt))
+                for index, attempt, _ in in_flight.values():
+                    self.pending.append((index, attempt))
                 in_flight.clear()
                 for proc in list(getattr(pool, "_processes", {}).values()):
                     proc.kill()
@@ -547,11 +534,12 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
     ``sweep.cell`` span, pool spans included; tracing never changes
     the rows.
 
-    Any robustness keyword (``journal_path``/``resume``/
-    ``cell_timeout_s``/``retries``/``chaos``) arms the same loop with an
-    fsync'd journal, watchdog, retry, quarantine and chaos faults, and
-    sends every cell out as its own batch; grid expansion, seeding,
-    tracing and the merge are shared, so armed rows cannot drift from
+    Every cell goes out as its own dispatch, and a worker killed
+    mid-cell costs that cell an attempt (quarantined as ``killed`` once
+    ``retries`` is spent) rather than the sweep.  The robustness
+    keywords (``journal_path``/``resume``/``cell_timeout_s``/
+    ``retries``/``chaos``) add an fsync'd journal, watchdog, retry and
+    chaos faults to the same loop, so their rows cannot drift from
     plain rows.
     """
     if workers is None or workers == 0:
@@ -566,9 +554,6 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
     if cell_timeout_s is not None and cell_timeout_s <= 0:
         raise ValueError(
             f"cell_timeout_s must be positive, got {cell_timeout_s}")
-    armed = (journal_path is not None or resume
-             or cell_timeout_s is not None or retries > 0
-             or chaos is not None)
     names, cells = expand_grid(grid)
     if base_seed is not None:
         _check_seed_param(scenario)
@@ -593,7 +578,7 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
                 mode, fallback_reason = "serial-fallback", obstacle
     pooled = mode == "process-pool"
 
-    if armed and not pooled:
+    if not pooled:
         # journal/resume/retry/raise-faults all work in-process, but a
         # single process can neither kill its own hung cell nor
         # survive killing itself
@@ -619,19 +604,14 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
     t0 = time.perf_counter()
     with obs.span("sweep.run", attrs={"n_cells": len(cells),
                                       "workers": workers, "mode": mode}):
-        run = _Dispatch(scenario, cells, params, armed, strict, tracing,
+        run = _Dispatch(scenario, cells, params, strict, tracing,
                         retries, cell_timeout_s, chaos)
         n_replayed = (run.open_journal(journal_path, resume, names,
                                        base_seed)
                       if journal_path is not None else 0)
-        if armed:
-            for i in range(len(cells)):
-                if i not in run.outcomes:
-                    run.queue(i, 1)
-        else:
-            n_batches = chunk_count(len(cells), workers) if pooled else 1
-            run.pending.extend((tuple(chunk), 1) for chunk in
-                               plan_chunks(len(cells), n_batches))
+        for i in range(len(cells)):
+            if i not in run.outcomes:
+                run.queue(i, 1)
         try:
             if pooled:
                 run.run_pool(workers)
@@ -650,7 +630,7 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
     result = _merge(names, cells, outcomes, metric_names)
     result.quarantined = [run.quarantine[i] for i in sorted(run.quarantine)]
     result.stats = SweepStats(
-        n_cells=len(cells), n_chunks=run.n_submitted if pooled else 1,
+        n_cells=len(cells), n_dispatches=run.n_submitted if pooled else 1,
         workers=workers, mode=mode, wall_s=wall_s,
         cell_times_s=[run.times[i] for i in sorted(run.times)],
         fallback_reason=fallback_reason, n_replayed=n_replayed,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.scheduler.rjms import SchedulerPolicy, SchedulingContext, StartDecision
-from repro.simulator.jobs import Job
+from repro.simulator.jobs import Job, JobKind
 
 __all__ = ["EasyBackfillPolicy", "MoldableEasyBackfillPolicy",
            "head_reservation"]
@@ -61,10 +61,17 @@ class EasyBackfillPolicy(SchedulerPolicy):
             job = queue.pop(0)
             decisions.append(StartDecision(job, job.nodes_requested))
             free -= job.nodes_requested
+        # Phase 2: backfill behind the blocked head.
+        decisions.extend(self.backfill(ctx, queue, free))
+        return decisions
+
+    def backfill(self, ctx: SchedulingContext, queue: List[Job],
+                 free: int) -> List[StartDecision]:
+        """Starts for the jobs behind the blocked head ``queue[0]`` that
+        fit in ``free`` nodes and cannot delay the head's reservation."""
+        decisions: List[StartDecision] = []
         if not queue:
             return decisions
-
-        # Phase 2: backfill behind the blocked head.
         head = queue[0]
         shadow, spare = head_reservation(ctx, head, free)
         for job in queue[1:]:
@@ -113,7 +120,6 @@ class MoldableEasyBackfillPolicy(EasyBackfillPolicy):
                 free -= job.nodes_requested
                 continue
             # blocked head: try molding it down
-            from repro.simulator.jobs import JobKind
             moldable = job.kind in (JobKind.MOLDABLE, JobKind.MALLEABLE)
             floor = max(job.min_nodes,
                         int(job.nodes_requested * self.min_start_fraction))
@@ -125,19 +131,5 @@ class MoldableEasyBackfillPolicy(EasyBackfillPolicy):
                 continue
             break  # truly blocked: fall through to backfill
 
-        if not queue:
-            return decisions
-
-        head = queue[0]
-        shadow, spare = head_reservation(ctx, head, free)
-        for job in queue[1:]:
-            if job.nodes_requested > free:
-                continue
-            fits_time = ctx.now + job.runtime_estimate <= shadow
-            fits_spare = job.nodes_requested <= spare
-            if fits_time or fits_spare:
-                decisions.append(StartDecision(job, job.nodes_requested))
-                free -= job.nodes_requested
-                if not fits_time:
-                    spare -= job.nodes_requested
+        decisions.extend(self.backfill(ctx, queue, free))
         return decisions

@@ -42,7 +42,8 @@ from repro.scheduler.queues import QueueSet
 from repro.simulator.checkpoint import CheckpointModel
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import Event, SimulationEngine
-from repro.simulator.jobs import Job, JobState
+from repro.simulator.jobs import Job, JobKind, JobState
+from repro.simulator.node import NodeState
 from repro.simulator.telemetry import Sensor, TelemetryDB
 
 __all__ = [
@@ -232,7 +233,6 @@ class RJMS:
         can_mold = bool(getattr(policy, "can_mold", False))
         for job in self.jobs:
             self.queues.route(job)  # validate admission eagerly
-            from repro.simulator.jobs import JobKind
             resizable = job.kind is not JobKind.RIGID
             needed = (job.min_nodes if (can_mold and resizable)
                       else job.nodes_requested)
@@ -454,7 +454,6 @@ class RJMS:
         if repair_seconds <= 0:
             raise ValueError("repair time must be positive")
         node = self.cluster.nodes[node_id]
-        from repro.simulator.node import NodeState
         if node.state is NodeState.DOWN:
             raise ValueError(f"node {node_id} is already down")
         self._accrue_all()

@@ -1,4 +1,4 @@
-"""End-to-end tests of the robust sweep harness (the armed sweep loop).
+"""End-to-end tests of the sweep loop's robustness keywords.
 
 The contract under test is DESIGN §5f: any robustness feature —
 journal, resume, watchdog, retry, chaos plan — may change *how* a

@@ -15,6 +15,7 @@ from repro.scheduler import (
     EasyBackfillPolicy,
     FCFSPolicy,
     MoldableEasyBackfillPolicy,
+    SchedulerPolicy,
 )
 from repro.scheduler.backfill import head_reservation
 from repro.simulator import (
@@ -47,31 +48,35 @@ def workload(seed, n_jobs=25, suspendable=0.0, malleable=0.0,
     return WorkloadGenerator(cfg, seed=seed).generate()
 
 
-class ReservationAudit(EasyBackfillPolicy):
-    """EASY that re-checks its blocked head's reservation after every
-    pass.
+class ReservationAudit(SchedulerPolicy):
+    """Wraps an EASY policy and re-checks its blocked head's reservation
+    after every pass.
 
     The reservation is recomputed as if the pass's backfilled jobs were
     already running until ``now + runtime_estimate``; it must not move
     later than the one EASY computed before backfilling.  Jobs started
-    ahead of the head are left out of both, as EASY leaves them out.
+    ahead of the head are left out of both, as EASY leaves them out;
+    their nodes are counted from the decisions, because moldable EASY
+    starts them below their request.
     """
 
-    def __init__(self):
+    def __init__(self, policy):
+        self.policy = policy
+        self.can_mold = getattr(policy, "can_mold", False)
         self.audited = 0
 
     def schedule(self, ctx):
-        decisions = super().schedule(ctx)
+        decisions = self.policy.schedule(ctx)
         started = {d.job.job_id for d in decisions}
         blocked = [j for j in ctx.pending if j.job_id not in started]
         if not blocked:
             return decisions
         head = blocked[0]
-        ahead = ctx.pending[:ctx.pending.index(head)]
-        free = ctx.cluster.n_free - sum(j.nodes_requested for j in ahead)
+        ahead = ctx.pending.index(head)
+        free = ctx.cluster.n_free - sum(d.n_nodes for d in decisions[:ahead])
         before, _ = head_reservation(ctx, head, free)
         backfilled = []
-        for d in decisions[len(ahead):]:
+        for d in decisions[ahead:]:
             job = copy.copy(d.job)
             job.nodes_allocated = d.n_nodes
             backfilled.append(job)
@@ -117,11 +122,16 @@ class TestSchedulerInvariants:
         """At every EASY pass with a blocked head, the pass's backfills
         leave the head's reservation where it was or earlier.  A busy
         32-node queue backfills several jobs per pass, some on spare
-        nodes, so both of EASY's admission rules get exercised."""
-        policy = ReservationAudit()
-        jobs = workload(seed, n_jobs=80, mean_interarrival_s=300.0)
-        RJMS(Cluster(32, power_model()), jobs, policy).run()
-        assert policy.audited > 0
+        nodes, so both of EASY's admission rules get exercised.  Moldable
+        EASY gets the same check on a 50%-malleable workload, where it
+        starts some blocked heads small before backfilling."""
+        for policy, malleable in ((EasyBackfillPolicy(), 0.0),
+                                  (MoldableEasyBackfillPolicy(), 0.5)):
+            audit = ReservationAudit(policy)
+            jobs = workload(seed, n_jobs=80, mean_interarrival_s=300.0,
+                            malleable=malleable)
+            RJMS(Cluster(32, power_model()), jobs, audit).run()
+            assert audit.audited > 0, type(policy).__name__
 
     @given(seed=st.integers(0, 1000))
     @SIM_SETTINGS

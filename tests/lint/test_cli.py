@@ -1,4 +1,4 @@
-"""End-to-end tests of the linter CLI: exit codes, formats, baseline."""
+"""End-to-end tests of the linter CLI: exit codes and formats."""
 
 import io
 import json
@@ -60,30 +60,8 @@ class TestJsonFormat:
         (f,) = doc["findings"]
         assert f["rule"] == "unit-assign"
         assert f["line"] == 1
-        assert len(f["fingerprint"]) == 16
-
-
-class TestBaseline:
-    def test_baseline_roundtrip_suppresses_known_findings(
-            self, bad_file, tmp_path):
-        bl = tmp_path / "baseline.json"
-        assert run([str(bad_file)], write_baseline_path=str(bl),
-                   stream=io.StringIO()) == 0
-        # baselined finding no longer fails the run...
-        assert run([str(bad_file)], baseline_path=str(bl),
-                   stream=io.StringIO()) == 0
-        # ...but a new finding in the same file still does
-        bad_file.write_text(BAD + "deadline = 12 * 3600.0\n")
-        out = io.StringIO()
-        assert run([str(bad_file)], baseline_path=str(bl), stream=out) == 1
-        assert "[magic-constant]" in out.getvalue()
-        assert "[unit-assign]" not in out.getvalue()
-
-    def test_corrupt_baseline_exits_two(self, bad_file, tmp_path):
-        bl = tmp_path / "baseline.json"
-        bl.write_text('{"version": 99}')
-        assert run([str(bad_file)], baseline_path=str(bl),
-                   stream=io.StringIO()) == 2
+        assert set(f) == {"path", "line", "col", "rule", "message",
+                          "snippet"}
 
 
 class TestArgparseMain:

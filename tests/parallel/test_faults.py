@@ -7,7 +7,7 @@ offending parameter assignment, with the original exception chained.
 
 ``TestWorkerDeathRecovery`` covers the harder boundary: a worker
 process SIGKILLed mid-cell (a real node loss, not a Python
-exception) — the robust path must survive the resulting
+exception) — every pool sweep must survive the resulting
 ``BrokenProcessPool``, journal everything that completed, and a
 resumed run must reproduce the exact serial rows.
 """
@@ -86,22 +86,47 @@ class TestNonStrict:
                     for f in serial.failures])
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize(
+    "workers,retries",
+    [(1, 0), (2, 0), (4, 0), (1, 1), (2, 1), (4, 1)],
+    ids=["1", "2", "4", "1-retries1", "2-retries1", "4-retries1"])
 class TestStrict:
-    def test_reraises_naming_offending_params(self, workers):
+    def test_reraises_naming_offending_params(self, workers, retries):
         with pytest.raises(SweepCellError, match=r"x=3\.0") as excinfo:
-            run_sweep(brittle_cell, GRID, workers=workers, strict=True)
+            run_sweep(brittle_cell, GRID, workers=workers, strict=True,
+                      retries=retries)
         assert excinfo.value.params == {"x": 3.0}
         assert isinstance(excinfo.value.__cause__, ValueError)
 
-    def test_lowest_index_failure_wins(self, workers):
-        """Deterministic choice regardless of which chunk finishes
+    def test_lowest_index_failure_wins(self, workers, retries):
+        """Deterministic choice regardless of which cell finishes
         first: the reported cell is the one the serial loop would have
         hit."""
         with pytest.raises(SweepCellError) as excinfo:
             run_sweep(half_broken_cell, GRID, workers=workers,
-                      strict=True)
+                      strict=True, retries=retries)
         assert excinfo.value.failure.index == 1
+
+
+@pytest.mark.parametrize("retries,expected_calls", [
+    (0, [0.0, 1.0, 2.0, 3.0]),
+    (1, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 3.0]),
+])
+def test_strict_serial_loop_stops_at_first_final_failure(retries,
+                                                         expected_calls):
+    """Serially, strict mode runs nothing past the failure it raises: a
+    retry goes to the back of the queue, and the loop stops once the
+    cell's last attempt has failed."""
+    calls = []
+
+    def counting_cell(x):
+        calls.append(x)
+        return brittle_cell(x)
+
+    with pytest.raises(SweepCellError, match=r"x=3\.0"):
+        run_sweep(counting_cell, GRID, workers=1, strict=True,
+                  retries=retries)
+    assert calls == expected_calls
 
 
 class TestWorkerBoundary:
@@ -198,24 +223,17 @@ class TestWorkerDeathRecovery:
         assert resumed.stats.n_executed == len(killed)
 
     def test_death_without_journal_still_quarantines(self, tmp_path):
-        """Harness armed (watchdog only), no journal, no retries: the
-        grid still completes minus the quarantined cells instead of
-        dying with BrokenProcessPool."""
+        """No journal, no retries — a plain sweep, or one with only the
+        watchdog: the grid still completes minus the quarantined cells
+        instead of dying with BrokenProcessPool."""
         sentinel = tmp_path / "killed"
         expected = self.serial_rows(sentinel)
-        r = run_sweep(kill_once_cell,
-                      dict(GRID, sentinel=[str(sentinel)]),
-                      workers=2, cell_timeout_s=60.0)
-        assert all(row in expected for row in r.rows)
-        assert any(q.status == "killed" for q in r.quarantined)
-        assert len(r.rows) + len(r.quarantined) == 6
-
-    def test_plain_path_still_propagates_pool_breakage(self, tmp_path):
-        """Without any robustness keyword the fast chunked path is
-        untouched — a dead worker is still a hard error."""
-        import concurrent.futures.process as cfp
-        sentinel = tmp_path / "killed"
-        with pytest.raises(cfp.BrokenProcessPool):
-            run_sweep(kill_once_cell,
-                      dict(GRID, sentinel=[str(sentinel)]),
-                      workers=2)
+        for robustness in ({}, {"cell_timeout_s": 60.0}):
+            if sentinel.exists():
+                sentinel.unlink()
+            r = run_sweep(kill_once_cell,
+                          dict(GRID, sentinel=[str(sentinel)]),
+                          workers=2, **robustness)
+            assert all(row in expected for row in r.rows)
+            assert any(q.status == "killed" for q in r.quarantined)
+            assert len(r.rows) + len(r.quarantined) == 6
