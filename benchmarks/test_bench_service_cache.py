@@ -3,7 +3,7 @@
 The paper's operational vision (§3.1/§3.3) has every scheduler pass,
 power-stack controller, and accounting sweep consulting grid carbon
 data.  Against a real provider API each consult is a network round
-trip; ``repro.service.CarbonService`` amortises them with a TTL+LRU
+trip; ``repro.service.CarbonService`` amortises them with an LRU spot
 cache and single-flight coalescing.  This bench quantifies the win on
 a scheduler-shaped query stream (Zipf-ish working set of recent
 quantized timestamps) against a backend with a simulated per-call

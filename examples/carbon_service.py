@@ -5,8 +5,8 @@ retry, and graceful degradation.
 Walks the serving layer through the situations a deployed carbon-aware
 scheduler actually faces: a slow provider API (cache + coalescing wins),
 a flaky one (retries absorb transient errors), and a full outage (the
-circuit breaker opens and queries degrade to stale/fallback data instead
-of raising into the scheduler).
+circuit breaker opens and queries degrade to last-good/fallback data
+instead of raising into the scheduler).
 
 Run:  python examples/carbon_service.py
 """

@@ -13,7 +13,7 @@ Three parts (DESIGN.md §5e):
   parent/child nesting and cross-process span adoption;
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`
   (counters/gauges/latency histograms, optional labels, Prometheus
-  text exposition), re-exported by :mod:`repro.service`;
+  text exposition), also the registry behind ``repro service stats``;
 * :mod:`repro.obs.export` — JSONL and Chrome-trace exporters plus the
   per-name aggregation behind ``repro obs stats``/``top``.
 

@@ -179,7 +179,8 @@ class RJMS:
         value-transparent :class:`~repro.service.core.CarbonService`
         (already-wrapped providers are used as-is), so every intensity
         lookup in the simulation — accounting, telemetry, policies —
-        flows through the serving layer's cache and fault handling.
+        flows through the serving layer's fault handling; spot lookups
+        are also cached, history windows are not.
     queues:
         Queue configuration; orders the pending queue.
     tick_seconds:

@@ -5,64 +5,52 @@ The production-shaped front for the repo's
 DESIGN.md §"repro.service" for the architecture sketch), for callers
 that front a remote or flaky provider.  A
 :class:`~repro.service.core.CarbonService` answers exactly as the raw
-provider would, and adds caching, batch deduplication, retry/backoff,
-a circuit breaker with graceful degradation, and operational metrics.
+provider would, and adds a spot-lookup cache, batch deduplication,
+retry/backoff, a circuit breaker with graceful degradation, and
+operational metrics.  History windows pass straight through the
+retry/breaker guard: they are never cached.
 
 Public API
 ----------
 :class:`CarbonService`
     The serving layer itself.
-:class:`TTLLRUCache`
-    Accounted TTL+LRU cache (standalone-usable).
+:class:`LRUCache`
+    Accounted bounded LRU cache (standalone-usable).
 :class:`RetryPolicy` / :class:`CircuitBreaker` / :class:`BreakerState`
     Robustness middleware.
 :class:`FlakyProvider` / :class:`SlowProvider`
     Fault-injection wrappers for tests and benchmarks.
-:class:`MetricsRegistry` (+ :class:`Counter`, :class:`Gauge`,
-:class:`LatencyHistogram`)
-    The observability registry behind ``repro service stats`` — the
-    unified stack-wide registry of :mod:`repro.obs.registry`.
 Errors
     :class:`ServiceError`, :class:`TransientBackendError`,
-    :class:`DeadlineExceededError`, :class:`CircuitOpenError`,
-    :class:`ServiceUnavailableError`.
+    :class:`CircuitOpenError`, :class:`ServiceUnavailableError`.
+
+The metrics registry behind ``repro service stats`` is
+:class:`repro.obs.MetricsRegistry`.
 """
 
-from repro.service.cache import MISSING, TTLLRUCache
+from repro.service.cache import MISSING, LRUCache
 from repro.service.core import SIGNALS, CarbonService
 from repro.service.errors import (
     CircuitOpenError,
-    DeadlineExceededError,
     ServiceError,
     ServiceUnavailableError,
     TransientBackendError,
 )
 from repro.service.faults import FlakyProvider, SlowProvider
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-)
 from repro.service.retry import BreakerState, CircuitBreaker, RetryPolicy
 
 __all__ = [
     "CarbonService",
     "SIGNALS",
-    "TTLLRUCache",
+    "LRUCache",
     "MISSING",
     "RetryPolicy",
     "CircuitBreaker",
     "BreakerState",
     "FlakyProvider",
     "SlowProvider",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "LatencyHistogram",
     "ServiceError",
     "TransientBackendError",
-    "DeadlineExceededError",
     "CircuitOpenError",
     "ServiceUnavailableError",
 ]

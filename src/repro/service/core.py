@@ -8,18 +8,23 @@ same tick are re-fetched N times, and one flaky backend takes the whole
 scheduler down with it.  :class:`CarbonService` is the standard answer,
 assembled from this package's parts::
 
-    consumer ──> cache (TTL+LRU) ──> retry/breaker ──> provider
-                    │ hit                  │ trip
-                    └── value              └── stale / last-good /
-                                               fallback provider
+    spot lookup ──> cache (LRU) ──> retry/breaker ──> provider
+                      │ hit               │ trip
+                      └── value           └── last-good / fallback
 
-Because the service *is itself* a
+    history ─────────────────────> retry/breaker ──> provider
+                                          │ trip
+                                          └── fallback / flat last-good
+
+Only spot lookups are cached: accounting asks for a different history
+window at every step, so a window cache would never hit.  Because the
+service *is itself* a
 :class:`~repro.grid.providers.CarbonIntensityProvider`, it drops into
 any seam that takes a provider without changing a call site.
-With the defaults (no quantization, no TTL) it is **value-transparent**:
+With the default ``quantize_s=0`` it is **value-transparent**:
 deterministic backends yield bit-identical answers through the service,
-so simulation results are unchanged while repeated lookups collapse
-onto the cache.  Dial ``quantize_s`` up to trade freshness for
+so simulation results are unchanged while repeated spot lookups
+collapse onto the cache.  Dial ``quantize_s`` up to trade freshness for
 throughput the way 5-minute-granularity monitors do.
 """
 
@@ -32,16 +37,16 @@ import numpy as np
 
 from repro.grid.intensity import CarbonIntensityTrace
 from repro.grid.providers import CarbonIntensityProvider
-from repro.service.cache import MISSING, TTLLRUCache
-from repro.service.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    ServiceUnavailableError,
-    TransientBackendError,
-)
+from repro.service.cache import MISSING, LRUCache
+from repro.service.errors import CircuitOpenError, ServiceUnavailableError
 from repro import obs
 from repro.obs.registry import MetricsRegistry
-from repro.service.retry import BreakerState, CircuitBreaker, RetryPolicy
+from repro.service.retry import (
+    RETRYABLE,
+    BreakerState,
+    CircuitBreaker,
+    RetryPolicy,
+)
 
 __all__ = ["CarbonService", "SIGNALS"]
 
@@ -51,8 +56,7 @@ SIGNALS = ("marginal", "average")
 
 #: everything the degradation chain absorbs (callers never see these
 #: unless every degradation tier is empty)
-_ABSORBED = (CircuitOpenError, DeadlineExceededError,
-             TransientBackendError, ConnectionError, TimeoutError)
+_ABSORBED = (CircuitOpenError,) + RETRYABLE
 
 _BREAKER_STATE_GAUGE = {BreakerState.CLOSED: 0.0,
                         BreakerState.HALF_OPEN: 1.0,
@@ -72,11 +76,8 @@ class CarbonService(CarbonIntensityProvider):
         hitting cache *and* backend, so all lookups in one quantization
         window share one value.  ``0`` (default) keys on exact times —
         fully value-transparent.
-    ttl_s:
-        Cache entry lifetime (``None`` = no expiry; right for the
-        deterministic offline providers).
     max_entries:
-        Cache capacity (LRU beyond it).
+        Spot-cache capacity (LRU beyond it).
     retry:
         Backoff schedule for backend calls.
     breaker:
@@ -84,24 +85,20 @@ class CarbonService(CarbonIntensityProvider):
     fallback:
         Last-resort provider (e.g. a
         :class:`~repro.grid.providers.StaticProvider` at the zone mean)
-        consulted when the backend is down and no cached value exists.
-    metrics:
-        Shared registry (one per service by default).
+        consulted when the backend is down.
     seed:
         Seed for the retry-jitter RNG.
     clock, sleep:
-        Injectable time sources for TTL/breaker/backoff — tests drive
-        them synthetically, production uses the real ones.
+        Injectable time sources for breaker/backoff — tests drive them
+        synthetically, production uses the real ones.
     """
 
     def __init__(self, backend: CarbonIntensityProvider, *,
                  quantize_s: float = 0.0,
-                 ttl_s: Optional[float] = None,
                  max_entries: int = 4096,
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  fallback: Optional[CarbonIntensityProvider] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  seed: int = 0,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep) -> None:
@@ -110,9 +107,8 @@ class CarbonService(CarbonIntensityProvider):
         self.backend = backend
         self.zone_code = backend.zone_code
         self.quantize_s = float(quantize_s)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cache = TTLLRUCache(max_entries=max_entries, ttl_s=ttl_s,
-                                 clock=clock, metrics=self.metrics)
+        self.metrics = MetricsRegistry()
+        self.cache = LRUCache(max_entries=max_entries, metrics=self.metrics)
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None \
             else CircuitBreaker(clock=clock)
@@ -126,21 +122,12 @@ class CarbonService(CarbonIntensityProvider):
     # -- construction helpers ----------------------------------------------------
 
     @classmethod
-    def ensure(cls, provider: CarbonIntensityProvider,
-               **kwargs) -> "CarbonService":
+    def ensure(cls, provider: CarbonIntensityProvider) -> "CarbonService":
         """``provider`` unchanged if it already is a service, else wrap it
-        with the given service options — the idiom every integration
-        point uses, so stacking never double-wraps."""
+        with the default options, so stacking never double-wraps."""
         if isinstance(provider, CarbonService):
             return provider
-        return cls(provider, **kwargs)
-
-    def __getattr__(self, name: str):
-        # transparent proxy: anything the service does not define is
-        # answered by the backend (e.g. SyntheticProvider.model)
-        if name == "backend":
-            raise AttributeError(name)
-        return getattr(self.backend, name)
+        return cls(provider)
 
     # -- keys --------------------------------------------------------------------
 
@@ -164,7 +151,7 @@ class CarbonService(CarbonIntensityProvider):
                       attrs={"zone": self.zone_code}):
             try:
                 value = self.retry.run(
-                    fn, rng=self._rng, sleep=self.sleep, clock=self.clock,
+                    fn, rng=self._rng, sleep=self.sleep,
                     on_retry=lambda _a: self.metrics.counter(
                         "backend.retries").inc())
             except _ABSORBED:
@@ -188,9 +175,8 @@ class CarbonService(CarbonIntensityProvider):
     def _fetch_spot_key(self, key) -> float:
         """Backend fetch for one spot key, with the degradation chain.
 
-        Never raises while any of (stale cache entry, last-good value,
-        fallback provider) can answer — the "never raise to the
-        scheduler" guarantee.
+        Never raises while the last-good value or the fallback provider
+        can answer — the "never raise to the scheduler" guarantee.
         """
         zone, signal, tq = key
         call = (self.backend.intensity_at if signal == "marginal"
@@ -205,10 +191,6 @@ class CarbonService(CarbonIntensityProvider):
 
     def _degrade_spot(self, key, exc: BaseException) -> float:
         zone, signal, tq = key
-        stale = self.cache.get_stale(key)
-        if stale is not MISSING:
-            self.metrics.counter("degraded.stale").inc()
-            return stale
         if signal in self._last_good_g_per_kwh:
             self.metrics.counter("degraded.last_good").inc()
             return self._last_good_g_per_kwh[signal]
@@ -218,7 +200,7 @@ class CarbonService(CarbonIntensityProvider):
                     else self.fallback.average_intensity_at)
             return float(call(tq))
         raise ServiceUnavailableError(
-            f"zone {zone}: backend down and no cached/fallback value "
+            f"zone {zone}: backend down and no last-good/fallback value "
             f"for {signal} intensity at t={tq}") from exc
 
     def _spot(self, t: float, signal: str) -> float:
@@ -237,25 +219,16 @@ class CarbonService(CarbonIntensityProvider):
         return self._spot(t, "average")
 
     def history(self, t0: float, t1: float) -> CarbonIntensityTrace:
-        """Cached history window (exact keys — accounting integrates
-        these, so quantization is never applied to windows)."""
-        key = (self.zone_code, "history", float(t0), float(t1))
-        cached = self.cache.get(key)
-        if cached is not MISSING:
-            return cached
+        """History window: one guarded backend call, never cached
+        (exact times — accounting integrates these, so quantization is
+        never applied to windows)."""
         try:
-            trace = self._backend_call(lambda: self.backend.history(t0, t1))
+            return self._backend_call(lambda: self.backend.history(t0, t1))
         except _ABSORBED as exc:
-            return self._degrade_history(key, t0, t1, exc)
-        self.cache.put(key, trace)
-        return trace
+            return self._degrade_history(t0, t1, exc)
 
-    def _degrade_history(self, key, t0: float, t1: float,
+    def _degrade_history(self, t0: float, t1: float,
                          exc: BaseException) -> CarbonIntensityTrace:
-        stale = self.cache.get_stale(key)
-        if stale is not MISSING:
-            self.metrics.counter("degraded.stale").inc()
-            return stale
         if self.fallback is not None:
             self.metrics.counter("degraded.fallback").inc()
             return self.fallback.history(t0, t1)
@@ -267,7 +240,7 @@ class CarbonService(CarbonIntensityProvider):
                 self._last_good_g_per_kwh["marginal"], t1 - t0,
                 start_time=t0, zone=self.zone_code)
         raise ServiceUnavailableError(
-            f"zone {self.zone_code}: backend down and no cached/fallback "
+            f"zone {self.zone_code}: backend down and no fallback/last-good "
             f"history for [{t0}, {t1})") from exc
 
     # -- batched lookups ------------------------------------------------------------
@@ -314,6 +287,5 @@ class CarbonService(CarbonIntensityProvider):
         self._update_breaker_gauge()
         header = (f"carbon service: zone={self.zone_code} "
                   f"quantize={self.quantize_s:g}s "
-                  f"ttl={'inf' if self.cache.ttl_s is None else self.cache.ttl_s} "
                   f"breaker={self.breaker.state.value}")
         return header + "\n" + self.metrics.render()

@@ -1,9 +1,9 @@
 """Exception taxonomy of the carbon-data serving layer.
 
 The split matters operationally: *transient* backend trouble
-(:class:`TransientBackendError`, :class:`DeadlineExceededError`) is
-retried and, when retries are exhausted, absorbed by the degradation
-chain (stale cache -> last-good value -> fallback provider), while
+(:class:`TransientBackendError`) is retried and, when retries are
+exhausted, absorbed by the degradation chain (last-good value or
+fallback provider, in the order each lookup kind uses), while
 caller bugs (``ValueError`` on an invalid window) propagate untouched —
 masking those would hide real defects behind fallback values.
 :class:`ServiceUnavailableError` is the only error a well-configured
@@ -16,7 +16,6 @@ from __future__ import annotations
 __all__ = [
     "ServiceError",
     "TransientBackendError",
-    "DeadlineExceededError",
     "CircuitOpenError",
     "ServiceUnavailableError",
 ]
@@ -32,16 +31,11 @@ class TransientBackendError(ServiceError):
     raise exactly this."""
 
 
-class DeadlineExceededError(ServiceError):
-    """The retry loop ran out of its per-request deadline before a
-    backend attempt succeeded."""
-
-
 class CircuitOpenError(ServiceError):
     """The circuit breaker is open: the backend is presumed down and
     calls are refused without being attempted."""
 
 
 class ServiceUnavailableError(ServiceError):
-    """Backend unreachable *and* no cached, last-good, or fallback value
+    """Backend unreachable *and* no last-good or fallback value
     exists — the one terminal failure mode of the serving layer."""

@@ -46,30 +46,23 @@ class FlakyProvider(CarbonIntensityProvider):
         the same seed gives the same failure sequence, per the repo's
         determinism contract.
     seed:
-        RNG seed for the failure sequence (ignored when ``rng`` is
-        given).
+        RNG seed for the failure sequence.
     fail_all:
         While true, *every* call fails regardless of ``failure_rate``;
         mutable at any time (tests flip it to simulate an outage and
         the subsequent recovery).
-    rng:
-        Injected RNG owning the failure sequence — anything with a
-        ``.random() -> float in [0, 1)`` method (``random.Random`` or a
-        NumPy ``Generator``).  Injecting lets a caller (a
-        :class:`~repro.chaos.ChaosPlan` re-seeding providers inside
-        pool workers) derive the stream from its own seed hierarchy.
     """
 
     def __init__(self, inner: CarbonIntensityProvider,
                  failure_rate: float = 0.0, seed: int = 0,
-                 fail_all: bool = False, rng=None) -> None:
+                 fail_all: bool = False) -> None:
         if not 0.0 <= failure_rate <= 1.0:
             raise ValueError("failure_rate must be in [0, 1]")
         self.inner = inner
         self.failure_rate = float(failure_rate)
         self.fail_all = bool(fail_all)
         self.zone_code = inner.zone_code
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
         self.calls = 0
         self.failures = 0
 
@@ -109,42 +102,24 @@ class SlowProvider(CarbonIntensityProvider):
     sleep:
         Injectable delay function; defaults to real ``time.sleep`` (what
         the cache benchmark wants), tests pass a recording no-op.
-    jitter_s:
-        Extra uniformly-random latency in ``[0, jitter_s)`` per call,
-        drawn from the injected (or seeded) RNG so the latency sequence
-        is reproducible in any process.
-    seed:
-        RNG seed for the jitter sequence (ignored when ``rng`` given).
-    rng:
-        Injected RNG for the jitter stream, same contract as
-        :class:`FlakyProvider`'s.
     """
 
     def __init__(self, inner: CarbonIntensityProvider,
                  latency_s: float = 0.001,
-                 sleep: Optional[Callable[[float], None]] = None,
-                 jitter_s: float = 0.0, seed: int = 0,
-                 rng=None) -> None:
+                 sleep: Optional[Callable[[float], None]] = None) -> None:
         if latency_s < 0:
             raise ValueError("latency_s must be non-negative")
-        if jitter_s < 0:
-            raise ValueError("jitter_s must be non-negative")
         self.inner = inner
         self.latency_s = float(latency_s)
-        self.jitter_s = float(jitter_s)
         self.sleep = sleep if sleep is not None else time.sleep
         self.zone_code = inner.zone_code
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
         self.calls = 0
         self.slept_s = 0.0
 
     def _delay(self) -> None:
         self.calls += 1
-        delay_s = self.latency_s
-        if self.jitter_s > 0.0:
-            delay_s += float(self._rng.random()) * self.jitter_s
-        self.slept_s += delay_s
-        self.sleep(delay_s)
+        self.slept_s += self.latency_s
+        self.sleep(self.latency_s)
 
     def intensity_at(self, t: float) -> float:
         self._delay()

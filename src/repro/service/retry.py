@@ -5,7 +5,7 @@ flaky data source, in their textbook forms:
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   multiplicative jitter (decorrelates clients hammering a recovering
-  backend) plus an optional per-request deadline;
+  backend);
 * :class:`CircuitBreaker` — after ``failure_threshold`` *consecutive*
   failed requests the circuit opens and calls are refused outright for
   ``recovery_s`` (no point queueing retries at a dead backend); one
@@ -26,18 +26,15 @@ from typing import Callable, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
-from repro.service.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    TransientBackendError,
-)
+from repro.service.errors import CircuitOpenError, TransientBackendError
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "BreakerState"]
 
 _T = TypeVar("_T")
 
-#: exception types the retry loop treats as transient by default
-_DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (
+#: exception types the retry loop treats as transient; anything else
+#: propagates immediately (caller bugs must not burn retry budget)
+RETRYABLE: Tuple[Type[BaseException], ...] = (
     TransientBackendError, ConnectionError, TimeoutError)
 
 
@@ -57,20 +54,12 @@ class RetryPolicy:
     jitter_fraction:
         Each delay is scaled by ``1 + U(-j, +j)`` — full decorrelation
         at ``j=1``, none at ``j=0``.
-    deadline_s:
-        Optional budget for the whole attempt loop (sleeps included);
-        exceeding it raises :class:`DeadlineExceededError`.
-    retryable:
-        Exception types worth retrying; anything else propagates
-        immediately (caller bugs must not burn retry budget).
     """
 
     max_attempts: int = 3
     base_delay_s: float = 0.05
     multiplier: float = 2.0
     jitter_fraction: float = 0.1
-    deadline_s: Optional[float] = None
-    retryable: Tuple[Type[BaseException], ...] = _DEFAULT_RETRYABLE
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -81,8 +70,6 @@ class RetryPolicy:
             raise ValueError("multiplier must be >= 1")
         if not 0.0 <= self.jitter_fraction <= 1.0:
             raise ValueError("jitter_fraction must be in [0, 1]")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
 
     def delay_s(self, attempt: int, rng: np.random.Generator) -> float:
         """Jittered sleep before retry number ``attempt`` (1-based)."""
@@ -97,29 +84,21 @@ class RetryPolicy:
     def run(self, fn: Callable[[], _T], *,
             rng: np.random.Generator,
             sleep: Callable[[float], None] = time.sleep,
-            clock: Callable[[], float] = time.monotonic,
             on_retry: Optional[Callable[[int], None]] = None) -> _T:
         """Call ``fn`` under this schedule; returns its value or raises
-        the last retryable error (or :class:`DeadlineExceededError`).
-        ``on_retry(attempt)`` fires before each backoff sleep — the
-        service counts these, so recovered-after-retry flakiness is
-        visible in the metrics, not silently absorbed."""
-        start = clock()
+        the last retryable error.  ``on_retry(attempt)`` fires before
+        each backoff sleep — the service counts these, so
+        recovered-after-retry flakiness is visible in the metrics, not
+        silently absorbed."""
         for attempt in range(1, self.max_attempts + 1):
             try:
                 return fn()
-            except self.retryable as exc:
+            except RETRYABLE:
                 if attempt == self.max_attempts:
                     raise
-                delay = self.delay_s(attempt, rng)
-                if (self.deadline_s is not None
-                        and clock() - start + delay >= self.deadline_s):
-                    raise DeadlineExceededError(
-                        f"deadline {self.deadline_s}s exhausted after "
-                        f"{attempt} attempt(s)") from exc
                 if on_retry is not None:
                     on_retry(attempt)
-                sleep(delay)
+                sleep(self.delay_s(attempt, rng))
         raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -141,6 +141,14 @@ class Cluster:
         """
         if job_id in self._alloc:
             raise ValueError(f"job {job_id} already holds nodes; use grow()")
+        chosen = self._take_free(job_id, n_nodes, utilization)
+        self._alloc[job_id] = chosen
+        return list(chosen)
+
+    def _take_free(self, job_id: int, n_nodes: int,
+                   utilization: float) -> List[Node]:
+        """Power on and allocate the first ``n_nodes`` free nodes, in
+        node order."""
         free = [nd for nd in self.nodes
                 if nd.state in (NodeState.IDLE, NodeState.POWERED_OFF)]
         if len(free) < n_nodes:
@@ -152,8 +160,7 @@ class Cluster:
             if nd.state is NodeState.POWERED_OFF:
                 nd.power_on()
             nd.allocate(job_id, utilization)
-        self._alloc[job_id] = chosen
-        return list(chosen)
+        return chosen
 
     def release(self, job_id: int) -> None:
         """Release all nodes of ``job_id``."""
@@ -174,16 +181,7 @@ class Cluster:
             raise ValueError(f"job {job_id} holds no nodes")
         if extra_nodes < 1:
             raise ValueError("extra_nodes must be >= 1")
-        free = [nd for nd in self.nodes
-                if nd.state in (NodeState.IDLE, NodeState.POWERED_OFF)]
-        if len(free) < extra_nodes:
-            raise ValueError(f"only {len(free)} nodes free")
-        chosen = free[:extra_nodes]
-        self._invalidate()
-        for nd in chosen:
-            if nd.state is NodeState.POWERED_OFF:
-                nd.power_on()
-            nd.allocate(job_id, utilization)
+        chosen = self._take_free(job_id, extra_nodes, utilization)
         self._alloc[job_id].extend(chosen)
         return list(chosen)
 

@@ -1,5 +1,5 @@
 """Shared fixtures for the serving-layer suite: synthetic clocks and
-sleep recorders, so every TTL/backoff/breaker transition is driven
+sleep recorders, so every backoff/breaker transition is driven
 without wall-clock waits."""
 
 from __future__ import annotations

@@ -69,35 +69,6 @@ class TestFlakyProvider:
         with pytest.raises(ValueError):
             FlakyProvider(StaticProvider(1.0), failure_rate=1.5)
 
-    def test_injected_random_random_owns_the_sequence(self):
-        """An injected ``random.Random`` replaces the seeded NumPy
-        generator — same rng state, same failure sequence, in any
-        process."""
-        import random
-
-        def sequence(rng):
-            f = FlakyProvider(StaticProvider(1.0), failure_rate=0.5,
-                              rng=rng)
-            out = []
-            for t in range(40):
-                try:
-                    f.intensity_at(float(t))
-                    out.append(True)
-                except TransientBackendError:
-                    out.append(False)
-            return out
-
-        assert sequence(random.Random(3)) == sequence(random.Random(3))
-        assert sequence(random.Random(3)) != sequence(random.Random(4))
-
-    def test_injected_rng_takes_precedence_over_seed(self):
-        import random
-
-        rng = random.Random(123)
-        f = FlakyProvider(StaticProvider(1.0), failure_rate=0.5,
-                          seed=0, rng=rng)
-        assert f._rng is rng
-
 
 class TestSlowProvider:
     def test_records_latency_without_real_sleep(self, sleeper):
@@ -112,30 +83,6 @@ class TestSlowProvider:
     def test_validation(self):
         with pytest.raises(ValueError):
             SlowProvider(StaticProvider(1.0), latency_s=-0.1)
-        with pytest.raises(ValueError):
-            SlowProvider(StaticProvider(1.0), jitter_s=-0.1)
-
-    def test_jitter_is_seed_deterministic(self, sleeper):
-        def delays(seed):
-            rec = type(sleeper)()
-            s = SlowProvider(StaticProvider(1.0), latency_s=0.1,
-                             jitter_s=0.05, seed=seed, sleep=rec)
-            for t in range(10):
-                s.intensity_at(float(t))
-            return rec.delays
-
-        assert delays(3) == delays(3)
-        assert delays(3) != delays(4)
-        assert all(0.1 <= d < 0.15 for d in delays(3))
-
-    def test_injected_rng_drives_the_jitter(self, sleeper):
-        import random
-
-        s = SlowProvider(StaticProvider(1.0), latency_s=0.0,
-                         jitter_s=1.0, rng=random.Random(7),
-                         sleep=sleeper)
-        s.intensity_at(0.0)
-        assert sleeper.delays == [random.Random(7).random()]
 
     def test_no_jitter_means_fixed_latency(self, sleeper):
         s = SlowProvider(StaticProvider(1.0), latency_s=0.2,

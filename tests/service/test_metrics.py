@@ -1,11 +1,8 @@
-"""Tests for the service metrics registry."""
-
-import warnings
+"""Tests for the metrics registry behind ``repro service stats``."""
 
 import pytest
 
-from repro.obs import registry as obs_registry
-from repro.service import Counter, Gauge, LatencyHistogram, MetricsRegistry
+from repro.obs import Counter, Gauge, LatencyHistogram, MetricsRegistry
 
 
 class TestCounter:
@@ -104,12 +101,3 @@ class TestMetricsRegistry:
         m.gauge("cache.size").set(1)
         text = m.render()
         assert "cache.hits" in text and "cache.size" in text
-
-    def test_package_level_import_is_warning_free(self):
-        """``from repro.service import Counter`` re-exports the obs
-        registry classes without a warning."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.service import Counter, MetricsRegistry
-        assert Counter is obs_registry.Counter
-        assert MetricsRegistry is obs_registry.MetricsRegistry

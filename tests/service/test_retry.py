@@ -7,7 +7,6 @@ from repro.service import (
     BreakerState,
     CircuitBreaker,
     CircuitOpenError,
-    DeadlineExceededError,
     RetryPolicy,
     TransientBackendError,
 )
@@ -32,26 +31,26 @@ class FailNTimes:
 
 
 class TestRetryPolicy:
-    def test_succeeds_after_transient_failures(self, sleeper, clock):
+    def test_succeeds_after_transient_failures(self, sleeper):
         fn = FailNTimes(2)
         policy = RetryPolicy(max_attempts=3, base_delay_s=0.1,
                              jitter_fraction=0.0)
-        assert policy.run(fn, rng=rng(), sleep=sleeper, clock=clock) == "ok"
+        assert policy.run(fn, rng=rng(), sleep=sleeper) == "ok"
         assert fn.calls == 3
         assert sleeper.delays == [0.1, 0.2]  # exponential, no jitter
 
-    def test_exhaustion_reraises_last_error(self, sleeper, clock):
+    def test_exhaustion_reraises_last_error(self, sleeper):
         fn = FailNTimes(5)
         policy = RetryPolicy(max_attempts=3, base_delay_s=0.0)
         with pytest.raises(TransientBackendError):
-            policy.run(fn, rng=rng(), sleep=sleeper, clock=clock)
+            policy.run(fn, rng=rng(), sleep=sleeper)
         assert fn.calls == 3
 
-    def test_non_retryable_propagates_immediately(self, sleeper, clock):
+    def test_non_retryable_propagates_immediately(self, sleeper):
         fn = FailNTimes(1, exc=ValueError)
         policy = RetryPolicy(max_attempts=5)
         with pytest.raises(ValueError):
-            policy.run(fn, rng=rng(), sleep=sleeper, clock=clock)
+            policy.run(fn, rng=rng(), sleep=sleeper)
         assert fn.calls == 1
         assert sleeper.delays == []
 
@@ -69,21 +68,11 @@ class TestRetryPolicy:
         b = policy.delay_s(2, np.random.default_rng(7))
         assert a == b
 
-    def test_deadline_cuts_the_loop(self, sleeper, clock):
-        fn = FailNTimes(10)
-        policy = RetryPolicy(max_attempts=10, base_delay_s=1.0,
-                             jitter_fraction=0.0, deadline_s=2.5)
-        with pytest.raises(DeadlineExceededError):
-            policy.run(fn, rng=rng(), sleep=sleeper, clock=clock)
-        # attempts stop once the next backoff would cross the deadline
-        assert fn.calls < 10
-
-    def test_on_retry_callback_counts_attempts(self, sleeper, clock):
+    def test_on_retry_callback_counts_attempts(self, sleeper):
         fn = FailNTimes(2)
         seen = []
         RetryPolicy(max_attempts=3, base_delay_s=0.0).run(
-            fn, rng=rng(), sleep=sleeper, clock=clock,
-            on_retry=seen.append)
+            fn, rng=rng(), sleep=sleeper, on_retry=seen.append)
         assert seen == [1, 2]
 
     def test_validation(self):
@@ -95,8 +84,6 @@ class TestRetryPolicy:
             RetryPolicy(multiplier=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(jitter_fraction=2.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline_s=0.0)
         with pytest.raises(ValueError):
             RetryPolicy().delay_s(0, rng())
 

@@ -54,12 +54,6 @@ class TestTransparency:
         with pytest.raises(ValueError):
             service.history(DAY, HOUR)
 
-    def test_proxies_backend_attributes(self, clock):
-        backend = SyntheticProvider("FI", seed=0)
-        service = make_service(backend, clock)
-        assert service.zone_code == "FI"
-        assert service.model is backend.model
-
     def test_ensure_never_double_wraps(self, clock):
         service = make_service(StaticProvider(10.0), clock)
         assert CarbonService.ensure(service) is service
@@ -95,23 +89,17 @@ class TestCaching:
         assert service.intensity_at(900.0) == 50.0  # next window: new fetch
         assert backend.calls == 2
 
-    def test_ttl_expiry_refetches(self, clock):
-        backend = FlakyProvider(StaticProvider(5.0))
-        service = make_service(backend, clock, ttl_s=60.0)
-        service.intensity_at(0.0)
-        clock.advance(61.0)
-        service.intensity_at(0.0)
-        assert backend.calls == 2
-        assert service.snapshot()["cache.expirations"] == 1
-
-    def test_history_windows_cached_exactly(self, clock):
+    def test_history_is_never_cached(self, clock):
         backend = FlakyProvider(SyntheticProvider("DE", seed=0))
         service = make_service(backend, clock)
         a = service.history(0.0, DAY)
         b = service.history(0.0, DAY)
-        assert a is b  # same cached object
-        service.history(0.0, 2 * DAY)  # different window: new fetch
-        assert backend.calls == 2
+        np.testing.assert_array_equal(a.values, b.values)
+        assert backend.calls == 2  # one guarded backend call each
+        assert len(service.cache) == 0
+        snap = service.snapshot()
+        assert snap["backend.calls"] == 2
+        assert "cache.misses" not in snap  # history is not a cache lookup
 
 
 class TestCoalescing:
@@ -150,7 +138,7 @@ class TestCoalescing:
 
 class TestDegradation:
     """The acceptance-critical paths: the breaker opens at its threshold,
-    queries degrade to cached/fallback values (never raise), and the
+    queries degrade to last-good/fallback values (never raise), and the
     breaker half-opens and recovers."""
 
     def test_breaker_opens_after_configured_threshold(self, clock):
@@ -164,15 +152,6 @@ class TestDegradation:
         assert service.breaker.state is BreakerState.OPEN
         assert backend.calls == 3
         assert service.snapshot()["backend.failures"] == 3
-
-    def test_degrades_to_stale_cached_value(self, clock):
-        backend = FlakyProvider(StaticProvider(80.0))
-        service = make_service(backend, clock, ttl_s=60.0)
-        assert service.intensity_at(7.0) == 80.0
-        backend.fail_all = True
-        clock.advance(120.0)  # entry now expired -> stale
-        assert service.intensity_at(7.0) == 80.0
-        assert service.snapshot()["degraded.stale"] >= 1
 
     def test_degrades_to_last_good_for_unseen_key(self, clock):
         backend = FlakyProvider(StaticProvider(80.0))
@@ -199,6 +178,20 @@ class TestDegradation:
                                fallback=StaticProvider(20.0))
         h = service.history(0.0, DAY)
         assert h.mean() == pytest.approx(20.0)
+
+    def test_degradation_order_per_lookup_kind(self, clock):
+        """With both tiers available, a spot lookup takes the last-good
+        value first and a history window takes the fallback first."""
+        backend = FlakyProvider(StaticProvider(80.0))
+        service = make_service(backend, clock,
+                               fallback=StaticProvider(20.0))
+        service.intensity_at(0.0)  # last-good marginal value: 80
+        backend.fail_all = True
+        assert service.intensity_at(999.0) == 80.0
+        assert service.history(0.0, 6 * HOUR).mean() == pytest.approx(20.0)
+        snap = service.snapshot()
+        assert snap["degraded.last_good"] == 1
+        assert snap["degraded.fallback"] == 1
 
     def test_degraded_history_from_last_good_constant(self, clock):
         backend = FlakyProvider(StaticProvider(80.0))
