@@ -24,6 +24,11 @@ account.  Energy is power times the step; carbon is
 totals are the same bits as integrating each job's own window and
 every cluster segment after the run.  The cluster total is kept as a
 running sum.
+
+Telemetry is a view of the same steps: each step records, at ``t0``,
+one reading per sensor that holds over ``[t0, now)`` — its watts, the
+mean intensity its carbon was charged at, and its busy nodes — so the
+series integrate to the totals and a zero-length state leaves none.
 """
 
 from __future__ import annotations
@@ -61,6 +66,10 @@ PRIO_PHASE = 1          # checkpoint/restore phase ends
 PRIO_ARRIVAL = 3
 PRIO_SCHEDULE = 5
 PRIO_TICK = 7
+
+#: failure requeues before the next failure cancels the job (Slurm's
+#: ``MaxBatchRequeue`` default): no job restarts forever
+MAX_FAILURE_REQUEUES = 5
 
 
 @dataclass(frozen=True)
@@ -178,9 +187,11 @@ class RJMS:
         performance scheduling).  Whatever is passed is fronted by a
         value-transparent :class:`~repro.service.core.CarbonService`
         (already-wrapped providers are used as-is), so every intensity
-        lookup in the simulation — accounting, telemetry, policies —
-        flows through the serving layer's fault handling; spot lookups
-        are also cached, history windows are not.
+        lookup in the simulation — accounting and policies — flows
+        through the serving layer's fault handling; spot lookups are
+        also cached, history windows are not.  A telemetry reading at
+        ``t`` holds over the accrued step that starts at ``t``; its
+        ``grid.intensity`` is the step's time-weighted mean.
     queues:
         Queue configuration; orders the pending queue.
     tick_seconds:
@@ -223,10 +234,9 @@ class RJMS:
         self.job_caps: Dict[int, Optional[float]] = {}
         #: jobs currently in a checkpoint or restore phase
         self._phase: Dict[int, str] = {}
-        self._phase_events: Dict[int, Event] = {}
-        self._completion_events: Dict[int, Event] = {}
+        #: each job's one live completion or phase-end event
+        self._job_events: Dict[int, Event] = {}
         self._managers: List[_Manager] = []
-        self._max_seen_time = start_time
         self._finalized = False
         #: cluster carbon accrued so far (g), one term per power segment
         self._carbon_g = 0.0
@@ -264,17 +274,20 @@ class RJMS:
         ``t0`` is the cluster's previous accrual time.  Completion,
         suspension and node failure all take a job out of ``running``
         and zero its power, so the running jobs are the only accounts
-        that accrue; one intensity integral serves them and the cluster.
+        that accrue; one intensity integral serves them, the cluster
+        and the step's telemetry (this is its only writer).
         """
         t0, now = self.cluster.last_accrual, self.now
         watts = self.cluster.accrue(now)
-        if now <= t0 or (watts <= 0 and not self.running):
+        if now <= t0:
             return
         integral = self.provider.history(t0, now).integrate_intensity(t0, now)
-        if watts > 0:
-            self._carbon_g += (watts / units.WATTS_PER_KW) * integral \
-                / units.SECONDS_PER_HOUR
+        self._carbon_g += (watts / units.WATTS_PER_KW) * integral \
+            / units.SECONDS_PER_HOUR
         dt = now - t0
+        self.telemetry.record("cluster.power", t0, watts)
+        self.telemetry.record("grid.intensity", t0, integral / dt)
+        self.telemetry.record("cluster.nodes_busy", t0, self.cluster.n_busy)
         for jid in self.running:
             acc = self.accounts[jid]
             w = acc.current_power_w
@@ -284,20 +297,9 @@ class RJMS:
                 acc.carbon_g += (w / units.WATTS_PER_KW) * integral \
                     / units.SECONDS_PER_HOUR
 
-    def _job_power_now(self, job: Job) -> float:
-        """Current draw of a job's allocation (W)."""
-        nodes = self.cluster.nodes_of_job(job.job_id)
-        return sum(nd.current_power() for nd in nodes)
-
     def _refresh_job_power(self, job: Job) -> None:
-        self.accounts[job.job_id].current_power_w = self._job_power_now(job)
-
-    def _record_telemetry(self) -> None:
-        now = self.now
-        self.telemetry.record("cluster.power", now, self.cluster.current_power())
-        self.telemetry.record("grid.intensity", now,
-                              self.provider.intensity_at(max(now, 0.0)))
-        self.telemetry.record("cluster.nodes_busy", now, self.cluster.n_busy)
+        self.accounts[job.job_id].current_power_w = sum(
+            nd.current_power() for nd in self.cluster.nodes_of_job(job.job_id))
 
     # -- lifecycle: arrival ----------------------------------------------------------
 
@@ -325,12 +327,12 @@ class RJMS:
         self._schedule_completion(job)
 
     def _schedule_completion(self, job: Job) -> None:
-        old = self._completion_events.pop(job.job_id, None)
+        old = self._job_events.pop(job.job_id, None)
         if old is not None:
             old.cancel()
         eta = job.eta(self.now)
         if np.isfinite(eta):
-            self._completion_events[job.job_id] = self.engine.schedule_at(
+            self._job_events[job.job_id] = self.engine.schedule_at(
                 eta, self._completion_fn(job), priority=PRIO_COMPLETION,
                 label=f"complete:{job.job_id}")
 
@@ -342,11 +344,8 @@ class RJMS:
             job.complete(self.now)
             self.cluster.release(job.job_id)
             self.running.pop(job.job_id, None)
-            self._completion_events.pop(job.job_id, None)
-            acc = self.accounts[job.job_id]
-            acc.current_power_w = 0.0
-            self._record_telemetry()
-            self._max_seen_time = max(self._max_seen_time, self.now)
+            self._job_events.pop(job.job_id, None)
+            self.accounts[job.job_id].current_power_w = 0.0
             self._schedule_pass()
         return _complete
 
@@ -376,11 +375,11 @@ class RJMS:
         # checkpoint phase: nodes busy, no progress
         job.set_perf_factor(self.now, 0.0)
         self._phase[job.job_id] = "checkpoint"
-        ev = self._completion_events.pop(job.job_id, None)
+        ev = self._job_events.pop(job.job_id, None)
         if ev is not None:
             ev.cancel()
         ckpt_s = self.checkpoint_model.checkpoint_seconds(job)
-        self._phase_events[job.job_id] = self.engine.schedule_in(
+        self._job_events[job.job_id] = self.engine.schedule_in(
             ckpt_s, self._finish_suspend_fn(job), priority=PRIO_PHASE,
             label=f"ckpt-done:{job.job_id}")
 
@@ -390,11 +389,10 @@ class RJMS:
             self.cluster.release(job.job_id)
             job.suspend(self.now)
             self._phase.pop(job.job_id, None)
-            self._phase_events.pop(job.job_id, None)
+            self._job_events.pop(job.job_id, None)
             self.running.pop(job.job_id, None)
             self.suspended[job.job_id] = job
             self.accounts[job.job_id].current_power_w = 0.0
-            self._record_telemetry()
             self._schedule_pass()
         return _finish
 
@@ -418,10 +416,9 @@ class RJMS:
         self.running[job.job_id] = job
         self._refresh_job_power(job)
         restore_s = self.checkpoint_model.restore_seconds(job)
-        self._phase_events[job.job_id] = self.engine.schedule_in(
+        self._job_events[job.job_id] = self.engine.schedule_in(
             restore_s, self._finish_resume_fn(job), priority=PRIO_PHASE,
             label=f"restore-done:{job.job_id}")
-        self._record_telemetry()
 
     def _finish_resume_fn(self, job: Job):
         def _finish() -> None:
@@ -429,13 +426,12 @@ class RJMS:
                 return
             self._accrue_all()
             self._phase.pop(job.job_id, None)
-            self._phase_events.pop(job.job_id, None)
+            self._job_events.pop(job.job_id, None)
             nodes = self.cluster.nodes_of_job(job.job_id)
             perf = nodes[0].perf_factor if nodes else 1.0
             job.set_perf_factor(self.now, perf)
             self._schedule_completion(job)
             self._refresh_job_power(job)
-            self._record_telemetry()
         return _finish
 
     # -- lifecycle: node failures (fail-in-place, paper ref [40]) -------------------
@@ -447,8 +443,9 @@ class RJMS:
         Failure semantics follow standard MPI practice: losing one node
         kills the whole job.  Jobs flagged ``suspendable`` are assumed to
         checkpoint on their own and keep their banked progress; others
-        restart from scratch.  The node returns to service after
-        ``repair_seconds``.
+        restart from scratch; after :data:`MAX_FAILURE_REQUEUES` requeues
+        the job is cancelled instead.  Its account keeps what it used.
+        The node returns to service after ``repair_seconds``.
         """
         if not 0 <= node_id < self.cluster.n_nodes:
             raise ValueError(f"no node {node_id}")
@@ -464,29 +461,29 @@ class RJMS:
             job = self.running.get(node.job_id)
             if job is None:  # pragma: no cover - bookkeeping guard
                 raise RuntimeError("busy node with unknown job")
-            for evmap in (self._completion_events, self._phase_events):
-                ev = evmap.pop(job.job_id, None)
-                if ev is not None:
-                    ev.cancel()
+            ev = self._job_events.pop(job.job_id, None)
+            if ev is not None:
+                ev.cancel()
             self._phase.pop(job.job_id, None)
             self.cluster.release(job.job_id)
-            job.requeue(self.now, lose_progress=not job.suspendable)
             self.running.pop(job.job_id, None)
             self.accounts[job.job_id].current_power_w = 0.0
-            self.pending.append(job)
+            if job.n_restarts >= MAX_FAILURE_REQUEUES:
+                job.cancel(self.now)
+            else:
+                job.requeue(self.now, lose_progress=not job.suspendable)
+                self.pending.append(job)
 
         self.cluster.mark_down(node_id)
         self.engine.schedule_in(repair_seconds, self._repair_fn(node_id),
                                 priority=PRIO_PHASE,
                                 label=f"repair:{node_id}")
-        self._record_telemetry()
         self._schedule_pass()
 
     def _repair_fn(self, node_id: int):
         def _repair() -> None:
             self._accrue_all()
             self.cluster.repair(node_id)
-            self._record_telemetry()
             self._schedule_pass()
         return _repair
 
@@ -514,7 +511,6 @@ class RJMS:
         job.resize(self.now, n_nodes)
         self._schedule_completion(job)
         self._refresh_job_power(job)
-        self._record_telemetry()
 
     # -- scheduling pass --------------------------------------------------------------------
 
@@ -567,9 +563,6 @@ class RJMS:
                 hook = getattr(mgr, "on_jobs_started", None)
                 if hook is not None:
                     hook(self)
-            # telemetry is sampled after capping: the pre-cap state has
-            # zero duration and would show phantom budget overshoots
-            self._record_telemetry()
 
     # -- tick ------------------------------------------------------------------------------------
 
@@ -578,10 +571,6 @@ class RJMS:
         for mgr in self._managers:
             mgr.on_tick(self)
         self._schedule_pass()
-        # sample telemetry only after managers and scheduling settle —
-        # mid-redistribution states have zero duration and would show
-        # phantom budget overshoots
-        self._record_telemetry()
         # keep ticking while there is (or will be) anything to manage;
         # peek_time drops cancelled heads, which step() would skip anyway
         if self.pending or self.running or self.suspended \

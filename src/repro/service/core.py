@@ -157,13 +157,11 @@ class CarbonService(CarbonIntensityProvider):
             except _ABSORBED:
                 self.breaker.record_failure()
                 self.metrics.counter("backend.failures").inc()
-                self._update_breaker_gauge()
                 raise
         self.breaker.record_success()
         self.metrics.counter("backend.calls").inc()
         self.metrics.histogram("backend.latency").observe(
             max(0.0, self.clock() - started))
-        self._update_breaker_gauge()
         return value
 
     def _update_breaker_gauge(self) -> None:

@@ -44,6 +44,10 @@ class TelemetryDB:
     Readings must be appended in non-decreasing time order per sensor
     (the simulator clock is monotone); this keeps queries binary-search
     fast without an index.
+
+    A reading holds until the next one.  The RJMS records one per
+    sensor per accrued step, at the step's start; ``grid.intensity`` is
+    the step's time-weighted mean.
     """
 
     def __init__(self) -> None:

@@ -14,6 +14,7 @@ from repro.powerstack import (
 )
 from repro.scheduler import RJMS, EasyBackfillPolicy
 from repro.simulator import Cluster, WorkloadConfig, WorkloadGenerator
+from tests.integration.test_properties import assert_telemetry_reconciles
 
 HOUR = 3600.0
 
@@ -46,6 +47,11 @@ class TestStaticBudget:
         assert result.power_trace.peak_power() <= budget * 1.001
         _, power = result.telemetry.series("cluster.power")
         assert np.max(power) <= budget * 1.001
+        # caps bound: some job ran slower than its work at full speed;
+        # each capped segment is recorded once, so telemetry reconciles
+        assert any(j.end_time - j.start_time > j.work_seconds + 1.0
+                   for j in result.jobs)
+        assert_telemetry_reconciles(result, site.sysmgr.cluster.last_accrual)
 
     def test_all_jobs_complete_under_caps(self, node_power_model, workload):
         budget = 8 * node_power_model.peak_watts \

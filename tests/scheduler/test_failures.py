@@ -6,6 +6,7 @@ import pytest
 
 from repro.grid import SyntheticProvider
 from repro.scheduler import RJMS, EasyBackfillPolicy
+from repro.scheduler.rjms import MAX_FAILURE_REQUEUES
 from repro.simulator import (
     Cluster,
     FailureInjector,
@@ -90,6 +91,27 @@ class TestFailNode:
         # self-checkpointing job only pays the requeue delay, not a full
         # restart: ends well before the lose-everything case
         assert job.end_time < 5 * HOUR + 3600.0
+
+    def test_requeue_cap_cancels_job(self, node_power_model):
+        """A job killed once more than ``MAX_FAILURE_REQUEUES`` times is
+        cancelled, keeping what it used, instead of restarting forever."""
+        cluster = Cluster(8, node_power_model)
+        job = one_job()
+        rjms = RJMS(cluster, [job], EasyBackfillPolicy())
+
+        class FailAlways:
+            def on_tick(self, r):
+                if job.state is JobState.RUNNING:
+                    victim = r.cluster.nodes_of_job(1)[0]
+                    r.fail_node(victim.node_id, repair_seconds=HOUR)
+
+        rjms.register_manager(FailAlways())
+        result = rjms.run()
+        assert job.state is JobState.CANCELLED
+        assert job.n_restarts == MAX_FAILURE_REQUEUES
+        assert result.accounts[1].energy_kwh > 0
+        assert not result.completed_jobs
+        cluster.check_invariants()
 
     def test_validation(self, node_power_model):
         cluster = Cluster(4, node_power_model)

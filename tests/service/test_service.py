@@ -319,4 +319,7 @@ class TestSchedulerNeverSeesAnError:
         assert all(j.end_time is not None for j in result.jobs)
         assert result.total_carbon_kg >= 0.0
         snap = service.snapshot()
-        assert snap["cache.hits"] > 0  # the serving layer actually served
+        # the serving layer actually served, and degraded some failures
+        assert snap.get("backend.calls", 0) > 0
+        assert snap.get("degraded.last_good", 0) \
+            + snap.get("degraded.fallback", 0) > 0
