@@ -70,6 +70,11 @@ class Forecaster(ABC):
         ``predict(n).values[:m]`` equals ``predict(m).values`` exactly, so
         a caller may predict once at its widest horizon and read shorter
         horizons off that forecast (the carbon-backfill gate does).
+
+        A prediction depends only on the fitted history (and on fixed
+        constructor state such as an oracle's provider): two fits on
+        equal traces predict the same samples, so a caller may keep a
+        forecast while its history window is unchanged (the gate does).
         """
         if horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")

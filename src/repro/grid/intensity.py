@@ -22,6 +22,7 @@ from the values, so it takes no part in equality or ``repr``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -154,10 +155,11 @@ class CarbonIntensityTrace:
         """Sub-trace covering ``[t0, t1)``; sample boundaries are preserved."""
         if t1 <= t0:
             raise ValueError(f"empty window [{t0}, {t1})")
-        i0 = int(np.clip(np.floor((t0 - self.start_time) / self.step_seconds),
-                         0, len(self) - 1))
-        i1 = int(np.clip(np.ceil((t1 - self.start_time) / self.step_seconds),
-                         i0 + 1, len(self)))
+        n = len(self)
+        i0 = min(max(math.floor((t0 - self.start_time) / self.step_seconds),
+                     0), n - 1)
+        i1 = min(max(math.ceil((t1 - self.start_time) / self.step_seconds),
+                     i0 + 1), n)
         return CarbonIntensityTrace(
             self.values[i0:i1], self.step_seconds,
             self.start_time + i0 * self.step_seconds, self.zone)

@@ -13,10 +13,13 @@ each startable job the policy compares the forecast mean intensity over
 times within the slack window; it holds the job when starting later
 saves at least ``min_saving_fraction``.
 
-Each scheduling pass fits the forecaster once, on trailing history, and
-predicts far enough for every pending job; each job's start slots are
-then scored in one array ``mean_over`` call, and its verdict is reused
-if the reduced second EASY pass offers it again.
+Each scheduling pass needs one forecast, on trailing history, far enough
+for every pending job.  The forecaster is fit only when that history
+differs from the last one it was fit on; otherwise the last forecast is
+reused (a prediction depends only on the fitted history, and a longer
+one only appends samples).  The start slots of all the jobs a pass may
+start are scored in one 2-D ``mean_over`` call, and the jobs that only
+the reduced second EASY pass offers in a second one.
 
 Starvation safety: a job whose accumulated wait exceeds ``max_delay_s``
 bypasses the gate unconditionally, so the policy degrades to plain EASY
@@ -28,7 +31,7 @@ to later non-held jobs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -81,6 +84,9 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         self.history_s = float(history_s)
         self.min_job_seconds = float(min_job_seconds)
         self._inner = EasyBackfillPolicy()
+        #: the last history the forecaster was fit on, and its forecast
+        self._fitted: Optional[Tuple[CarbonIntensityTrace,
+                                     CarbonIntensityTrace]] = None
 
     # -- carbon gate -----------------------------------------------------------
 
@@ -97,7 +103,13 @@ class CarbonBackfillPolicy(SchedulerPolicy):
 
     def _forecast(self, ctx: SchedulingContext,
                   horizon_s: float) -> Optional[CarbonIntensityTrace]:
-        """Forecast trace covering [now, now + horizon]; None if infeasible."""
+        """Forecast trace covering [now, now + horizon]; None if infeasible.
+
+        Fits only when the trailing history differs from the last fitted
+        one.  While it is equal, the last forecast (and its cached
+        cumulative integral) is returned as is, or predicted further if
+        it is too short.
+        """
         t0 = max(0.0, ctx.now - self.history_s)
         if ctx.now - t0 < 2 * units.SECONDS_PER_HOUR:
             return None  # not enough history to say anything
@@ -105,27 +117,55 @@ class CarbonBackfillPolicy(SchedulerPolicy):
             history = ctx.provider.history(t0, ctx.now)
         except ValueError:
             return None
-        self.forecaster.fit(history)
-        steps = int(np.ceil(horizon_s / history.step_seconds)) + 1
-        return self.forecaster.predict(max(1, steps))
+        steps = max(1, int(np.ceil(horizon_s / history.step_seconds)) + 1)
+        last = self._fitted
+        if last is not None and last[0] == history:
+            if len(last[1]) >= steps:
+                return last[1]
+            history = last[0]
+        # refit unless the forecaster still holds this very trace (it
+        # does, unless another caller shares and refit it)
+        if last is None or self.forecaster.history is not history:
+            self.forecaster.fit(history)
+        forecast = self.forecaster.predict(steps)
+        self._fitted = (history, forecast)
+        return forecast
 
-    def _should_hold(self, forecast: CarbonIntensityTrace, slack: float,
-                     runtime: float) -> bool:
-        """True when delaying a job promises enough carbon savings.
+    def _score(self, forecast: CarbonIntensityTrace,
+               windows: Sequence[Tuple[float, float]]
+               ) -> Tuple[List[float], List[float]]:
+        """Forecast means of each ``(slack, runtime)`` window's job started
+        now and at its best start slot within its slack.
 
-        Compares the forecast mean over ``[now, now + runtime)`` with the
-        best mean over start slots within the slack window, all slots
-        scored in one array call.  ``forecast`` starts now and must reach
-        past ``now + slack + runtime``, as :meth:`_forecast` guarantees.
+        All start slots of all jobs are scored in one 2-D ``mean_over``
+        call on the grid ``now + k * step``; a job's slots past its own
+        slack are masked to ``+inf`` before the row minimum.  Every
+        operation is elementwise or a row minimum, so a row has the bits
+        of scoring its job alone.  ``forecast`` starts now and must reach
+        past ``now + slack + runtime`` of every window, as
+        :meth:`_forecast` guarantees.
         """
         step = forecast.step_seconds
-        starts = forecast.start_time + np.arange(int(slack // step) + 1) * step
-        means = forecast.mean_over(starts, starts + runtime)
-        now_mean = float(means[0])
-        if now_mean <= 0:
-            return False
-        best = float(means.min())
-        return (now_mean - best) / now_mean >= self.min_saving_fraction
+        n_slots = np.array([int(slack // step) + 1 for slack, _ in windows])
+        runtimes = np.array([runtime for _, runtime in windows])
+        slots = np.arange(n_slots.max())
+        starts = forecast.start_time + slots * step
+        means = forecast.mean_over(starts, starts + runtimes[:, None])
+        means[slots >= n_slots[:, None]] = np.inf
+        return means[:, 0].tolist(), means.min(axis=1).tolist()
+
+    def _held(self, forecast: CarbonIntensityTrace, jobs: Iterable[Job],
+              windows: Dict[int, Tuple[float, float]]) -> Set[int]:
+        """Ids of the ``jobs`` whose start the gate delays: those whose best
+        slot promises at least ``min_saving_fraction`` below starting now."""
+        ids = [j.job_id for j in jobs if j.job_id in windows]
+        if not ids:
+            return set()
+        now_means, best_means = self._score(forecast,
+                                            [windows[i] for i in ids])
+        return {i for i, now_mean, best in zip(ids, now_means, best_means)
+                if now_mean > 0
+                and (now_mean - best) / now_mean >= self.min_saving_fraction}
 
     # -- policy ------------------------------------------------------------------
 
@@ -142,16 +182,7 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         forecast = self._forecast(ctx, max(map(sum, windows.values())))
         if forecast is None:
             return base
-        verdicts: Dict[int, bool] = {}
-
-        def holds(job: Job) -> bool:
-            if job.job_id not in verdicts:
-                window = windows.get(job.job_id)
-                verdicts[job.job_id] = (window is not None and
-                                        self._should_hold(forecast, *window))
-            return verdicts[job.job_id]
-
-        held_ids = {d.job.job_id for d in base if holds(d.job)}
+        held_ids = self._held(forecast, (d.job for d in base), windows)
         if not held_ids:
             return base
         # Holding freed nodes: rerun the inner policy on the reduced
@@ -165,4 +196,9 @@ class CarbonBackfillPolicy(SchedulerPolicy):
             running=ctx.running,
             expected_end=ctx.expected_end,
         )
-        return [d for d in self._inner.schedule(reduced) if not holds(d.job)]
+        second = self._inner.schedule(reduced)
+        offered = {d.job.job_id for d in base}
+        held_ids = self._held(forecast, (d.job for d in second
+                                         if d.job.job_id not in offered),
+                              windows)
+        return [d for d in second if d.job.job_id not in held_ids]

@@ -6,7 +6,8 @@ execution of the job during high carbon periods and resume execution
 when the intensity is low."
 
 This manager runs on the RJMS tick.  Each tick it classifies the current
-intensity against trailing-history percentiles:
+intensity against trailing-history percentiles (computed once per
+distinct history window, not once per tick):
 
 * above the ``suspend_percentile`` -> suspend suspendable running jobs
   (largest allocations first — most carbon moved per checkpoint), if
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.grid.intensity import CarbonIntensityTrace
 from repro.scheduler.rjms import RJMS
 from repro.simulator.jobs import Job, JobState
 from repro import units
@@ -74,16 +76,24 @@ class CarbonCheckpointPolicy:
         #: suspension order for FIFO resume
         self._suspend_seq: Dict[int, int] = {}
         self._seq = 0
+        #: the last history window and its (suspend, resume) thresholds
+        self._last: tuple[CarbonIntensityTrace,
+                          tuple[float, float]] | None = None
 
     # -- intensity classification ------------------------------------------------
 
     def _thresholds(self, rjms: RJMS) -> tuple[float, float] | None:
+        """``(suspend_above, resume_below)`` percentiles of the trailing
+        history; recomputed only when that history differs from the
+        last one (the window moves in whole samples, not every tick)."""
         t0 = max(0.0, rjms.now - self.history_s)
         if rjms.now - t0 < 6 * units.SECONDS_PER_HOUR:
             return None  # not enough history
         hist = rjms.provider.history(t0, rjms.now)
-        return (hist.percentile(self.suspend_percentile),
-                hist.percentile(self.resume_percentile))
+        if self._last is None or self._last[0] != hist:
+            self._last = (hist, (hist.percentile(self.suspend_percentile),
+                                 hist.percentile(self.resume_percentile)))
+        return self._last[1]
 
     # -- manager hook -------------------------------------------------------------
 

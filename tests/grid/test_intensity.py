@@ -260,6 +260,35 @@ class TestCumulativeIntegral:
         assert "_cum" in vars(t)
 
 
+def clip_window(trace, t0, t1):
+    """``(start_time, values)`` of ``trace.window(t0, t1)`` by the array
+    ``np.floor``/``np.clip`` bin bounds it used before: the reference for
+    its scalar ``math`` bounds."""
+    i0 = int(np.clip(np.floor((t0 - trace.start_time) / trace.step_seconds),
+                     0, len(trace) - 1))
+    i1 = int(np.clip(np.ceil((t1 - trace.start_time) / trace.step_seconds),
+                     i0 + 1, len(trace)))
+    return trace.start_time + i0 * trace.step_seconds, trace.values[i0:i1]
+
+
+class TestWindowBounds:
+    @given(trace_and_bounds(), st.floats(-1e3, 1e3), st.floats(0.0, 1e3))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_clip_formula(self, case, jitter, extra):
+        """Random bounds, also wholly before or after the trace, off the
+        quarter-second grid, and a zero ``t0`` on a late trace."""
+        trace, t0, t1 = case
+        for a, b in ((t0, t1), (t1, t0), (t0 + jitter, t0 + jitter + extra),
+                     (0.0, trace.start_time + jitter)):
+            if b <= a:
+                continue
+            w = trace.window(a, b)
+            start, values = clip_window(trace, a, b)
+            assert w.start_time == start
+            np.testing.assert_array_equal(w.values, values)
+            assert w.step_seconds == trace.step_seconds
+
+
 class TestEquality:
     def test_equal_traces(self):
         a = make([100, 200], start=10.0)

@@ -1,6 +1,7 @@
 """Tests for the carbon-aware backfill plugin (§3.3)."""
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,37 +130,65 @@ def slot_loop_holds(forecast, slack, runtime, min_saving_fraction):
     return (now_mean - best) / now_mean >= min_saving_fraction
 
 
+def gate_batch(rng):
+    """A random gate batch: step, saving fraction, ``(slack, runtime)``
+    windows and the samples its forecasts are cut from."""
+    step = float(rng.choice([900.0, HOUR]))
+    frac = float(rng.choice([0.0, 0.01, 0.03, 0.05, 0.2, 0.5]))
+    windows = [(float(rng.uniform(0.1, 30.0)) * HOUR,
+                float(rng.uniform(0.25, 20.0)) * HOUR)
+               for _ in range(int(rng.integers(1, 9)))]
+    steps = max(horizon_steps(w, step) for w in windows)
+    hours = np.arange(steps + int(rng.integers(0, 30))) * step / HOUR
+    values = np.clip(300 + 150 * np.sin(2 * np.pi * hours / 24)
+                     + rng.normal(0, 40, hours.size), 0, None)
+    if rng.random() < 0.1:
+        values[:] = 250.0  # flat: nothing to gain
+    start = float(rng.integers(1, 400)) * step
+    return step, frac, windows, steps, values, start
+
+
+def horizon_steps(window, step):
+    """Forecast samples one job's window needs, as the policy sizes them."""
+    return int(np.ceil(sum(window) / step)) + 1
+
+
 class TestGate:
     def test_array_gate_matches_slot_loop(self):
-        """One array ``mean_over`` per job gives the slot loop's verdict,
-        on a forecast of the job's own horizon or a longer one."""
+        """One 2-D ``mean_over`` call scores a batch of jobs: every row's
+        verdict is the slot loop's, and its now and best means are the
+        bits of scoring that job alone on its own forecast, whether the
+        batch's forecast is its own horizon or a longer one."""
         rng = np.random.default_rng(11)
-        held = 0
-        for _ in range(400):
-            step = float(rng.choice([900.0, HOUR]))
-            slack = float(rng.uniform(0.1, 30.0)) * HOUR
-            runtime = float(rng.uniform(0.25, 20.0)) * HOUR
-            frac = float(rng.choice([0.0, 0.01, 0.03, 0.05, 0.2, 0.5]))
-            steps = int(np.ceil((slack + runtime) / step)) + 1
-            extra = int(rng.integers(0, 30))
-            hours = np.arange(steps + extra) * step / HOUR
-            values = np.clip(300 + 150 * np.sin(2 * np.pi * hours / 24)
-                             + rng.normal(0, 40, hours.size), 0, None)
-            if rng.random() < 0.1:
-                values[:] = 250.0  # flat: nothing to gain
-            start = float(rng.integers(1, 400)) * step
-            own = CarbonIntensityTrace(values[:steps], step, start)
-            wide = CarbonIntensityTrace(values, step, start)
+        held = scored = 0
+        while scored < 400:
+            step, frac, windows, steps, values, start = gate_batch(rng)
             policy = CarbonBackfillPolicy(min_saving_fraction=frac)
-            expected = slot_loop_holds(own, slack, runtime, frac)
-            assert policy._should_hold(own, slack, runtime) == expected
-            assert policy._should_hold(wide, slack, runtime) == expected
-            held += expected
-        assert 0 < held < 400
+            jobs = [SimpleNamespace(job_id=k) for k in range(len(windows))]
+            by_id = dict(enumerate(windows))
+            alone = []
+            for w in windows:
+                own = CarbonIntensityTrace(
+                    values[:horizon_steps(w, step)], step, start)
+                now_mean, best = policy._score(own, [w])
+                alone.append((own, now_mean[0], best[0]))
+            for forecast in (CarbonIntensityTrace(values[:steps], step, start),
+                             CarbonIntensityTrace(values, step, start)):
+                now_means, bests = policy._score(forecast, windows)
+                held_ids = policy._held(forecast, jobs, by_id)
+                for k, (own, now_mean, best) in enumerate(alone):
+                    assert (now_means[k], bests[k]) == (now_mean, best)
+                    assert (k in held_ids) == slot_loop_holds(
+                        own, *windows[k], frac)
+            held += len(held_ids)
+            scored += len(windows)
+        assert 0 < held < scored
 
     def test_one_forecast_per_pass(self, node_power_model, light_workload):
-        """At most one fit per ``schedule()``, also in passes where holds
-        trigger the reduced second inner pass."""
+        """At most one fit per ``schedule()``, and a pass fits only when
+        its history trace differs from the last fitted one, also in passes
+        where holds trigger the reduced second inner pass; so the fits
+        number the distinct history windows."""
 
         class CountingForecaster(SeasonalNaiveForecaster):
             fits = 0
@@ -179,12 +208,24 @@ class TestGate:
 
         policy._inner.schedule = counted_inner
         schedule = policy.schedule
+        windows = []  # each pass's history traces
         fits_per_pass = []
 
         def counted(ctx):
+            history = ctx.provider.history
             before = CountingForecaster.fits
             inner_calls.append(0)
-            out = schedule(ctx)
+            windows.append([])
+
+            def recorded(t0, t1):
+                windows[-1].append(history(t0, t1))
+                return windows[-1][-1]
+
+            ctx.provider.history = recorded
+            try:
+                out = schedule(ctx)
+            finally:
+                del ctx.provider.history
             fits_per_pass.append(CountingForecaster.fits - before)
             return out
 
@@ -193,5 +234,12 @@ class TestGate:
         assert len(result.completed_jobs) == len(light_workload)
         assert max(fits_per_pass) == 1
         assert inner_calls.count(2) > 0  # holds ran the second pass
-        assert all(f == 1 for f, n in zip(fits_per_pass, inner_calls)
-                   if n == 2)
+        last, distinct = None, 0
+        for fits, traces in zip(fits_per_pass, windows):
+            assert len(traces) <= 1  # one history request per pass
+            for trace in traces:
+                assert fits == (trace != last)
+                distinct += trace != last
+                last = trace
+        assert CountingForecaster.fits == distinct
+        assert distinct < sum(map(len, windows))  # some passes reused

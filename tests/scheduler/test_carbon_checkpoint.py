@@ -1,10 +1,13 @@
 """Tests for the carbon-aware checkpoint/restart manager (§3.3)."""
 
 import copy
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from repro.grid import SyntheticProvider
+from repro.grid import CarbonIntensityTrace, SyntheticProvider
+from repro.powerstack import LinearScalingPolicy, SiteController
 from repro.scheduler import CarbonCheckpointPolicy, EasyBackfillPolicy, RJMS
 from repro.simulator import (
     CheckpointModel,
@@ -14,6 +17,7 @@ from repro.simulator import (
 )
 
 HOUR = 3600.0
+DAY = 86400.0
 
 
 @pytest.fixture
@@ -99,3 +103,75 @@ class TestBehaviour:
                     managers=[CarbonCheckpointPolicy()])
         assert sum(j.n_suspensions for j in result.jobs) <= \
             sum(j.n_suspensions for j in cheap.jobs)
+
+
+class TestThresholdReuse:
+    """Thresholds are recomputed only when the history window changes."""
+
+    def test_every_tick_equals_fresh_percentiles(self, node_power_model):
+        """A managed-site-shaped run: 16 idle-on nodes, a PowerStack site
+        controller and checkpointing on a fully suspendable queue."""
+        cfg = WorkloadConfig(n_jobs=120, mean_interarrival_s=3000.0,
+                             max_nodes_log2=3, runtime_median_s=3 * HOUR,
+                             runtime_sigma=0.6, suspendable_fraction=1.0)
+        jobs = WorkloadGenerator(cfg, seed=1).generate()
+        cluster = Cluster(16, node_power_model)
+        rjms = RJMS(cluster, jobs, EasyBackfillPolicy(),
+                    provider=SyntheticProvider("DE", seed=23),
+                    checkpoint_model=CheckpointModel(state_gb_per_node=8.0,
+                                                     write_bw_gb_s=1.0,
+                                                     read_bw_gb_s=2.0))
+        peak = node_power_model.peak_watts
+        idle = node_power_model.idle_watts
+        rjms.register_manager(SiteController(
+            LinearScalingPolicy(7 * peak + 9 * idle, 15 * peak + idle,
+                                350.0, 490.0), cluster))
+        policy = CarbonCheckpointPolicy()
+        rjms.register_manager(policy)
+        thresholds = policy._thresholds
+        windows = []
+
+        def checked(r):
+            got = thresholds(r)
+            t0 = max(0.0, r.now - policy.history_s)
+            if got is None:
+                assert r.now - t0 < 6 * HOUR
+                return got
+            hist = r.provider.history(t0, r.now)
+            assert got == (hist.percentile(policy.suspend_percentile),
+                           hist.percentile(policy.resume_percentile))
+            windows.append(hist)
+            return got
+
+        policy._thresholds = checked
+        result = rjms.run()
+        assert len(result.completed_jobs) == len(jobs)
+        assert sum(j.n_suspensions for j in result.jobs) > 0
+        changes = sum(w != prev for w, prev in zip(windows, [None] + windows))
+        assert 1 < changes < len(windows)  # ticks shared windows
+
+    def test_changed_window_values_recompute(self):
+        """A provider whose window values change between two calls at the
+        same time gets fresh thresholds, not the cached pair."""
+        rng = np.random.default_rng(4)
+
+        class Stub:
+            values = rng.uniform(100, 500, 168)
+
+            def history(self, t0, t1):
+                return CarbonIntensityTrace(self.values, HOUR, 0.0)
+
+        provider = Stub()
+        rjms = SimpleNamespace(now=7 * DAY, provider=provider)
+        policy = CarbonCheckpointPolicy()
+
+        def fresh():
+            return (float(np.percentile(provider.values, 80.0)),
+                    float(np.percentile(provider.values, 50.0)))
+
+        first = policy._thresholds(rjms)
+        assert first == fresh()
+        provider.values = provider.values * 0.5 + 40.0
+        second = policy._thresholds(rjms)
+        assert second == fresh() != first
+        assert policy._thresholds(rjms) == second
