@@ -134,7 +134,12 @@ class CarbonIntensityTrace:
 
     # -- lookup ---------------------------------------------------------------
 
-    def _index_at(self, t) -> np.ndarray:
+    def _index_at(self, t):
+        """Sample index in effect at ``t``, clamped to the trace; a Python
+        int for a scalar ``t``, an int64 array otherwise."""
+        if isinstance(t, (int, float)):
+            return min(max(math.floor((t - self.start_time)
+                                      / self.step_seconds), 0), len(self) - 1)
         idx = np.floor((np.asarray(t, dtype=np.float64) - self.start_time)
                        / self.step_seconds).astype(np.int64)
         return np.clip(idx, 0, len(self) - 1)

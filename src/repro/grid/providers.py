@@ -45,8 +45,10 @@ class CarbonIntensityProvider(ABC):
 
     ``intensity_at`` answers "what is the intensity right now" — this is
     the *actuals* feed a monitor would poll.  ``history`` returns the past
-    window used to fit forecasters.  Implementations must be deterministic:
-    repeated calls with the same arguments return the same values.
+    window used to fit forecasters, and ``integrate_intensity`` the
+    integral accounting charges a step with.  Implementations must be
+    deterministic: repeated calls with the same arguments return the same
+    values.
     """
 
     #: zone code for provenance/reporting
@@ -67,6 +69,15 @@ class CarbonIntensityProvider(ABC):
     def mean_over(self, t0: float, t1: float) -> float:
         """Time-weighted mean intensity over ``[t0, t1)``."""
         return self.history(t0, t1).mean_over(t0, t1)
+
+    def integrate_intensity(self, t0: float, t1: float) -> float:
+        """``∫ CI(t) dt`` over ``[t0, t1)`` in (g/kWh)·s.
+
+        Integrates the ``history`` window, so wrappers that act on
+        ``history`` act on this too; providers holding a full trace
+        override it to integrate there without building a window.
+        """
+        return self.history(t0, t1).integrate_intensity(t0, t1)
 
 
 class StaticProvider(CarbonIntensityProvider):
@@ -116,6 +127,11 @@ class TraceProvider(CarbonIntensityProvider):
     def history(self, t0: float, t1: float) -> CarbonIntensityTrace:
         return self.trace.window(t0, t1)
 
+    def integrate_intensity(self, t0: float, t1: float) -> float:
+        if t1 <= t0:
+            raise ValueError(f"empty window [{t0}, {t1})")
+        return self.trace.integrate_intensity(t0, t1)
+
 
 class SyntheticProvider(CarbonIntensityProvider):
     """Offline stand-in for a grid emissions data provider.
@@ -153,10 +169,15 @@ class SyntheticProvider(CarbonIntensityProvider):
         self.step_seconds = float(step_seconds)
         self.average_damping = float(average_damping)
         self._trace: CarbonIntensityTrace | None = None
+        #: queries up to this time keep the generated trace (its days less
+        #: the one-day margin ``_ensure_horizon`` asks for)
+        self._covered_s = 0.0
 
     # -- internal: lazy horizon extension ------------------------------------
 
     def _ensure_horizon(self, t: float) -> CarbonIntensityTrace:
+        if self._trace is not None and t <= self._covered_s:
+            return self._trace  # have_days >= need_days below
         need_days = int(np.ceil(max(t, 1.0) / units.SECONDS_PER_DAY)) + 1
         have_days = 0 if self._trace is None else int(
             round(self._trace.duration / units.SECONDS_PER_DAY))
@@ -182,6 +203,8 @@ class SyntheticProvider(CarbonIntensityProvider):
             for c in chunks[1:]:
                 trace = trace.concat(c)
             self._trace = trace
+            self._covered_s = (round(trace.duration / units.SECONDS_PER_DAY)
+                               - 1) * units.SECONDS_PER_DAY
         assert self._trace is not None
         return self._trace
 
@@ -200,3 +223,8 @@ class SyntheticProvider(CarbonIntensityProvider):
         if t0 < 0 or t1 <= t0:
             raise ValueError(f"invalid history window [{t0}, {t1})")
         return self._ensure_horizon(t1).window(t0, t1)
+
+    def integrate_intensity(self, t0: float, t1: float) -> float:
+        if t0 < 0 or t1 <= t0:
+            raise ValueError(f"invalid history window [{t0}, {t1})")
+        return self._ensure_horizon(t1).integrate_intensity(t0, t1)

@@ -16,8 +16,10 @@ Accounting is exact: cluster power is piecewise constant between
 events, so before any state change the RJMS accrues one step
 ``[t0, now)`` from the cluster's previous accrual time.  Only running
 jobs draw power, and every one of them was last accrued at ``t0`` too,
-so the step costs one intensity integral over the exact partial-bin
-history window, shared by the cluster segment and every running job's
+so the step costs one call of the provider's
+:meth:`~repro.grid.providers.CarbonIntensityProvider.integrate_intensity`
+over ``[t0, now)`` (exact partial bins, on the trace the provider
+already holds), shared by the cluster segment and every running job's
 account.  Energy is power times the step; carbon is
 ``(watts / WATTS_PER_KW) * integral / SECONDS_PER_HOUR``, the order of
 :meth:`~repro.grid.intensity.CarbonIntensityTrace.carbon_for_power`, so
@@ -189,7 +191,9 @@ class RJMS:
         (already-wrapped providers are used as-is), so every intensity
         lookup in the simulation — accounting and policies — flows
         through the serving layer's fault handling; spot lookups are
-        also cached, history windows are not.  A telemetry reading at
+        also cached, history windows and integrals are not.  Accrual
+        asks it for one ``integrate_intensity(t0, now)`` per step and
+        never for a history window.  A telemetry reading at
         ``t`` holds over the accrued step that starts at ``t``; its
         ``grid.intensity`` is the step's time-weighted mean.
     queues:
@@ -281,7 +285,7 @@ class RJMS:
         watts = self.cluster.accrue(now)
         if now <= t0:
             return
-        integral = self.provider.history(t0, now).integrate_intensity(t0, now)
+        integral = self.provider.integrate_intensity(t0, now)
         self._carbon_g += (watts / units.WATTS_PER_KW) * integral \
             / units.SECONDS_PER_HOUR
         dt = now - t0

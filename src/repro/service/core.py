@@ -13,12 +13,14 @@ assembled from this package's parts::
                       └── value           └── last-good / fallback
 
     history ─────────────────────> retry/breaker ──> provider
-                                          │ trip
+    integral                              │ trip
                                           └── fallback / flat last-good
 
-Only spot lookups are cached: accounting asks for a different history
-window at every step, so a window cache would never hit.  Because the
-service *is itself* a
+Only spot lookups are cached: accounting asks for a different interval
+at every step, so a window or integral cache would never hit.  An
+integral (what accounting charges a step with) degrades like a history
+window: the fallback provider's integral, else the last-good spot value
+held flat over the interval.  Because the service *is itself* a
 :class:`~repro.grid.providers.CarbonIntensityProvider`, it drops into
 any seam that takes a provider without changing a call site.
 With the default ``quantize_s=0`` it is **value-transparent**:
@@ -116,6 +118,8 @@ class CarbonService(CarbonIntensityProvider):
         self.clock = clock
         self.sleep = sleep
         self._rng = np.random.default_rng(seed)
+        self._calls = self.metrics.counter("backend.calls")
+        self._latency = self.metrics.histogram("backend.latency")
         #: most recent fresh value per signal, for degraded reads
         self._last_good_g_per_kwh: Dict[str, float] = {}
 
@@ -159,9 +163,8 @@ class CarbonService(CarbonIntensityProvider):
                 self.metrics.counter("backend.failures").inc()
                 raise
         self.breaker.record_success()
-        self.metrics.counter("backend.calls").inc()
-        self.metrics.histogram("backend.latency").observe(
-            max(0.0, self.clock() - started))
+        self._calls.inc()
+        self._latency.observe(max(0.0, self.clock() - started))
         return value
 
     def _update_breaker_gauge(self) -> None:
@@ -223,23 +226,38 @@ class CarbonService(CarbonIntensityProvider):
         try:
             return self._backend_call(lambda: self.backend.history(t0, t1))
         except _ABSORBED as exc:
-            return self._degrade_history(t0, t1, exc)
+            # flat window at the last spot value: crude, but policies
+            # keep running through an outage instead of crashing
+            return self._degrade_interval(
+                t0, t1, exc, lambda p: p.history(t0, t1),
+                lambda v: CarbonIntensityTrace.constant(
+                    v, t1 - t0, start_time=t0, zone=self.zone_code))
 
-    def _degrade_history(self, t0: float, t1: float,
-                         exc: BaseException) -> CarbonIntensityTrace:
+    def integrate_intensity(self, t0: float, t1: float) -> float:
+        """Intensity integral over ``[t0, t1)``: one guarded backend call,
+        never cached, degrading in the same order as :meth:`history`."""
+        try:
+            return self._backend_call(
+                lambda: self.backend.integrate_intensity(t0, t1))
+        except _ABSORBED as exc:
+            return self._degrade_interval(
+                t0, t1, exc, lambda p: p.integrate_intensity(t0, t1),
+                lambda v: v * (t1 - t0))
+
+    def _degrade_interval(self, t0: float, t1: float, exc: BaseException,
+                          from_fallback: Callable, from_flat: Callable):
+        """Answer an interval request while the backend is down: from
+        the fallback provider, else from the last-good marginal value
+        held flat over ``[t0, t1)``."""
         if self.fallback is not None:
             self.metrics.counter("degraded.fallback").inc()
-            return self.fallback.history(t0, t1)
+            return from_fallback(self.fallback)
         if "marginal" in self._last_good_g_per_kwh:
-            # flat window at the last spot value: crude, but accounting
-            # keeps running through an outage instead of crashing
             self.metrics.counter("degraded.last_good").inc()
-            return CarbonIntensityTrace.constant(
-                self._last_good_g_per_kwh["marginal"], t1 - t0,
-                start_time=t0, zone=self.zone_code)
+            return from_flat(self._last_good_g_per_kwh["marginal"])
         raise ServiceUnavailableError(
             f"zone {self.zone_code}: backend down and no fallback/last-good "
-            f"history for [{t0}, {t1})") from exc
+            f"value for [{t0}, {t1})") from exc
 
     # -- batched lookups ------------------------------------------------------------
 

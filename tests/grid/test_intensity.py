@@ -289,6 +289,27 @@ class TestWindowBounds:
             assert w.step_seconds == trace.step_seconds
 
 
+class TestIndexAt:
+    @given(trace_and_bounds(), st.floats(-1e6, 1e6))
+    @settings(max_examples=400, deadline=None)
+    def test_scalar_matches_clip_formula(self, case, jitter):
+        """The scalar ``math`` index equals the array ``np.floor`` /
+        ``np.clip`` one, for times before, inside and after the trace."""
+        trace, t0, t1 = case
+        times = [t0, t1, t0 + jitter, trace.start_time, trace.end_time,
+                 int(t1)]
+        for t in times:
+            ref = int(np.clip(np.floor((np.float64(t) - trace.start_time)
+                                       / trace.step_seconds),
+                              0, len(trace) - 1))
+            assert trace._index_at(t) == ref
+            assert trace.at(t) == trace.values[ref]
+            assert type(trace.at(t)) is float
+        np.testing.assert_array_equal(
+            trace._index_at(np.array(times, dtype=float)),
+            [trace._index_at(t) for t in times])
+
+
 class TestEquality:
     def test_equal_traces(self):
         a = make([100, 200], start=10.0)

@@ -1,7 +1,10 @@
 """Tests for the carbon-intensity provider API."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.grid import (
     CarbonIntensityTrace,
@@ -111,6 +114,39 @@ class TestSyntheticProvider:
         h = p.history(2 * DAY, 3 * DAY)
         assert h.start_time <= 2 * DAY
         assert h.end_time >= 3 * DAY
+
+    @given(st.lists(st.integers(0, 4 * 100 * int(DAY)).map(lambda q: q / 4),
+                    min_size=1, max_size=8), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_horizon_fast_path(self, times, seed):
+        """Any query order serves the same values; the horizon grows
+        exactly as the day arithmetic says (the whole CHUNK_DAYS months
+        covering one day past the query) and the same trace object comes
+        back while a query lies inside it.  Each query is followed by
+        probes on both sides of the last time the horizon covers."""
+        p = SyntheticProvider("DE", seed=seed)
+        chunk = SyntheticProvider.CHUNK_DAYS
+        state = {"days": 0, "trace": None}
+
+        def query(t):
+            need_days = math.ceil(max(t, 1.0) / DAY) + 1
+            grows = state["days"] < need_days
+            if grows:
+                state["days"] = math.ceil(max(need_days, chunk) / chunk) \
+                    * chunk
+            got = p._ensure_horizon(t)
+            assert round(got.duration / DAY) == state["days"]
+            assert (got is not state["trace"]) == grows
+            state["trace"] = got
+
+        for t in times:
+            query(t)
+            edge = (state["days"] - 1) * DAY
+            query(edge)
+            query(edge + 0.25)
+        fresh = SyntheticProvider("DE", seed=seed)
+        for t in sorted(times, reverse=True):
+            assert p.intensity_at(t) == fresh.intensity_at(t)
 
     def test_deterministic_across_instances(self):
         a = SyntheticProvider("IT", seed=4).intensity_at(10 * DAY)

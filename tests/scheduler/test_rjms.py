@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.grid import StaticProvider, SyntheticProvider
-from repro.scheduler import RJMS, FCFSPolicy
+from repro.scheduler import RJMS, EasyBackfillPolicy, FCFSPolicy
 from repro.simulator import (
     CheckpointModel,
     Cluster,
@@ -132,19 +132,26 @@ class TestExpectedEnds:
 
 
 class TestEnergyCarbonAccounting:
-    def test_one_intensity_window_per_accrual_step(self, node_power_model):
-        """All running jobs share one step, so accrual fetches one
-        history window per step, however many jobs run."""
-        jobs = make_jobs(*[(60.0 * i, 2, HOUR * (1 + i)) for i in range(4)])
-        rjms = make_rjms(node_power_model, jobs,
-                         provider=SyntheticProvider("DE", seed=1))
-        windows = []
-        history = rjms.provider.history
-        rjms.provider.history = \
-            lambda t0, t1: windows.append((t0, t1)) or history(t0, t1)
-        rjms.run()
-        segments = rjms.cluster.power_segments()
-        assert windows == [(t0, t1) for t0, t1, _ in segments]
+    def test_one_intensity_integral_per_accrual_step(self, node_power_model):
+        """All running jobs share one step, so accrual asks the provider
+        for one integral per step, however many jobs run, and builds no
+        history window (neither FCFS nor EASY asks for one either)."""
+        for policy in (FCFSPolicy(), EasyBackfillPolicy()):
+            jobs = make_jobs(*[(60.0 * i, 2, HOUR * (1 + i))
+                               for i in range(4)])
+            rjms = RJMS(Cluster(8, node_power_model), jobs, policy,
+                        provider=SyntheticProvider("DE", seed=1))
+            integrals, windows = [], []
+            integrate = rjms.provider.integrate_intensity
+            rjms.provider.integrate_intensity = lambda t0, t1: \
+                integrals.append((t0, t1)) or integrate(t0, t1)
+            history = rjms.provider.history
+            rjms.provider.history = \
+                lambda t0, t1: windows.append((t0, t1)) or history(t0, t1)
+            rjms.run()
+            segments = rjms.cluster.power_segments()
+            assert integrals == [(t0, t1) for t0, t1, _ in segments]
+            assert windows == []
 
     def test_cluster_energy_exact(self, node_power_model):
         jobs = make_jobs((0.0, 4, HOUR, dict(utilization=1.0)))

@@ -274,6 +274,87 @@ class TestDegradation:
         assert service.intensity_at(0.0) == 80.0
 
 
+class TestIntegralDegradation:
+    """``integrate_intensity`` (what accrual charges each step with)
+    degrades in the same order as ``history``: the fallback's integral,
+    then the last-good value held flat, then an error."""
+
+    def test_fallback_integral(self, clock):
+        backend = FlakyProvider(SyntheticProvider("DE", seed=0),
+                                fail_all=True)
+        fallback = StaticProvider(20.0)
+        service = make_service(backend, clock, fallback=fallback)
+        assert service.integrate_intensity(HOUR, 7.5 * HOUR) == \
+            fallback.integrate_intensity(HOUR, 7.5 * HOUR)
+        assert service.snapshot()["degraded.fallback"] == 1
+
+    def test_last_good_value_held_flat(self, clock):
+        backend = FlakyProvider(StaticProvider(80.0))
+        service = make_service(backend, clock)
+        service.intensity_at(0.0)
+        backend.fail_all = True
+        assert service.integrate_intensity(0.5 * HOUR, 6 * HOUR) == \
+            80.0 * (6 * HOUR - 0.5 * HOUR)
+        assert service.snapshot()["degraded.last_good"] == 1
+
+    def test_raises_only_when_every_tier_is_empty(self, clock):
+        backend = FlakyProvider(StaticProvider(80.0), fail_all=True)
+        service = make_service(backend, clock)  # no fallback, cold cache
+        with pytest.raises(ServiceUnavailableError):
+            service.integrate_intensity(0.0, HOUR)
+
+    @pytest.mark.parametrize("fallback", [None, StaticProvider(20.0)])
+    def test_breaker_and_counters_move_as_for_history(self, clock,
+                                                      fallback):
+        """The same call sequence through ``history`` and through
+        ``integrate_intensity`` moves breaker and counters alike:
+        a warm-up, an outage that trips the breaker, refused calls, a
+        cooldown and a failed probe, then a heal and a good probe."""
+        def run(call):
+            clock.now = 0.0
+            backend = FlakyProvider(StaticProvider(80.0))
+            service = make_service(backend, clock, fallback=fallback)
+            service.intensity_at(0.0)
+            states = []
+            for step in ("call", "down", "call", "call", "call", "call",
+                         "cool", "call", "cool", "up", "call", "call"):
+                if step == "down":
+                    backend.fail_all = True
+                elif step == "up":
+                    backend.fail_all = False
+                elif step == "cool":
+                    clock.advance(30.0)
+                else:
+                    call(service, 0.0, 2 * HOUR)
+                states.append((service.breaker.state, backend.calls,
+                               service.snapshot()))
+            return states
+
+        by_history = run(lambda s, t0, t1: s.history(t0, t1))
+        by_integral = run(lambda s, t0, t1: s.integrate_intensity(t0, t1))
+        assert by_integral == by_history
+        final = by_integral[-1][2]
+        assert final["backend.failures"] == 4
+        assert final["degraded.fallback" if fallback else
+                     "degraded.last_good"] == 5
+
+    def test_one_backend_call_per_integral(self, clock):
+        """A flaky backend sees one request per integral, failed or not
+        (no retries, and the breaker stays closed)."""
+        backend = FlakyProvider(SyntheticProvider("DE", seed=0),
+                                failure_rate=0.5, seed=3)
+        service = make_service(
+            backend, clock, fallback=StaticProvider(300.0),
+            breaker=CircuitBreaker(failure_threshold=100, clock=clock))
+        for k in range(8):
+            service.integrate_intensity(k * HOUR, (k + 2.5) * HOUR)
+            assert backend.calls == k + 1
+        assert 0 < backend.failures < 8
+        bare = FlakyProvider(SyntheticProvider("DE", seed=0))
+        bare.integrate_intensity(0.0, 3.5 * HOUR)
+        assert bare.calls == 1
+
+
 class TestRetryIntegration:
     def test_transient_flake_absorbed_by_retries(self, clock):
         trace = CarbonIntensityTrace(np.full(48, 123.0), HOUR)
