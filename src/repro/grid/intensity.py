@@ -16,8 +16,9 @@ operations every downstream consumer needs:
 The class is deliberately immutable: values are stored in a read-only
 NumPy array so traces can be shared between scheduler, PowerStack and
 accounting components without defensive copies (a guide-recommended
-"views, not copies" idiom).  The cached cumulative integral is derived
-from the values, so it takes no part in equality or ``repr``.
+"views, not copies" idiom).  The cached cumulative integral and the
+memoized last :meth:`~CarbonIntensityTrace.window` are derived from the
+values, so they take no part in equality or ``repr``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ class CarbonIntensityTrace:
     # -- basic protocol ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        """Same samples, step, start and zone; the cached integral is ignored."""
+        """Same samples, step, start and zone; the caches are ignored."""
+        if self is other:
+            return True
         if not isinstance(other, CarbonIntensityTrace):
             return NotImplemented
         return (self.step_seconds == other.step_seconds
@@ -157,7 +160,14 @@ class CarbonIntensityTrace:
         return out
 
     def window(self, t0: float, t1: float) -> "CarbonIntensityTrace":
-        """Sub-trace covering ``[t0, t1)``; sample boundaries are preserved."""
+        """Sub-trace covering ``[t0, t1)``; sample boundaries are preserved.
+
+        The samples ``i0:i1`` it covers start at the bin holding ``t0`` and
+        end at the first sample boundary at or after ``t1``.  The last
+        window is memoized on the instance: while ``(i0, i1)`` is
+        unchanged the same (immutable) trace object is returned, with
+        whatever it has cached since.
+        """
         if t1 <= t0:
             raise ValueError(f"empty window [{t0}, {t1})")
         n = len(self)
@@ -165,9 +175,14 @@ class CarbonIntensityTrace:
                      0), n - 1)
         i1 = min(max(math.ceil((t1 - self.start_time) / self.step_seconds),
                      i0 + 1), n)
-        return CarbonIntensityTrace(
+        last = self.__dict__.get("_window")
+        if last is not None and last[0] == i0 and last[1] == i1:
+            return last[2]
+        sub = CarbonIntensityTrace(
             self.values[i0:i1], self.step_seconds,
             self.start_time + i0 * self.step_seconds, self.zone)
+        object.__setattr__(self, "_window", (i0, i1, sub))
+        return sub
 
     # -- integration ----------------------------------------------------------
 

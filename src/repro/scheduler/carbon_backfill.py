@@ -9,17 +9,20 @@ start now is **held** if (a) the present moment is carbon-expensive
 relative to the forecast over the job's feasible start window, and
 (b) holding it cannot push it past its delay bound.  Concretely, for
 each startable job the policy compares the forecast mean intensity over
-``[now, now + runtime]`` against the best achievable mean over start
-times within the slack window; it holds the job when starting later
-saves at least ``min_saving_fraction``.
+``[s0, s0 + runtime]`` against the best achievable mean over start slots
+``s0 + k * step`` within the slack window; it holds the job when
+starting later saves at least ``min_saving_fraction``.  ``s0`` is where
+the forecast starts: the end of the trailing history window, which the
+provider rounds up to the first sample boundary at or after now.
 
 Each scheduling pass needs one forecast, on trailing history, far enough
 for every pending job.  The forecaster is fit only when that history
 differs from the last one it was fit on; otherwise the last forecast is
 reused (a prediction depends only on the fitted history, and a longer
-one only appends samples).  The start slots of all the jobs a pass may
-start are scored in one 2-D ``mean_over`` call, and the jobs that only
-the reduced second EASY pass offers in a second one.
+one only appends samples).  The slot means of a runtime depend only on
+the forecast, so they are kept as one row per runtime until the forecast
+object changes; the rows a pass lacks are computed in one 2-D
+``mean_over`` call.
 
 Starvation safety: a job whose accumulated wait exceeds ``max_delay_s``
 bypasses the gate unconditionally, so the policy degrades to plain EASY
@@ -87,6 +90,11 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         #: the last history the forecaster was fit on, and its forecast
         self._fitted: Optional[Tuple[CarbonIntensityTrace,
                                      CarbonIntensityTrace]] = None
+        #: slot means per job runtime on the forecast ``_rows_for``:
+        #: ``row[k]`` is the mean over ``[s_k, s_k + runtime)``,
+        #: ``s_k = start_time + k * step``
+        self._rows: Dict[float, np.ndarray] = {}
+        self._rows_for: Optional[CarbonIntensityTrace] = None
 
     # -- carbon gate -----------------------------------------------------------
 
@@ -103,12 +111,15 @@ class CarbonBackfillPolicy(SchedulerPolicy):
 
     def _forecast(self, ctx: SchedulingContext,
                   horizon_s: float) -> Optional[CarbonIntensityTrace]:
-        """Forecast trace covering [now, now + horizon]; None if infeasible.
+        """Forecast of at least ``horizon`` past the end of the trailing
+        history; None if infeasible.
 
-        Fits only when the trailing history differs from the last fitted
-        one.  While it is equal, the last forecast (and its cached
-        cumulative integral) is returned as is, or predicted further if
-        it is too short.
+        The history window ends at the first sample boundary at or after
+        ``now`` (the provider rounds its end up), so the forecast starts
+        there, not at ``now``.  Fits only when the trailing history
+        differs from the last fitted one.  While it is equal, the last
+        forecast (and its cached cumulative integral) is returned as is,
+        or predicted further if it is too short.
         """
         t0 = max(0.0, ctx.now - self.history_s)
         if ctx.now - t0 < 2 * units.SECONDS_PER_HOUR:
@@ -135,24 +146,42 @@ class CarbonBackfillPolicy(SchedulerPolicy):
                windows: Sequence[Tuple[float, float]]
                ) -> Tuple[List[float], List[float]]:
         """Forecast means of each ``(slack, runtime)`` window's job started
-        now and at its best start slot within its slack.
+        in the forecast's first slot and at its best start slot within its
+        slack.
 
-        All start slots of all jobs are scored in one 2-D ``mean_over``
-        call on the grid ``now + k * step``; a job's slots past its own
-        slack are masked to ``+inf`` before the row minimum.  Every
-        operation is elementwise or a row minimum, so a row has the bits
-        of scoring its job alone.  ``forecast`` starts now and must reach
-        past ``now + slack + runtime`` of every window, as
-        :meth:`_forecast` guarantees.
+        Slots lie on the grid ``s_k = forecast.start_time + k * step``,
+        which starts at the first sample boundary at or after now (see
+        :meth:`_forecast`).  A job's now-mean is its runtime's ``row[0]``
+        and its best mean the minimum of the row's first
+        ``slack // step + 1`` entries.  Rows are kept per runtime while
+        ``forecast`` is the same object; rows missing or too short for a
+        window are computed together in one 2-D ``mean_over`` call.  That
+        call is elementwise, so every mean has the bits of scoring its
+        job alone.  ``forecast`` must reach past ``s_0 + slack + runtime``
+        of every window, as :meth:`_forecast` guarantees.
         """
+        if forecast is not self._rows_for:
+            self._rows_for, self._rows = forecast, {}
+        rows = self._rows
         step = forecast.step_seconds
-        n_slots = np.array([int(slack // step) + 1 for slack, _ in windows])
-        runtimes = np.array([runtime for _, runtime in windows])
-        slots = np.arange(n_slots.max())
-        starts = forecast.start_time + slots * step
-        means = forecast.mean_over(starts, starts + runtimes[:, None])
-        means[slots >= n_slots[:, None]] = np.inf
-        return means[:, 0].tolist(), means.min(axis=1).tolist()
+        n_slots = [int(slack // step) + 1 for slack, _ in windows]
+        missing: Dict[float, int] = {}  # runtime -> slots it needs
+        for n, (_, runtime) in zip(n_slots, windows):
+            row = rows.get(runtime)
+            if (row is None or row.size < n) and missing.get(runtime, 0) < n:
+                missing[runtime] = n
+        if missing:
+            starts = forecast.start_time \
+                + np.arange(max(missing.values())) * step
+            runtimes = np.fromiter(missing, np.float64, len(missing))
+            rows.update(zip(missing, forecast.mean_over(
+                starts, starts + runtimes[:, None])))
+        now_means, best_means = [], []
+        for n, (_, runtime) in zip(n_slots, windows):
+            row = rows[runtime]
+            now_means.append(row.item(0))
+            best_means.append(row[:n].min().item())
+        return now_means, best_means
 
     def _held(self, forecast: CarbonIntensityTrace, jobs: Iterable[Job],
               windows: Dict[int, Tuple[float, float]]) -> Set[int]:

@@ -110,7 +110,8 @@ class SchedulerPolicy(ABC):
 
     @abstractmethod
     def schedule(self, ctx: SchedulingContext) -> List[StartDecision]:
-        """Return the jobs to start now (possibly empty)."""
+        """Return the jobs to start now (possibly empty).  The RJMS asks
+        only when at least one job is pending."""
 
 
 class _Manager(Protocol):
@@ -527,6 +528,19 @@ class RJMS:
         return out
 
     def _schedule_pass(self) -> None:
+        """Ask the policy which pending jobs start now, and start them.
+
+        With nothing pending there is nothing to decide: every policy
+        starts nothing, and the managers' ``on_jobs_started`` hook fires
+        only on starts, so the pass returns at once (no span, no policy
+        call); only the queue gauges are kept current.
+        """
+        if obs.enabled():
+            reg = obs.metrics()
+            reg.gauge("rjms.pending_jobs").set(len(self.pending))
+            reg.gauge("rjms.running_jobs").set(len(self.running))
+        if not self.pending:
+            return
         ctx = SchedulingContext(
             now=self.now,
             pending=self.queues.order(self.pending),
@@ -544,8 +558,6 @@ class RJMS:
             reg = obs.metrics()
             reg.counter("rjms.schedule_passes").inc()
             reg.counter("rjms.jobs_started").inc(len(decisions))
-            reg.gauge("rjms.pending_jobs").set(len(self.pending))
-            reg.gauge("rjms.running_jobs").set(len(self.running))
         seen = set()
         need = 0
         for d in decisions:

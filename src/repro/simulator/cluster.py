@@ -12,12 +12,12 @@ change) integrates energy exactly and appends a segment to the power
 log, from which :meth:`power_trace` reconstructs the full
 :class:`~repro.core.operational.PowerTrace` for carbon accounting.
 
-Cluster power and the free-node count are cached between state changes:
-the RJMS reads both on every event, but they only change on an
-allocation, release, resize, cap, failure or repair.  Every such change
-goes through a :class:`Cluster` method, which drops the cache; a miss
-recomputes the same sum over all nodes, in node order, so cached values
-are the same bits as a fresh scan.
+Cluster power and the free- and busy-node counts are cached between
+state changes: the RJMS reads them on every event, but they only change
+on an allocation, release, resize, cap, failure or repair.  Every such
+change goes through a :class:`Cluster` method, which drops the cache; a
+miss recomputes the same sum, in the same order, so cached values are
+the same bits as a fresh scan.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class Cluster:
 
     Node state changes go through the cluster (:meth:`allocate`,
     :meth:`release`, :meth:`grow`, :meth:`shrink`, :meth:`set_job_cap`,
-    :meth:`mark_down`, :meth:`repair`): its cached power and free-node
-    count are only dropped there.  Mutating a :class:`Node` directly
+    :meth:`mark_down`, :meth:`repair`): its cached power and node
+    counts are only dropped there.  Mutating a :class:`Node` directly
     leaves them stale.
     """
 
@@ -79,9 +79,11 @@ class Cluster:
         self._segments: List[_PowerSegment] = []
         self._last_accrual = 0.0
         self._energy_joules = 0.0
-        #: cached current_power() and n_free; None until the next query
+        #: cached current_power(), n_free and n_busy; None until the
+        #: next query
         self._power: Optional[float] = None
         self._free: Optional[int] = None
+        self._busy: Optional[int] = None
 
     # -- queries --------------------------------------------------------------
 
@@ -97,8 +99,9 @@ class Cluster:
 
     @property
     def n_busy(self) -> int:
-        # busy nodes are exactly the allocated ones (check_invariants)
-        return sum(len(held) for held in self._alloc.values())
+        if self._busy is None:
+            self._busy = self._scan_busy()
+        return self._busy
 
     def nodes_of_job(self, job_id: int) -> List[Node]:
         """Nodes currently allocated to ``job_id`` (empty if none)."""
@@ -114,13 +117,18 @@ class Cluster:
         return sum(1 for nd in self.nodes
                    if nd.state in (NodeState.IDLE, NodeState.POWERED_OFF))
 
+    def _scan_busy(self) -> int:
+        # busy nodes are exactly the allocated ones (check_invariants)
+        return sum(len(held) for held in self._alloc.values())
+
     def _scan_power(self) -> float:
         return sum(nd.current_power() for nd in self.nodes)
 
     def _invalidate(self) -> None:
-        """Drop the cached power and free count (before any node change)."""
+        """Drop the cached power and node counts (before any node change)."""
         self._power = None
         self._free = None
+        self._busy = None
 
     def max_power(self) -> float:
         """Upper bound: every node busy at full utilization, uncapped."""
@@ -295,13 +303,16 @@ class Cluster:
 
     def check_invariants(self) -> None:
         """Assert allocation bookkeeping consistency and that the cached
-        power and free count equal a fresh scan (used by tests)."""
+        power and node counts equal a fresh scan (used by tests)."""
         if self._power is not None and self._power != self._scan_power():
             raise AssertionError(
                 f"cached power {self._power} W != scan {self._scan_power()} W")
         if self._free is not None and self._free != self._scan_free():
             raise AssertionError(
                 f"cached n_free {self._free} != scan {self._scan_free()}")
+        if self._busy is not None and self._busy != self._scan_busy():
+            raise AssertionError(
+                f"cached n_busy {self._busy} != scan {self._scan_busy()}")
         seen: Dict[int, int] = {}
         for job_id, held in self._alloc.items():
             for nd in held:

@@ -289,6 +289,82 @@ class TestWindowBounds:
             assert w.step_seconds == trace.step_seconds
 
 
+def fresh_window(trace, t0, t1):
+    """``trace.window(t0, t1)`` on a copy with no memoized window."""
+    copy = CarbonIntensityTrace(trace.values, trace.step_seconds,
+                                trace.start_time, trace.zone)
+    return copy.window(t0, t1)
+
+
+class TestWindowMemo:
+    """``window`` returns the same object while its sample range is
+    unchanged, and a new one as soon as either end moves a bin."""
+
+    def test_bounds_in_the_same_bins_share_the_object(self):
+        trace = make(np.arange(48.0) + 100.0, start=HOUR)
+        w = trace.window(5.25 * HOUR, 9.5 * HOUR)  # samples 4..8
+        assert trace.window(5.0 * HOUR, 10.0 * HOUR) is w
+        assert trace.window(5.99 * HOUR, 9.01 * HOUR) is w
+        assert (w.start_time, len(w)) == (5.0 * HOUR, 5)
+
+    @pytest.mark.parametrize("dt0, dt1", [(-HOUR, 0.0), (HOUR, 0.0),
+                                          (0.0, -HOUR), (0.0, HOUR)])
+    def test_moving_either_end_a_bin_is_a_new_object(self, dt0, dt1):
+        trace = make(np.arange(48.0) + 100.0, start=HOUR)
+        t0, t1 = 5.25 * HOUR, 9.5 * HOUR
+        w = trace.window(t0, t1)
+        moved = trace.window(t0 + dt0, t1 + dt1)
+        assert moved is not w
+        assert moved != w
+        assert moved == fresh_window(trace, t0 + dt0, t1 + dt1)
+        assert trace.window(t0, t1) is not w  # the memo holds one window
+        assert trace.window(t0, t1) == w
+
+    @given(trace_and_bounds(),
+           st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.01, 3.0)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_sequence_matches_unmemoized_slices(self, case, moves):
+        """Any sequence of requests: each window has the values, start,
+        step and zone of the un-memoized slice, and is the previous
+        object exactly when it covers the same samples."""
+        trace, t0, _ = case
+        last = None
+        for shift, length in moves:
+            a = t0 + shift * trace.step_seconds
+            b = a + length * trace.step_seconds
+            w = trace.window(a, b)
+            ref = fresh_window(trace, a, b)
+            assert w.start_time == ref.start_time
+            assert w.step_seconds == ref.step_seconds
+            assert w.zone == ref.zone
+            np.testing.assert_array_equal(w.values, ref.values)
+            if last is not None:
+                same = (last.start_time, len(last)) == (w.start_time, len(w))
+                assert (w is last) == same
+            last = w
+
+    def test_memo_takes_no_part_in_equality_or_repr(self):
+        trace = make([100, 200, 300])
+        trace.window(0.0, 2 * HOUR)
+        assert trace == make([100, 200, 300])
+        assert "_window" not in repr(trace)
+
+    def test_equality_by_identity_skips_the_value_compare(self,
+                                                          monkeypatch):
+        trace = make([100, 200, 300])
+        w = trace.window(0.0, HOUR)
+
+        def no_compare(*_args):
+            raise AssertionError("identical traces compared by value")
+
+        monkeypatch.setattr(np, "array_equal", no_compare)
+        assert w == trace.window(0.5 * HOUR, 0.75 * HOUR)
+        assert not w != w
+        with pytest.raises(AssertionError, match="by value"):
+            _ = w == make([100])
+
+
 class TestIndexAt:
     @given(trace_and_bounds(), st.floats(-1e6, 1e6))
     @settings(max_examples=400, deadline=None)

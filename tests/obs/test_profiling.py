@@ -97,8 +97,28 @@ class TestSchedulerProfiling:
         jobs = WorkloadGenerator(
             WorkloadConfig(n_jobs=10, max_nodes_log2=2),
             seed=0).generate()
-        rjms = RJMS(Cluster(8, pm), jobs, FCFSPolicy(),
-                    provider=SyntheticProvider("DE", seed=0))
+
+        class CountingRJMS(RJMS):
+            """Counts the passes asked for, and those with a job pending,
+            and records any pass whose queue gauges do not read the queue
+            it was asked with."""
+
+            asked = with_pending = 0
+            stale = []
+
+            def _schedule_pass(self):
+                self.asked += 1
+                self.with_pending += bool(self.pending)
+                queue = (len(self.pending), len(self.running))
+                super()._schedule_pass()
+                reg = obs.metrics()
+                gauges = (reg.gauge("rjms.pending_jobs").value,
+                          reg.gauge("rjms.running_jobs").value)
+                if gauges != queue:
+                    self.stale.append((self.now, queue, gauges))
+
+        rjms = CountingRJMS(Cluster(8, pm), jobs, FCFSPolicy(),
+                            provider=SyntheticProvider("DE", seed=0))
         with obs.scope() as tracer:
             rjms.run()
             spans = tracer.drain()
@@ -111,7 +131,14 @@ class TestSchedulerProfiling:
                    for s in passes)
         reg = obs.metrics()
         assert reg.counter("rjms.jobs_started").value == 10
-        assert reg.counter("rjms.schedule_passes").value == len(passes)
+        # a pass with nothing pending is skipped: no span, not counted
+        assert reg.counter("rjms.schedule_passes").value == len(passes) \
+            == rjms.with_pending
+        assert rjms.asked > rjms.with_pending
+        # every pass, skipped or not, sets the gauges to its queue
+        assert rjms.stale == []
+        assert reg.gauge("rjms.pending_jobs").value == 0
+        assert reg.gauge("rjms.running_jobs").value == 0
 
 
 class TestServiceProfiling:

@@ -4,7 +4,7 @@
 every ``JobAccount`` ever created and integrates each live one over its
 own ``provider.history`` window, and the cluster's carbon is summed over
 its power segments after the run.  Its cluster has no cache: every
-power and free-node query scans all nodes.  The RJMS must give the same
+power and node-count query scans afresh.  The RJMS must give the same
 bits: job start and end times, power segments, total energy and carbon,
 and every account's energy and carbon.
 """
@@ -40,7 +40,7 @@ PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
 
 
 class ScanCluster(Cluster):
-    """A cluster without the power and free-count cache."""
+    """A cluster without the power and node-count cache."""
 
     def current_power(self) -> float:
         return self._scan_power()
@@ -48,6 +48,10 @@ class ScanCluster(Cluster):
     @property
     def n_free(self) -> int:
         return self._scan_free()
+
+    @property
+    def n_busy(self) -> int:
+        return self._scan_busy()
 
 
 class ReferenceRJMS(RJMS):

@@ -243,3 +243,96 @@ class TestGate:
                 last = trace
         assert CountingForecaster.fits == distinct
         assert distinct < sum(map(len, windows))  # some passes reused
+
+
+def trending_forecast(rng, n=72, start=40 * HOUR):
+    """A noisy diurnal forecast that falls over time, so a window's best
+    slot is often its last one."""
+    hours = np.arange(n)
+    values = (300 + 150 * np.sin(2 * np.pi * hours / 24) - 3 * hours
+              + rng.normal(0, 40, n))
+    return CarbonIntensityTrace(np.clip(values, 0, None), HOUR, start)
+
+
+def slot_means_score(forecast, windows):
+    """Now and best means of each ``(slack, runtime)`` window by scalar
+    ``mean_over`` calls on the slots ``start + k * step`` within the
+    slack (scalar and array bounds share their arithmetic)."""
+    step = forecast.step_seconds
+    now_means, best_means = [], []
+    for slack, runtime in windows:
+        means = [forecast.mean_over(s, s + runtime)
+                 for s in (forecast.start_time + k * step
+                           for k in range(int(slack // step) + 1))]
+        now_means.append(means[0])
+        best_means.append(min(means))
+    return now_means, best_means
+
+
+class TestScoreRows:
+    """``_score`` keeps one row of slot means per runtime while the
+    forecast is the same object; every result has the bits of a fresh
+    policy's ``_score`` and of the scalar slot means."""
+
+    def test_sequence_reuses_rows_and_matches_fresh_policy(self,
+                                                           monkeypatch):
+        shapes = []
+        mean_over = CarbonIntensityTrace.mean_over
+
+        def counted(trace, t0, t1):
+            shapes.append(np.shape(t1))
+            return mean_over(trace, t0, t1)
+
+        monkeypatch.setattr(CarbonIntensityTrace, "mean_over", counted)
+        rng = np.random.default_rng(2)
+        first, second = trending_forecast(rng), trending_forecast(rng)
+        twin = CarbonIntensityTrace(second.values, HOUR, second.start_time)
+        steps = [
+            # rows for 3 h and 5 h runtimes, 11 slots each
+            (first, [(10.5 * HOUR, 3 * HOUR), (6.2 * HOUR, 5 * HOUR)],
+             [(2, 11)]),
+            # shrinking slacks: both rows are long enough
+            (first, [(9.7 * HOUR, 3 * HOUR), (5.1 * HOUR, 5 * HOUR)], []),
+            # repeated runtimes and one new one, asked for twice
+            (first, [(9.0 * HOUR, 3 * HOUR), (4.0 * HOUR, 2.5 * HOUR),
+                     (8.0 * HOUR, 2.5 * HOUR), (3.0 * HOUR, 5 * HOUR)],
+             [(1, 9)]),
+            # a slack longer than the 3 h row: only that row is redone
+            (first, [(20.0 * HOUR, 3 * HOUR), (2.0 * HOUR, 5 * HOUR)],
+             [(1, 21)]),
+            # a new forecast object drops every row, even an equal one
+            (second, [(9.0 * HOUR, 3 * HOUR), (4.0 * HOUR, 2.5 * HOUR)],
+             [(2, 10)]),
+            (twin, [(9.0 * HOUR, 3 * HOUR), (4.0 * HOUR, 2.5 * HOUR)],
+             [(2, 10)]),
+        ]
+        policy = CarbonBackfillPolicy()
+        for forecast, windows, expected_calls in steps:
+            shapes.clear()
+            got = policy._score(forecast, windows)
+            assert shapes == expected_calls
+            assert got == CarbonBackfillPolicy()._score(forecast, windows) \
+                == slot_means_score(forecast, windows)
+
+    def test_random_sequences_match_fresh_policy(self):
+        rng = np.random.default_rng(5)
+        reused = 0
+        for _ in range(60):
+            policy = CarbonBackfillPolicy()
+            forecast = trending_forecast(rng)
+            runtimes = [float(r) for r in rng.uniform(0.25, 12, 4) * HOUR]
+            for _ in range(8):
+                roll = rng.random()
+                if roll < 0.1:
+                    forecast = trending_forecast(rng)
+                elif roll < 0.2:
+                    forecast = CarbonIntensityTrace(
+                        forecast.values, HOUR, forecast.start_time)
+                reused += forecast is policy._rows_for
+                windows = [(float(rng.uniform(0.1, 30)) * HOUR,
+                            runtimes[int(rng.integers(0, 4))])
+                           for _ in range(int(rng.integers(1, 6)))]
+                assert policy._score(forecast, windows) == \
+                    CarbonBackfillPolicy()._score(forecast, windows) == \
+                    slot_means_score(forecast, windows)
+        assert reused > 200

@@ -102,6 +102,42 @@ class TestCaching:
         assert "cache.misses" not in snap  # history is not a cache lookup
 
 
+    def test_history_memo_sits_below_the_service(self, clock):
+        """A backend trace returns its memoized window while the sample
+        range is unchanged, but every history request is still one
+        backend call and one fault draw, failed or not."""
+        backend = FlakyProvider(SyntheticProvider("DE", seed=0),
+                                failure_rate=0.5, seed=4)
+        service = make_service(
+            backend, clock, fallback=StaticProvider(300.0),
+            breaker=CircuitBreaker(failure_threshold=100, clock=clock))
+        raw = SyntheticProvider("DE", seed=0)
+        draws = np.random.default_rng(4)
+        failed = reused = 0
+        last = None
+        for k in range(16):
+            t1 = DAY + k * 900.0  # four requests per sample bin
+            fails = float(draws.random()) < 0.5
+            failed += fails
+            h = service.history(t1 - 6 * HOUR, t1)
+            assert backend.calls == k + 1
+            assert backend.failures == failed
+            if fails:
+                assert set(h.values) == {300.0}  # from the fallback
+                continue
+            assert h == raw.history(t1 - 6 * HOUR, t1)
+            if last is not None:
+                same = (last.start_time, len(last)) == (h.start_time, len(h))
+                assert (h is last) == same
+                reused += same
+            last = h
+        assert 0 < failed < 16 and reused > 0
+        snap = service.snapshot()
+        assert snap["backend.calls"] == 16 - failed
+        assert snap["backend.failures"] == failed
+        assert snap["degraded.fallback"] == failed
+
+
 class TestCoalescing:
     def test_burst_of_duplicates_is_one_backend_call(self, clock):
         backend = FlakyProvider(StaticProvider(10.0))

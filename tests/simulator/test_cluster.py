@@ -209,6 +209,10 @@ def fresh_free(cluster):
                if nd.state in (NodeState.IDLE, NodeState.POWERED_OFF))
 
 
+def fresh_busy(cluster):
+    return sum(1 for nd in cluster.nodes if nd.state is NodeState.BUSY)
+
+
 _OP = st.tuples(
     st.sampled_from(["allocate", "release", "grow", "shrink", "set_job_cap",
                      "mark_down", "repair"]),
@@ -219,8 +223,9 @@ _OP = st.tuples(
 
 
 class TestPowerCache:
-    """``current_power()`` and ``n_free`` are cached between mutations;
-    every mutator must drop the cache so reads equal a fresh scan."""
+    """``current_power()``, ``n_free`` and ``n_busy`` are cached between
+    mutations; every mutator must drop the cache so reads equal a fresh
+    scan."""
 
     @given(ops=st.lists(_OP, min_size=1, max_size=40),
            idle_power_off=st.booleans())
@@ -249,6 +254,7 @@ class TestPowerCache:
             # exact equality: a miss recomputes the same sum in node order
             assert cluster.current_power() == fresh_power(cluster)
             assert cluster.n_free == fresh_free(cluster)
+            assert cluster.n_busy == fresh_busy(cluster)
             cluster.check_invariants()
 
     def test_accrue_returns_integrated_watts(self, small_cluster):
@@ -266,4 +272,15 @@ class TestPowerCache:
         small_cluster.n_free
         small_cluster.nodes[0].power_off()
         with pytest.raises(AssertionError, match="cached power"):
+            small_cluster.check_invariants()
+
+
+    def test_check_invariants_catches_a_stale_busy_count(self,
+                                                         small_cluster):
+        """The busy count is cached too; a change to the allocation map
+        behind the cluster's back is caught."""
+        small_cluster.allocate(1, 3, 0.9)
+        assert small_cluster.n_busy == 3
+        small_cluster._alloc[1].pop()
+        with pytest.raises(AssertionError, match="cached n_busy"):
             small_cluster.check_invariants()
