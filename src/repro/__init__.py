@@ -9,7 +9,7 @@ models, and the systems it envisions are working software:
 =====================  ======================================================
 Subpackage              Role
 =====================  ======================================================
-:mod:`repro.core`       Carbon accounting: scopes, operational integral,
+:mod:`repro.core`       Carbon accounting: scopes, power traces,
                         footprints, budgets, CDP/CEP metrics
 :mod:`repro.embodied`   ACT-style embodied carbon: fabs, dies, packaging,
                         systems, DSE, lifecycle, procurement, Carbon500

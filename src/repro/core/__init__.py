@@ -1,10 +1,11 @@
-"""Core carbon accounting: scopes, operational integral, footprint, budgets, metrics.
+"""Core carbon accounting: scopes, power traces, footprint, budgets, metrics.
 
 This package is the paper's conceptual contribution turned into code:
 
 * :mod:`repro.core.scopes` — GHG-protocol Scope 1/2/3 classification (§1);
-* :mod:`repro.core.operational` — operational carbon as the time integral
-  of carbon intensity x power (§3.1), with an exact power-trace container;
+* :mod:`repro.core.operational` — the power-trace container; operational
+  carbon, the time integral of carbon intensity x power (§3.1), is
+  charged by the RJMS accrual on each exact power step;
 * :mod:`repro.core.footprint` — total footprint = amortized embodied +
   operational; renewable-share analysis (§2, the 70-75% -> ~50% rule);
 * :mod:`repro.core.budget` — carbon budgets and the embodied<->operational
@@ -13,14 +14,8 @@ This package is the paper's conceptual contribution turned into code:
 """
 
 from repro.core.scopes import Scope, EmissionSource, EmissionsInventory, classify
-from repro.core.operational import (
-    PowerTrace,
-    operational_carbon,
-    operational_carbon_constant,
-    energy_kwh_of_trace,
-)
+from repro.core.operational import PowerTrace
 from repro.core.footprint import (
-    AmortizationPolicy,
     DatacenterProfile,
     FootprintModel,
     FootprintReport,
@@ -54,10 +49,6 @@ __all__ = [
     "EmissionsInventory",
     "classify",
     "PowerTrace",
-    "operational_carbon",
-    "operational_carbon_constant",
-    "energy_kwh_of_trace",
-    "AmortizationPolicy",
     "DatacenterProfile",
     "FootprintModel",
     "FootprintReport",

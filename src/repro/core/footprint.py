@@ -12,14 +12,13 @@ on where a system operates:
 
 :func:`blended_intensity` mixes a renewable and a fossil intensity by
 renewable share; :class:`FootprintModel` combines an embodied total with
-an operational power profile under an amortization policy; and
+an operational power profile under linear amortization; and
 :func:`embodied_share_curve` sweeps renewable share to regenerate the
 rule-of-thumb curve (bench E4).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -30,7 +29,6 @@ from repro import units
 __all__ = [
     "LRZ_HYDRO_INTENSITY",
     "COAL_INTENSITY",
-    "AmortizationPolicy",
     "DatacenterProfile",
     "FootprintModel",
     "FootprintReport",
@@ -56,19 +54,6 @@ def blended_intensity(renewable_share: float,
         raise ValueError("intensities must be non-negative")
     return (renewable_share * renewable_intensity
             + (1.0 - renewable_share) * fossil_intensity)
-
-
-class AmortizationPolicy(enum.Enum):
-    """How embodied carbon is attributed over a system's life.
-
-    * ``LINEAR`` — equal share per unit time over the planned lifetime
-      (the common convention; Table 1 lifetimes feed this);
-    * ``USAGE`` — proportional to delivered node-hours, so idle time
-      carries no embodied charge (relevant for §3.4 job accounting).
-    """
-
-    LINEAR = "linear"
-    USAGE = "usage"
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
-"""Operational carbon: the time integral of carbon intensity x power.
+"""Operational power: the :class:`PowerTrace` container.
 
 Section 3.1: "the operational carbon footprint is the time integral of
-carbon intensity multiplied by power consumption".  This module provides
-the exact discrete version of that integral for zero-order-hold traces —
-the primitive every simulator experiment, job report, and PowerStack
-policy evaluation reduces to.
-
-:class:`PowerTrace` mirrors :class:`~repro.grid.intensity.CarbonIntensityTrace`
-but holds watts; the integral :func:`operational_carbon` is exact for two
-ZOH signals on arbitrary (even mismatched) sampling grids because each
-power sample is integrated against the intensity trace's own exact
-partial-bin integral.
+carbon intensity multiplied by power consumption".  The simulator
+computes that integral exactly, once, as the RJMS accrues each
+piecewise-constant power step against the provider's intensity
+integral (:mod:`repro.scheduler.rjms`).  :class:`PowerTrace` mirrors
+:class:`~repro.grid.intensity.CarbonIntensityTrace` but holds watts; it
+is the binned view of a run's power log
+(:func:`repro.simulator.cluster.resample_power`) that peak- and
+mean-power questions read.
 """
 
 from __future__ import annotations
@@ -20,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import units
-from repro.grid.intensity import CarbonIntensityTrace
 
-__all__ = [
-    "PowerTrace",
-    "operational_carbon",
-    "operational_carbon_constant",
-    "energy_kwh_of_trace",
-]
+__all__ = ["PowerTrace"]
 
 
 @dataclass(frozen=True)
@@ -61,14 +53,6 @@ class PowerTrace:
         return int(self.values.size)
 
     @property
-    def duration(self) -> float:
-        return float(len(self) * self.step_seconds)
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
-    @property
     def times(self) -> np.ndarray:
         """Start times of each sample interval."""
         return self.start_time + np.arange(len(self)) * self.step_seconds
@@ -94,60 +78,3 @@ class PowerTrace:
         n = max(1, int(np.ceil(duration_seconds / step_seconds)))
         return cls(np.full(n, float(power_watts)), step_seconds, start_time, label)
 
-
-def energy_kwh_of_trace(power: PowerTrace, t0: float, t1: float) -> float:
-    """Energy (kWh) of the trace restricted to ``[t0, t1)``, exact partial bins."""
-    if t1 <= t0:
-        return 0.0
-    step = power.step_seconds
-    i0 = int(np.floor((t0 - power.start_time) / step))
-    i1 = int(np.ceil((t1 - power.start_time) / step))
-    idx = np.arange(i0, i1)
-    starts = power.start_time + idx * step
-    overlaps = np.clip(np.minimum(starts + step, t1) - np.maximum(starts, t0),
-                       0.0, None)
-    # Outside the trace the load is 0 (machine not yet on / already off).
-    inside = (idx >= 0) & (idx < len(power))
-    vals = np.where(inside, power.values[np.clip(idx, 0, len(power) - 1)], 0.0)
-    joules = float(np.dot(vals, overlaps))
-    return joules / units.JOULES_PER_KWH
-
-
-def operational_carbon(power: PowerTrace,
-                       intensity: CarbonIntensityTrace,
-                       t0: float | None = None,
-                       t1: float | None = None) -> float:
-    """Exact ``∫ CI(t) * P(t) dt`` over ``[t0, t1)`` in grams CO2e.
-
-    Both signals are zero-order hold; the integral is computed per power
-    sample against the intensity trace's exact partial-bin integral, so
-    the result is exact regardless of step mismatch or phase offset.
-    Outside the power trace, power is zero; outside the intensity trace,
-    intensity clamps to its boundary samples (provider semantics).
-    """
-    lo = power.start_time if t0 is None else max(t0, power.start_time)
-    hi = power.end_time if t1 is None else min(t1, power.end_time)
-    if hi <= lo:
-        return 0.0
-    step = power.step_seconds
-    i0 = int(np.floor((lo - power.start_time) / step))
-    i1 = int(np.ceil((hi - power.start_time) / step))
-    total_g = 0.0
-    for i in range(max(i0, 0), min(i1, len(power))):
-        s0 = power.start_time + i * step
-        s1 = s0 + step
-        a, b = max(s0, lo), min(s1, hi)
-        if b <= a:
-            continue
-        kw = power.values[i] / units.WATTS_PER_KW
-        total_g += kw * intensity.integrate_intensity(a, b) / units.SECONDS_PER_HOUR
-    return total_g
-
-
-def operational_carbon_constant(power_watts: float,
-                                intensity: CarbonIntensityTrace,
-                                t0: float, t1: float) -> float:
-    """Carbon (g) of a constant load over ``[t0, t1)`` — the common fast path."""
-    if t1 <= t0:
-        return 0.0
-    return intensity.carbon_for_power(power_watts, t0, t1)

@@ -35,8 +35,9 @@ series integrate to the totals and a zero-length state leaves none.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ from repro.grid.providers import CarbonIntensityProvider, StaticProvider
 from repro.service.core import CarbonService
 from repro.scheduler.queues import QueueSet
 from repro.simulator.checkpoint import CheckpointModel
-from repro.simulator.cluster import Cluster
+from repro.simulator.cluster import Cluster, PowerSegment, resample_power
 from repro.simulator.engine import Event, SimulationEngine
 from repro.simulator.jobs import Job, JobKind, JobState
 from repro.simulator.node import NodeState
@@ -137,9 +138,15 @@ class SimulationResult:
     total_energy_kwh: float
     total_carbon_kg: float
     makespan_s: float
-    power_trace: PowerTrace
+    #: the cluster's exact power log, ``(t0, t1, watts)`` per accrual step
+    power_segments: List[PowerSegment]
     provider: CarbonIntensityProvider
     telemetry: TelemetryDB
+
+    @functools.cached_property
+    def power_trace(self) -> PowerTrace:
+        """The power log resampled to 300 s bins, built on first read."""
+        return resample_power(self.power_segments)
 
     @property
     def completed_jobs(self) -> List[Job]:
@@ -166,7 +173,9 @@ class SimulationResult:
                 for jid, acc in self.accounts.items()}
 
     def summary(self) -> str:
+        cancelled = sum(j.state is JobState.CANCELLED for j in self.jobs)
         return (f"jobs completed: {len(self.completed_jobs)}/{len(self.jobs)}  "
+                f"cancelled: {cancelled}  "
                 f"makespan: {self.makespan_s / units.SECONDS_PER_HOUR:.1f} h  "
                 f"energy: {self.total_energy_kwh:.0f} kWh  "
                 f"carbon: {self.total_carbon_kg:.1f} kg  "
@@ -636,7 +645,7 @@ class RJMS:
             total_energy_kwh=self.cluster.energy_kwh,
             total_carbon_kg=self._carbon_g / units.GRAMS_PER_KG,
             makespan_s=makespan,
-            power_trace=self.cluster.power_trace(),
+            power_segments=self.cluster.power_segments(),
             provider=self.provider,
             telemetry=self.telemetry,
         )

@@ -32,7 +32,7 @@ from repro.simulator.node import Node, NodeState
 from repro.simulator.cluster import Cluster
 from repro.simulator.jobs import Job, JobState, SpeedupModel, JobKind
 from repro.simulator.workload import WorkloadConfig, WorkloadGenerator
-from repro.simulator.checkpoint import CheckpointModel, CheckpointState
+from repro.simulator.checkpoint import CheckpointModel
 from repro.simulator.failures import FailureInjector
 from repro.simulator.appmodel import (
     ApplicationProfile,
@@ -58,7 +58,6 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadGenerator",
     "CheckpointModel",
-    "CheckpointState",
     "FailureInjector",
     "ApplicationProfile",
     "countdown_power_factor",

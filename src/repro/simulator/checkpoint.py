@@ -15,21 +15,12 @@ busy (drawing power) but make no progress.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from repro.simulator.jobs import Job
 from repro import units
 
-__all__ = ["CheckpointModel", "CheckpointState"]
-
-
-class CheckpointState(enum.Enum):
-    """What a suspendable job is currently doing, from the RJMS's view."""
-
-    NONE = "none"
-    CHECKPOINTING = "checkpointing"
-    RESTORING = "restoring"
+__all__ = ["CheckpointModel"]
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ within configured bounds — are property-tested in
 
 Power accounting: cluster power is piecewise constant between events,
 so :meth:`Cluster.accrue` (called by the RJMS before *every* state
-change) integrates energy exactly and appends a segment to the power
-log, from which :meth:`power_trace` reconstructs the full
-:class:`~repro.core.operational.PowerTrace` for carbon accounting.
+change) integrates energy exactly and appends one ``(t0, t1, watts)``
+tuple to the power log.  That log is the only stored record of cluster
+power; the RJMS charges carbon on each step as it is appended, and
+:func:`resample_power` turns it into a binned
+:class:`~repro.core.operational.PowerTrace` only when one is asked for.
 
 Cluster power and the free- and busy-node counts are cached between
 state changes: the RJMS reads them on every event, but they only change
@@ -22,8 +24,7 @@ the same bits as a fresh scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,16 +33,38 @@ from repro.core.operational import PowerTrace
 from repro.simulator.node import Node, NodeState
 from repro.simulator.power import NodePowerModel
 
-__all__ = ["Cluster"]
+__all__ = ["Cluster", "resample_power"]
+
+#: one piecewise-constant power interval ``(t0, t1, watts)``
+PowerSegment = Tuple[float, float, float]
+#: bin width (s) of a resampled power trace
+POWER_TRACE_STEP_S = 300.0
 
 
-@dataclass
-class _PowerSegment:
-    """One piecewise-constant power interval [t0, t1) at `watts`."""
+def resample_power(segments: Sequence[PowerSegment],
+                   step_seconds: float = POWER_TRACE_STEP_S) -> PowerTrace:
+    """Resample a piecewise-constant power log to a trace.
 
-    t0: float
-    t1: float
-    watts: float
+    Each output sample holds the *energy-weighted mean* power of its
+    bin, so the trace's total energy equals the integrated energy
+    (up to the last full bin).
+    """
+    if not segments:
+        raise ValueError("no power history recorded yet")
+    t_end = segments[-1][1]
+    t_start = segments[0][0]
+    n = max(1, int(np.ceil((t_end - t_start) / step_seconds)))
+    energy = np.zeros(n)
+    for t0, t1, watts in segments:
+        i0 = int((t0 - t_start) // step_seconds)
+        i1 = int(np.ceil((t1 - t_start) / step_seconds))
+        for i in range(i0, min(i1, n)):
+            b0 = t_start + i * step_seconds
+            b1 = b0 + step_seconds
+            overlap = max(0.0, min(t1, b1) - max(t0, b0))
+            energy[i] += watts * overlap
+    return PowerTrace(energy / step_seconds, step_seconds, t_start,
+                      label="cluster")
 
 
 class Cluster:
@@ -76,7 +99,7 @@ class Cluster:
             for nd in self.nodes:
                 nd.power_off()
         self._alloc: Dict[int, List[Node]] = {}
-        self._segments: List[_PowerSegment] = []
+        self._segments: List[PowerSegment] = []
         self._last_accrual = 0.0
         self._energy_joules = 0.0
         #: cached current_power(), n_free and n_busy; None until the
@@ -259,7 +282,7 @@ class Cluster:
         if now <= self._last_accrual:
             return 0.0
         watts = self.current_power()
-        self._segments.append(_PowerSegment(self._last_accrual, now, watts))
+        self._segments.append((self._last_accrual, now, watts))
         self._energy_joules += watts * (now - self._last_accrual)
         self._last_accrual = now
         return watts
@@ -269,37 +292,17 @@ class Cluster:
         """Energy integrated so far (kWh)."""
         return self._energy_joules / units.JOULES_PER_KWH
 
-    def power_segments(self):
+    def power_segments(self) -> List[PowerSegment]:
         """The exact piecewise-constant power history as (t0, t1, watts).
 
-        Carbon accounting integrates these segments against the intensity
-        trace — no sampling error.
+        Consecutive segments are contiguous in time: each starts where
+        the previous one ended.
         """
-        return [(s.t0, s.t1, s.watts) for s in self._segments]
+        return list(self._segments)
 
-    def power_trace(self, step_seconds: float = 300.0) -> PowerTrace:
-        """Resample the exact piecewise-constant power log to a trace.
-
-        Each output sample holds the *energy-weighted mean* power of its
-        bin, so the trace's total energy equals the integrated energy
-        (up to the last full bin).
-        """
-        if not self._segments:
-            raise ValueError("no power history recorded yet")
-        t_end = self._segments[-1].t1
-        t_start = self._segments[0].t0
-        n = max(1, int(np.ceil((t_end - t_start) / step_seconds)))
-        energy = np.zeros(n)
-        for seg in self._segments:
-            i0 = int((seg.t0 - t_start) // step_seconds)
-            i1 = int(np.ceil((seg.t1 - t_start) / step_seconds))
-            for i in range(i0, min(i1, n)):
-                b0 = t_start + i * step_seconds
-                b1 = b0 + step_seconds
-                overlap = max(0.0, min(seg.t1, b1) - max(seg.t0, b0))
-                energy[i] += seg.watts * overlap
-        return PowerTrace(energy / step_seconds, step_seconds, t_start,
-                          label="cluster")
+    def power_trace(self, step_seconds: float = POWER_TRACE_STEP_S) -> PowerTrace:
+        """The power log resampled by :func:`resample_power`."""
+        return resample_power(self._segments, step_seconds)
 
     def check_invariants(self) -> None:
         """Assert allocation bookkeeping consistency and that the cached

@@ -152,8 +152,8 @@ def energy_kwh(power_watts, duration_seconds):
 def operational_carbon_g(power_watts, duration_seconds, intensity_g_per_kwh):
     """Operational carbon (gCO2e) of a constant load under constant intensity.
 
-    For time-varying power or intensity use
-    :func:`repro.core.operational.operational_carbon` which integrates the
-    product of the two traces.
+    For time-varying power or intensity, the RJMS accrual
+    (:mod:`repro.scheduler.rjms`) integrates each piecewise-constant
+    power step against the provider's exact intensity integral.
     """
     return energy_kwh(power_watts, duration_seconds) * intensity_g_per_kwh

@@ -1,14 +1,47 @@
-"""Tests for the operational carbon integral and PowerTrace."""
+"""Tests for PowerTrace and the §3.1 operational carbon integral.
+
+The simulator computes ∫ CI·P dt in one place: the RJMS accrual charges
+each piecewise-constant power step with the provider's exact intensity
+integral over it.  :class:`TestOperationalCarbon` drives that path with
+closed-form power profiles (nodes that draw 0 W idle and a fixed
+wattage busy) and closed-form intensity traces.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import PowerTrace, operational_carbon, operational_carbon_constant
-from repro.core.operational import energy_kwh_of_trace
-from repro.grid import CarbonIntensityTrace
+from repro import units
+from repro.core import PowerTrace
+from repro.grid import CarbonIntensityTrace, TraceProvider
+from repro.scheduler import RJMS, FCFSPolicy
+from repro.simulator import Cluster, ComponentPowerModel, Job, NodePowerModel
 
 HOUR = 3600.0
+
+
+def flat_node(watts):
+    """A node that draws 0 W idle and ``watts`` at full utilization."""
+    return NodePowerModel(cpus=(ComponentPowerModel("cpu", 0.0, watts),),
+                          dram=ComponentPowerModel("dram", 0.0, 0.0),
+                          base_watts=0.0)
+
+
+def run_loads(ci, loads, n_nodes=1, watts=1000.0, tick_seconds=900.0,
+              until=None):
+    """Run ``(submit_s, nodes, hours)`` full-utilization jobs on
+    ``watts`` nodes under the intensity trace ``ci``."""
+    jobs = [Job(job_id=i + 1, submit_time=submit, nodes_requested=nodes,
+                runtime_estimate=hours * HOUR, work_seconds=hours * HOUR,
+                utilization=1.0)
+            for i, (submit, nodes, hours) in enumerate(loads)]
+    rjms = RJMS(Cluster(n_nodes, flat_node(watts)), jobs, FCFSPolicy(),
+                provider=TraceProvider(ci), tick_seconds=tick_seconds)
+    return rjms.run(until)
+
+
+def carbon_g(result):
+    return result.total_carbon_kg * units.GRAMS_PER_KG
 
 
 class TestPowerTrace:
@@ -43,84 +76,73 @@ class TestPowerTrace:
         np.testing.assert_allclose(p.times, [10.0, 10.0 + HOUR])
 
 
-class TestEnergyWindow:
-    def test_full_window(self):
-        p = PowerTrace(np.array([1000.0, 3000.0]), HOUR)
-        assert energy_kwh_of_trace(p, 0, 2 * HOUR) == pytest.approx(4.0)
-
-    def test_partial_bins(self):
-        p = PowerTrace(np.array([1000.0, 3000.0]), HOUR)
-        assert energy_kwh_of_trace(p, 0.5 * HOUR, 1.5 * HOUR) == \
-            pytest.approx(0.5 + 1.5)
-
-    def test_outside_trace_is_zero(self):
-        p = PowerTrace(np.array([1000.0]), HOUR)
-        assert energy_kwh_of_trace(p, 5 * HOUR, 6 * HOUR) == 0.0
-
-    def test_empty_interval(self):
-        p = PowerTrace(np.array([1000.0]), HOUR)
-        assert energy_kwh_of_trace(p, HOUR, HOUR) == 0.0
-
-
 class TestOperationalCarbon:
     def test_constant_times_constant(self):
         """1 kW for 2 h at 300 g/kWh = 600 g."""
-        p = PowerTrace.constant(1000.0, 2 * HOUR)
         ci = CarbonIntensityTrace.constant(300.0, 2 * HOUR)
-        assert operational_carbon(p, ci) == pytest.approx(600.0)
+        result = run_loads(ci, [(0.0, 1, 2)])
+        assert carbon_g(result) == pytest.approx(600.0)
 
     def test_paper_definition_integral(self):
         """§3.1: operational carbon is the time integral of CI x P."""
-        p = PowerTrace(np.array([1000.0, 2000.0]), HOUR)
         ci = CarbonIntensityTrace(np.array([100.0, 400.0]), HOUR)
-        # hour 1: 1 kWh * 100 g; hour 2: 2 kWh * 400 g
-        assert operational_carbon(p, ci) == pytest.approx(100.0 + 800.0)
+        # 1 kW in hour 1, 2 kW in hour 2: 1 kWh * 100 g + 2 kWh * 400 g
+        result = run_loads(ci, [(0.0, 1, 2), (HOUR, 1, 1)], n_nodes=2)
+        assert carbon_g(result) == pytest.approx(100.0 + 800.0)
 
     def test_mismatched_steps_exact(self):
-        p = PowerTrace(np.array([1000.0] * 4), 0.5 * HOUR)
+        """Half-hour accrual steps against an hourly intensity trace."""
         ci = CarbonIntensityTrace(np.array([100.0, 300.0]), HOUR)
-        assert operational_carbon(p, ci) == pytest.approx(
-            1.0 * 100.0 + 1.0 * 300.0)
+        result = run_loads(ci, [(0.0, 1, 2)], tick_seconds=0.5 * HOUR)
+        assert carbon_g(result) == pytest.approx(1.0 * 100.0 + 1.0 * 300.0)
 
     def test_phase_offset_exact(self):
-        p = PowerTrace(np.array([2000.0]), HOUR, start_time=0.5 * HOUR)
+        """One accrual step straddles an intensity bin boundary."""
         ci = CarbonIntensityTrace(np.array([100.0, 300.0]), HOUR)
-        # half an hour in each CI bin at 2 kW
-        assert operational_carbon(p, ci) == pytest.approx(
-            1.0 * 100.0 + 1.0 * 300.0)
+        # 2 kW over [0.5 h, 1.5 h); no tick falls inside it
+        result = run_loads(ci, [(0.5 * HOUR, 2, 1)], n_nodes=2,
+                           tick_seconds=2 * HOUR)
+        assert (0.5 * HOUR, 1.5 * HOUR, 2000.0) in result.power_segments
+        assert carbon_g(result) == pytest.approx(1.0 * 100.0 + 1.0 * 300.0)
 
     def test_window_restriction(self):
-        p = PowerTrace.constant(1000.0, 4 * HOUR)
+        """Only the hour the load runs is charged."""
         ci = CarbonIntensityTrace.constant(100.0, 4 * HOUR)
-        assert operational_carbon(p, ci, t0=HOUR, t1=2 * HOUR) == \
-            pytest.approx(100.0)
+        result = run_loads(ci, [(HOUR, 1, 1)])
+        assert carbon_g(result) == pytest.approx(100.0)
+        assert result.accounts[1].carbon_g == pytest.approx(100.0)
 
     def test_empty_window(self):
-        p = PowerTrace.constant(1000.0, HOUR)
         ci = CarbonIntensityTrace.constant(100.0, HOUR)
-        assert operational_carbon(p, ci, t0=HOUR, t1=HOUR) == 0.0
+        result = run_loads(ci, [(0.0, 1, 1)], until=0.0)
+        assert result.total_carbon_kg == 0.0
+        assert result.power_segments == []
 
     def test_constant_helper_matches(self):
+        """A constant load is charged what the trace's constant-load
+        helper gives."""
         ci = CarbonIntensityTrace(np.array([100.0, 300.0]), HOUR)
-        full = operational_carbon(PowerTrace.constant(1500.0, 2 * HOUR), ci)
-        fast = operational_carbon_constant(1500.0, ci, 0, 2 * HOUR)
-        assert full == pytest.approx(fast)
+        result = run_loads(ci, [(0.0, 1, 2)], watts=1500.0)
+        assert carbon_g(result) == pytest.approx(
+            ci.carbon_for_power(1500.0, 0.0, 2 * HOUR), rel=1e-12)
 
     @given(watts=st.floats(0, 1e6), ci_val=st.floats(0, 2000),
            hours=st.integers(1, 72))
-    @settings(max_examples=50)
+    @settings(max_examples=50, deadline=None)
     def test_matches_closed_form_for_constants(self, watts, ci_val, hours):
-        p = PowerTrace.constant(watts, hours * HOUR)
         ci = CarbonIntensityTrace.constant(ci_val, hours * HOUR)
+        result = run_loads(ci, [(0.0, 1, hours)], watts=watts)
         expected = watts / 1000.0 * hours * ci_val
-        assert operational_carbon(p, ci) == pytest.approx(
+        assert carbon_g(result) == pytest.approx(
             expected, rel=1e-9, abs=1e-6)
 
-    @given(vals=st.lists(st.floats(0, 5000), min_size=1, max_size=24))
-    @settings(max_examples=50)
-    def test_linearity_in_power(self, vals):
-        p1 = PowerTrace(np.asarray(vals) + 1.0, HOUR)
-        p2 = PowerTrace(2 * (np.asarray(vals) + 1.0), HOUR)
-        ci = CarbonIntensityTrace.constant(250.0, len(vals) * HOUR)
-        assert operational_carbon(p2, ci) == pytest.approx(
-            2 * operational_carbon(p1, ci), rel=1e-9)
+    @given(vals=st.lists(st.floats(0, 2000), min_size=1, max_size=24),
+           watts=st.floats(1.0, 5000.0))
+    @settings(max_examples=50, deadline=None)
+    def test_linearity_in_power(self, vals, watts):
+        ci = CarbonIntensityTrace(np.asarray(vals), HOUR)
+        load = [(0.0, 1, len(vals))]
+        single = run_loads(ci, load, watts=watts)
+        double = run_loads(ci, load, watts=2 * watts)
+        assert carbon_g(double) == pytest.approx(
+            2 * carbon_g(single), rel=1e-9)

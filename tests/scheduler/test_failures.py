@@ -113,6 +113,24 @@ class TestFailNode:
         assert not result.completed_jobs
         cluster.check_invariants()
 
+        # idle-off: every watt is a job's, so the per-job carbon, the
+        # cancelled job's included, adds up to the total (FailAlways
+        # reads ``job``, so it now targets this run's job 1)
+        job = one_job()
+        short = Job(job_id=2, submit_time=0.0, nodes_requested=2,
+                    runtime_estimate=2 * HOUR, work_seconds=HOUR)
+        rjms = RJMS(Cluster(8, node_power_model, idle_power_off=True),
+                    [job, short], EasyBackfillPolicy(),
+                    provider=SyntheticProvider("DE", seed=3))
+        rjms.register_manager(FailAlways())
+        result = rjms.run()
+        assert job.state is JobState.CANCELLED
+        assert short.state is JobState.COMPLETED
+        assert result.carbon_per_job_kg[1] > 0
+        assert sum(result.carbon_per_job_kg.values()) == pytest.approx(
+            result.total_carbon_kg, rel=1e-12)
+        assert "jobs completed: 1/2  cancelled: 1  " in result.summary()
+
     def test_validation(self, node_power_model):
         cluster = Cluster(4, node_power_model)
         rjms = RJMS(cluster, [one_job(nodes=1, work=HOUR)],

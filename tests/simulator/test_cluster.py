@@ -100,10 +100,15 @@ class TestPowerAccounting:
         small_cluster.accrue(100.0)
         small_cluster.allocate(1, 2, 0.9)
         small_cluster.accrue(200.0)
+        small_cluster.accrue(200.0)  # no time passed: no segment
+        small_cluster.release(1)
+        small_cluster.accrue(450.0)
         segs = small_cluster.power_segments()
-        assert segs[0][:2] == (0.0, 100.0)
-        assert segs[1][:2] == (100.0, 200.0)
-        assert segs[1][2] > segs[0][2]
+        assert all(type(seg) is tuple and len(seg) == 3 for seg in segs)
+        assert [seg[:2] for seg in segs] == [
+            (0.0, 100.0), (100.0, 200.0), (200.0, 450.0)]
+        assert all(a[1] == b[0] for a, b in zip(segs, segs[1:]))
+        assert segs[1][2] > segs[0][2] == segs[2][2]
 
     def test_power_trace_energy_consistent(self, small_cluster):
         small_cluster.allocate(1, 4, 0.9)
