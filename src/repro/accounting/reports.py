@@ -22,7 +22,7 @@ from repro.accounting.analogies import describe
 from repro.grid.green import find_green_periods
 from repro.grid.providers import CarbonIntensityProvider
 from repro.scheduler.rjms import JobAccount
-from repro.simulator.jobs import Job
+from repro.simulator.jobs import Job, JobState
 
 __all__ = ["JobCarbonReport", "build_job_report", "render_report"]
 
@@ -51,7 +51,7 @@ class JobCarbonReport:
 def build_job_report(job: Job, account: JobAccount,
                      provider: CarbonIntensityProvider,
                      green_threshold: float = 0.9) -> JobCarbonReport:
-    """Assemble the carbon profile of a finished job.
+    """Assemble the carbon profile of a completed job, not a cancelled one.
 
     ``overallocation_waste_kwh`` estimates the energy burnt by nodes the
     user requested but did not use (``nodes_used < nodes_requested``):
@@ -59,6 +59,8 @@ def build_job_report(job: Job, account: JobAccount,
     §3.4 "suboptimal utilization ... contributes to higher carbon
     emissions" quantified per job.
     """
+    if job.state is JobState.CANCELLED:
+        raise ValueError(f"job {job.job_id} was cancelled, not completed")
     if job.end_time is None or job.start_time is None:
         raise ValueError(f"job {job.job_id} has not finished")
     runtime = job.end_time - job.start_time

@@ -312,8 +312,7 @@ class RJMS:
                     / units.SECONDS_PER_HOUR
 
     def _refresh_job_power(self, job: Job) -> None:
-        self.accounts[job.job_id].current_power_w = sum(
-            nd.current_power() for nd in self.cluster.nodes_of_job(job.job_id))
+        self.accounts[job.job_id].current_power_w = self.cluster.job_power(job.job_id)
 
     # -- lifecycle: arrival ----------------------------------------------------------
 

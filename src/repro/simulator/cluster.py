@@ -14,12 +14,11 @@ power; the RJMS charges carbon on each step as it is appended, and
 :func:`resample_power` turns it into a binned
 :class:`~repro.core.operational.PowerTrace` only when one is asked for.
 
-Cluster power and the free- and busy-node counts are cached between
-state changes: the RJMS reads them on every event, but they only change
-on an allocation, release, resize, cap, failure or repair.  Every such
-change goes through a :class:`Cluster` method, which drops the cache; a
-miss recomputes the same sum, in the same order, so cached values are
-the same bits as a fresh scan.
+Cluster power and the free- and busy-node counts only change on an
+allocation, release, resize, cap, failure or repair.  Every such change
+goes through a :class:`Cluster` method, which writes the new draw of
+each node it touched into a per-node list and updates both counts (no
+cache); summing that list in node order is the same bits as a scan.
 """
 
 from __future__ import annotations
@@ -83,9 +82,9 @@ class Cluster:
 
     Node state changes go through the cluster (:meth:`allocate`,
     :meth:`release`, :meth:`grow`, :meth:`shrink`, :meth:`set_job_cap`,
-    :meth:`mark_down`, :meth:`repair`): its cached power and node
-    counts are only dropped there.  Mutating a :class:`Node` directly
-    leaves them stale.
+    :meth:`mark_down`, :meth:`repair`): each keeps the per-node draw and
+    the node counts current, after checking its arguments.  Mutating a
+    :class:`Node` directly leaves them stale.
     """
 
     def __init__(self, n_nodes: int, power_model: NodePowerModel,
@@ -102,11 +101,10 @@ class Cluster:
         self._segments: List[PowerSegment] = []
         self._last_accrual = 0.0
         self._energy_joules = 0.0
-        #: cached current_power(), n_free and n_busy; None until the
-        #: next query
-        self._power: Optional[float] = None
-        self._free: Optional[int] = None
-        self._busy: Optional[int] = None
+        #: each node's draw (W) by node id, and the node counts
+        self._watts: List[float] = [nd.current_power() for nd in self.nodes]
+        self._free = n_nodes
+        self._busy = 0
 
     # -- queries --------------------------------------------------------------
 
@@ -116,14 +114,10 @@ class Cluster:
 
     @property
     def n_free(self) -> int:
-        if self._free is None:
-            self._free = self._scan_free()
         return self._free
 
     @property
     def n_busy(self) -> int:
-        if self._busy is None:
-            self._busy = self._scan_busy()
         return self._busy
 
     def nodes_of_job(self, job_id: int) -> List[Node]:
@@ -132,9 +126,11 @@ class Cluster:
 
     def current_power(self) -> float:
         """Instantaneous cluster draw (W)."""
-        if self._power is None:
-            self._power = self._scan_power()
-        return self._power
+        return sum(self._watts)
+
+    def job_power(self, job_id: int) -> float:
+        """Draw (W) of ``job_id``'s nodes, summed in allocation order."""
+        return sum(self._watts[nd.node_id] for nd in self._alloc.get(job_id, ()))
 
     def _scan_free(self) -> int:
         return sum(1 for nd in self.nodes
@@ -146,12 +142,6 @@ class Cluster:
 
     def _scan_power(self) -> float:
         return sum(nd.current_power() for nd in self.nodes)
-
-    def _invalidate(self) -> None:
-        """Drop the cached power and node counts (before any node change)."""
-        self._power = None
-        self._free = None
-        self._busy = None
 
     def max_power(self) -> float:
         """Upper bound: every node busy at full utilization, uncapped."""
@@ -180,18 +170,34 @@ class Cluster:
                    utilization: float) -> List[Node]:
         """Power on and allocate the first ``n_nodes`` free nodes, in
         node order."""
-        free = [nd for nd in self.nodes
-                if nd.state in (NodeState.IDLE, NodeState.POWERED_OFF)]
-        if len(free) < n_nodes:
+        if n_nodes < 1 or not 0.0 < utilization <= 1.0:
+            raise ValueError(f"need >= 1 node at utilization in (0, 1], "
+                             f"got {n_nodes} at {utilization}")
+        if self._free < n_nodes:
             raise ValueError(
-                f"only {len(free)} nodes free, {n_nodes} requested")
-        chosen = free[:n_nodes]
-        self._invalidate()
+                f"only {self._free} nodes free, {n_nodes} requested")
+        chosen = [nd for nd in self.nodes
+                  if nd.state in (NodeState.IDLE, NodeState.POWERED_OFF)
+                  ][:n_nodes]
         for nd in chosen:
             if nd.state is NodeState.POWERED_OFF:
                 nd.power_on()
             nd.allocate(job_id, utilization)
+            self._watts[nd.node_id] = nd.current_power()
+        self._free -= n_nodes
+        self._busy += n_nodes
         return chosen
+
+    def _free_nodes(self, nodes: List[Node]) -> None:
+        """Release unmapped ``nodes``, clear caps, power off if idle-off."""
+        for nd in nodes:
+            nd.release()
+            nd.set_cap(None)
+            if self.idle_power_off:
+                nd.power_off()
+            self._watts[nd.node_id] = nd.current_power()
+        self._free += len(nodes)
+        self._busy -= len(nodes)
 
     def release(self, job_id: int) -> None:
         """Release all nodes of ``job_id``."""
@@ -199,19 +205,12 @@ class Cluster:
             held = self._alloc.pop(job_id)
         except KeyError:
             raise ValueError(f"job {job_id} holds no nodes") from None
-        self._invalidate()
-        for nd in held:
-            nd.release()
-            nd.set_cap(None)
-            if self.idle_power_off:
-                nd.power_off()
+        self._free_nodes(held)
 
     def grow(self, job_id: int, extra_nodes: int, utilization: float) -> List[Node]:
         """Add nodes to a malleable job's allocation."""
         if job_id not in self._alloc:
             raise ValueError(f"job {job_id} holds no nodes")
-        if extra_nodes < 1:
-            raise ValueError("extra_nodes must be >= 1")
         chosen = self._take_free(job_id, extra_nodes, utilization)
         self._alloc[job_id].extend(chosen)
         return list(chosen)
@@ -224,22 +223,16 @@ class Cluster:
         if drop_nodes < 1 or drop_nodes >= len(held):
             raise ValueError(
                 f"can drop 1..{len(held) - 1} nodes, got {drop_nodes}")
-        self._invalidate()
-        for _ in range(drop_nodes):
-            nd = held.pop()
-            nd.release()
-            nd.set_cap(None)
-            if self.idle_power_off:
-                nd.power_off()
+        self._free_nodes([held.pop() for _ in range(drop_nodes)])
 
     def set_job_cap(self, job_id: int, cap_watts_per_node: Optional[float]) -> float:
         """Cap every node of a job; returns the resulting perf factor."""
         held = self._alloc.get(job_id)
         if not held:
             raise ValueError(f"job {job_id} holds no nodes")
-        self._invalidate()
         for nd in held:
             nd.set_cap(cap_watts_per_node)
+            self._watts[nd.node_id] = nd.current_power()
         return held[0].perf_factor
 
     # -- failures -------------------------------------------------------------------
@@ -252,17 +245,20 @@ class Cluster:
     def mark_down(self, node_id: int) -> None:
         """Fail a node; a busy node must be released first."""
         node = self._node(node_id)
-        self._invalidate()
-        node.mark_down()
+        if node.state is not NodeState.DOWN:
+            node.mark_down()  # raises for a busy node
+            self._watts[node_id] = 0.0
+            self._free -= 1
 
     def repair(self, node_id: int) -> None:
         """Return a down node to service (powered off under
         ``idle_power_off``, like every other idle node)."""
         node = self._node(node_id)
-        self._invalidate()
         node.repair()
         if self.idle_power_off:
             node.power_off()
+        self._watts[node_id] = node.current_power()
+        self._free += 1
 
     # -- power integration -----------------------------------------------------
 
@@ -305,19 +301,18 @@ class Cluster:
         return resample_power(self._segments, step_seconds)
 
     def check_invariants(self) -> None:
-        """Assert allocation bookkeeping consistency and that the cached
-        power and node counts equal a fresh scan (used by tests)."""
-        if self._power is not None and self._power != self._scan_power():
-            raise AssertionError(
-                f"cached power {self._power} W != scan {self._scan_power()} W")
-        if self._free is not None and self._free != self._scan_free():
-            raise AssertionError(
-                f"cached n_free {self._free} != scan {self._scan_free()}")
-        if self._busy is not None and self._busy != self._scan_busy():
-            raise AssertionError(
-                f"cached n_busy {self._busy} != scan {self._scan_busy()}")
+        """Assert allocation bookkeeping consistency and that the kept
+        node draws and counts equal a fresh scan (used by tests)."""
+        for name, kept, scan in (
+                ("power", self._watts, [nd.current_power() for nd in self.nodes]),
+                ("n_free", self._free, self._scan_free()),
+                ("n_busy", self._busy, self._scan_busy())):
+            if kept != scan:
+                raise AssertionError(f"kept {name} {kept} != scan {scan}")
         seen: Dict[int, int] = {}
         for job_id, held in self._alloc.items():
+            if not held:
+                raise AssertionError(f"job {job_id} holds zero nodes")
             for nd in held:
                 if nd.node_id in seen:
                     raise AssertionError(
@@ -331,3 +326,5 @@ class Cluster:
             if nd.state is NodeState.BUSY and nd.node_id not in seen:
                 raise AssertionError(
                     f"busy node {nd.node_id} not in allocation map")
+            if self.idle_power_off and nd.state is NodeState.IDLE:
+                raise AssertionError(f"idle node {nd.node_id} powered on")

@@ -1,10 +1,10 @@
 """Discrete-event simulation engine.
 
-A minimal, deterministic event loop: events are ``(time, priority, seq)``
-ordered in a binary heap, where ``seq`` is an insertion counter that
-makes ties deterministic (two events at the same instant fire in
-scheduling order).  Cancellation is lazy — cancelled events stay in the
-heap and are skipped on pop — which keeps ``cancel`` O(1); rescheduling
+A minimal, deterministic event loop: each event is the tuple ``(time,
+priority, seq)``, ordered in a binary heap by C tuple comparison; ``seq``
+is a per-engine insertion counter, so ties fire in scheduling order.
+Cancellation is lazy — cancelled events stay in the heap and are
+skipped on pop — which keeps ``cancel`` O(1); rescheduling
 job-completion events (the common case under power-cap changes) is
 cancel + schedule.
 
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import time
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro import obs
@@ -25,16 +25,18 @@ from repro import obs
 __all__ = ["Event", "SimulationEngine"]
 
 
-@dataclass(order=True)
-class Event:
-    """A scheduled callback. Compares by (time, priority, seq)."""
+class Event(tuple):
+    """A scheduled callback: the tuple ``(time, priority, seq)``."""
 
-    time: float
-    priority: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    time = property(operator.itemgetter(0))
+    priority = property(operator.itemgetter(1))
+    seq = property(operator.itemgetter(2))
+
+    def __new__(cls, time: float, priority: int, seq: int,
+                callback: Callable[[], None], label: str = "") -> "Event":
+        ev = tuple.__new__(cls, (time, priority, seq))
+        ev.callback, ev.label, ev.cancelled = callback, label, False
+        return ev
 
     def cancel(self) -> None:
         """Mark the event dead; it will be skipped when popped."""
@@ -99,7 +101,7 @@ class SimulationEngine:
         """Time of the next live event, or None if the queue is drained."""
         while self._heap and self._heap[0].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Execute the next live event. Returns False if none remained."""
@@ -107,9 +109,9 @@ class SimulationEngine:
             ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 continue
-            if ev.time < self.now - 1e-9:
+            if ev[0] < self.now - 1e-9:
                 raise RuntimeError("event queue corrupted: time went backwards")
-            self.now = ev.time
+            self.now = ev[0]
             self._processed += 1
             ev.callback()
             return True

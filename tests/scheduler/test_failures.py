@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from repro.accounting import build_job_report
 from repro.grid import SyntheticProvider
 from repro.scheduler import RJMS, EasyBackfillPolicy
 from repro.scheduler.rjms import MAX_FAILURE_REQUEUES
@@ -130,6 +131,13 @@ class TestFailNode:
         assert sum(result.carbon_per_job_kg.values()) == pytest.approx(
             result.total_carbon_kg, rel=1e-12)
         assert "jobs completed: 1/2  cancelled: 1  " in result.summary()
+
+        # a job report covers one completed job: the cancelled job's
+        # start time is its last attempt's, so it gets none
+        with pytest.raises(ValueError, match="job 1 was cancelled"):
+            build_job_report(job, result.accounts[1], result.provider)
+        report = build_job_report(short, result.accounts[2], result.provider)
+        assert report.carbon_kg == result.carbon_per_job_kg[2]
 
     def test_validation(self, node_power_model):
         cluster = Cluster(4, node_power_model)

@@ -218,36 +218,51 @@ def fresh_busy(cluster):
     return sum(1 for nd in cluster.nodes if nd.state is NodeState.BUSY)
 
 
+def snapshot(cluster):
+    """Everything a mutator may change: node states, the allocation
+    map, power and both counts."""
+    return ([(nd.state, nd.job_id, nd.cap_watts, nd.utilization)
+             for nd in cluster.nodes],
+            {jid: [nd.node_id for nd in cluster.nodes_of_job(jid)]
+             for jid in range(1, 5)},
+            list(cluster._watts), cluster.current_power(),
+            cluster.n_free, cluster.n_busy)
+
+
 _OP = st.tuples(
     st.sampled_from(["allocate", "release", "grow", "shrink", "set_job_cap",
                      "mark_down", "repair"]),
     st.integers(1, 4),               # job id
-    st.integers(0, 7),               # node count / node id
-    st.sampled_from([None, 250.0, 400.0]),  # per-node cap
-    st.sampled_from([0.3, 0.8, 1.0]))       # utilization
+    st.integers(0, 7),               # node count (0 is invalid) / node id
+    # per-node cap (100 W is below idle, invalid)
+    st.sampled_from([None, 100.0, 250.0, 250.0, 400.0]),
+    # utilization (0.0 and 1.5 are invalid; repeats keep most ops valid)
+    st.sampled_from([0.0, 0.3, 0.3, 0.8, 0.8, 1.0, 1.0, 1.5]))
 
 
 class TestPowerCache:
-    """``current_power()``, ``n_free`` and ``n_busy`` are cached between
-    mutations; every mutator must drop the cache so reads equal a fresh
-    scan."""
+    """``current_power()``, ``job_power``, ``n_free`` and ``n_busy``
+    are kept current by the mutators, not rescanned: after every op they
+    must equal a fresh scan of the nodes, and an op that raises must
+    change nothing."""
 
     @given(ops=st.lists(_OP, min_size=1, max_size=40),
            idle_power_off=st.booleans())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_cache_equals_fresh_scan_after_every_op(self, ops,
                                                     idle_power_off):
         cluster = Cluster(8, PM, idle_power_off=idle_power_off)
         for op, jid, n, cap, util in ops:
+            before = snapshot(cluster)
             try:
                 if op == "allocate":
-                    cluster.allocate(jid, max(n, 1), util)
+                    cluster.allocate(jid, n, util)
                 elif op == "release":
                     cluster.release(jid)
                 elif op == "grow":
-                    cluster.grow(jid, max(n, 1), util)
+                    cluster.grow(jid, n, util)
                 elif op == "shrink":
-                    cluster.shrink(jid, max(n, 1))
+                    cluster.shrink(jid, n)
                 elif op == "set_job_cap":
                     cluster.set_job_cap(jid, cap)
                 elif op == "mark_down":
@@ -255,12 +270,48 @@ class TestPowerCache:
                 else:
                     cluster.repair(n)
             except ValueError:
-                pass  # invalid for the current state: must change nothing
-            # exact equality: a miss recomputes the same sum in node order
+                # invalid for the current state: must change nothing
+                assert snapshot(cluster) == before
+            # exact equality: the kept list holds each node's own read,
+            # summed in node order like a fresh scan
+            for i, nd in enumerate(cluster.nodes):
+                assert cluster._watts[i] == nd.current_power()
             assert cluster.current_power() == fresh_power(cluster)
+            for j in range(1, 5):
+                assert cluster.job_power(j) == sum(
+                    nd.current_power() for nd in cluster.nodes_of_job(j))
             assert cluster.n_free == fresh_free(cluster)
             assert cluster.n_busy == fresh_busy(cluster)
             cluster.check_invariants()
+
+    @pytest.mark.parametrize("n_nodes, utilization",
+                             [(2, 0.0), (2, 1.5), (0, 0.5), (-1, 0.5)])
+    def test_rejected_allocation_changes_nothing(self, n_nodes,
+                                                 utilization):
+        cluster = Cluster(4, PM, idle_power_off=True)
+        with pytest.raises(ValueError):
+            cluster.allocate(1, n_nodes, utilization)
+        assert cluster.current_power() == 0.0
+        assert all(nd.state is NodeState.POWERED_OFF for nd in cluster.nodes)
+        assert cluster.nodes_of_job(1) == []
+        assert cluster.n_free == 4
+        cluster.allocate(1, 1, 0.5)  # no empty allocation was recorded
+        with pytest.raises(ValueError):
+            cluster.grow(1, n_nodes, utilization)
+        assert len(cluster.nodes_of_job(1)) == 1
+        assert cluster.n_free == 3
+        cluster.check_invariants()
+
+    def test_job_power_sums_the_jobs_nodes(self, small_cluster):
+        assert small_cluster.job_power(1) == 0
+        small_cluster.allocate(1, 3, 0.9)
+        small_cluster.allocate(2, 2, 0.4)
+        small_cluster.set_job_cap(1, 250.0)
+        assert small_cluster.job_power(1) == sum(
+            nd.current_power() for nd in small_cluster.nodes_of_job(1))
+        assert small_cluster.job_power(1) + small_cluster.job_power(2) \
+            + 3 * PM.idle_watts == pytest.approx(
+                small_cluster.current_power(), rel=1e-12)
 
     def test_accrue_returns_integrated_watts(self, small_cluster):
         watts = small_cluster.current_power()
@@ -272,20 +323,33 @@ class TestPowerCache:
     def test_check_invariants_catches_a_direct_node_change(self,
                                                            small_cluster):
         """Node state changes must go through the cluster: mutating a
-        node directly leaves the cache stale, and the check says so."""
+        node directly leaves the kept power stale, and the check says
+        so."""
         small_cluster.current_power()
         small_cluster.n_free
         small_cluster.nodes[0].power_off()
-        with pytest.raises(AssertionError, match="cached power"):
+        with pytest.raises(AssertionError, match="kept power"):
             small_cluster.check_invariants()
-
 
     def test_check_invariants_catches_a_stale_busy_count(self,
                                                          small_cluster):
-        """The busy count is cached too; a change to the allocation map
+        """The busy count is kept too; a change to the allocation map
         behind the cluster's back is caught."""
         small_cluster.allocate(1, 3, 0.9)
         assert small_cluster.n_busy == 3
         small_cluster._alloc[1].pop()
-        with pytest.raises(AssertionError, match="cached n_busy"):
+        with pytest.raises(AssertionError, match="kept n_busy"):
+            small_cluster.check_invariants()
+
+    def test_check_invariants_catches_an_idle_node_under_idle_off(self):
+        cluster = Cluster(4, PM, idle_power_off=True)
+        cluster.nodes[2].power_on()
+        cluster._watts[2] = cluster.nodes[2].current_power()
+        with pytest.raises(AssertionError, match="powered on"):
+            cluster.check_invariants()
+
+    def test_check_invariants_catches_an_empty_allocation(self,
+                                                          small_cluster):
+        small_cluster._alloc[7] = []
+        with pytest.raises(AssertionError, match="zero nodes"):
             small_cluster.check_invariants()
