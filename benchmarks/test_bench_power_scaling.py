@@ -22,7 +22,12 @@ import pytest
 from benchmarks.conftest import report
 from repro.grid import SyntheticProvider
 from repro.parallel import run_sweep
-from repro.powerstack import LinearScalingPolicy, SiteController, StaticBudgetPolicy
+from repro.powerstack import (
+    LinearScalingPolicy,
+    PowerBudgetPolicy,
+    SiteController,
+    StaticBudgetPolicy,
+)
 from repro.scheduler import RJMS, EasyBackfillPolicy
 from repro.simulator import (
     Cluster,
@@ -60,41 +65,15 @@ class _MarginalAsSpot:
         return self._p.history(a, b)
 
 
-class _WatchingController(SiteController):
-    """SiteController that may watch a different provider than the one
-    the RJMS accounts carbon against (the signal ablation)."""
+class _Watching(PowerBudgetPolicy):
+    """Budget policy that watches ``provider`` instead of the one the
+    RJMS accounts carbon against (the signal ablation)."""
 
-    def __init__(self, policy, cluster, watch_provider=None):
-        super().__init__(policy, cluster)
-        self._watch = watch_provider
+    def __init__(self, policy, provider):
+        self.policy, self.provider = policy, provider
 
-    def on_tick(self, rjms_):
-        budget = self.policy.budget(self._watch or rjms_.provider,
-                                    rjms_.now)
-        self.budget_log.append((rjms_.now, budget))
-        self._apply(rjms_, budget)
-
-    def _apply(self, rjms_, budget):
-        from repro.simulator.jobs import JobState
-        jobs_ = [j for j in rjms_.running.values()
-                 if j.state is JobState.RUNNING
-                 and j.nodes_allocated > 0]
-        if not jobs_:
-            return
-        try:
-            grants = self.sysmgr.distribute(budget, jobs_)
-        except ValueError:
-            grants = {j.job_id: self.sysmgr.job_floor_watts(j)
-                      for j in jobs_}
-        for j in jobs_:
-            g = grants.get(j.job_id)
-            if g is None:
-                continue
-            demand = self.sysmgr.job_demand_watts(j)
-            cap = None if g >= demand - 1e-9 else \
-                self.jobmgr.split(g, j.nodes_allocated).cap_watts
-            if cap != rjms_.job_caps.get(j.job_id):
-                rjms_.set_job_cap(j, cap)
+    def budget(self, provider, now):
+        return self.policy.budget(self.provider, now)
 
 
 def _budget_policy(name):
@@ -106,22 +85,21 @@ def _budget_policy(name):
     lo = 7 * peak + 9 * idle
     hi = 15 * peak + 1 * idle
     if name == "static":
-        return StaticBudgetPolicy(static_b), None
+        return StaticBudgetPolicy(static_b)
     policy = LinearScalingPolicy(lo, hi, 350.0, 490.0)
     if name == "carbon-avg-signal":
-        return policy, _MarginalAsSpot(SyntheticProvider("DE", seed=23))
-    return policy, None
+        return _Watching(policy,
+                         _MarginalAsSpot(SyntheticProvider("DE", seed=23)))
+    return policy
 
 
 def power_cell(policy):
     """Module-level (picklable) sweep cell: one full PowerStack run."""
-    budget_policy, watch_provider = _budget_policy(policy)
     cluster = Cluster(N_NODES, PM)
     accounting = SyntheticProvider("DE", seed=23)
     rjms = RJMS(cluster, make_workload(), EasyBackfillPolicy(),
                 provider=accounting)
-    rjms.register_manager(_WatchingController(budget_policy, cluster,
-                                              watch_provider))
+    rjms.register_manager(SiteController(_budget_policy(policy), cluster))
     r = rjms.run()
     return {"carbon_kg": r.total_carbon_kg,
             "energy_kwh": r.total_energy_kwh,

@@ -120,7 +120,7 @@ class CarbonCheckpointPolicy:
             j for j in rjms.running.values()
             if j.suspendable
             and j.state is JobState.RUNNING
-            and rjms._phase.get(j.job_id) is None
+            and not rjms.in_phase(j)
             and j.n_suspensions < self.max_suspensions_per_job
             and j.remaining_work >= self.min_remaining_s
         ]
@@ -141,6 +141,6 @@ class CarbonCheckpointPolicy:
 
     @staticmethod
     def _time_suspended(rjms: RJMS, job: Job) -> float:
-        if job._suspend_started is None:
+        if job.suspended_since is None:
             return 0.0
-        return rjms.now - job._suspend_started
+        return rjms.now - job.suspended_since

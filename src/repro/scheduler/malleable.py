@@ -67,7 +67,7 @@ class MalleabilityManager:
     def _malleable_running(rjms: RJMS) -> List[Job]:
         return [j for j in rjms.running.values()
                 if j.is_malleable and j.state is JobState.RUNNING
-                and rjms._phase.get(j.job_id) is None]
+                and not rjms.in_phase(j)]
 
     @staticmethod
     def _node_power(rjms: RJMS) -> float:

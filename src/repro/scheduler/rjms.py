@@ -12,11 +12,15 @@ carbon-aware plugins attach:
   malleability manager (§3.2), and the PowerStack site controller
   (§3.1) are all managers.
 
+A job holds nodes exactly while it is in ``running``: ``_place`` is the
+one way on (start, resume, resize; a rejected call changes nothing) and
+``_remove`` the one way off.  Only the cluster keeps a job's draw.
+
 Accounting is exact: cluster power is piecewise constant between
 events, so before any state change the RJMS accrues one step
-``[t0, now)`` from the cluster's previous accrual time.  Only running
-jobs draw power, and every one of them was last accrued at ``t0`` too,
-so the step costs one call of the provider's
+``[t0, now)`` from the cluster's previous accrual time.  Only jobs
+holding nodes draw power, and every one of them was last accrued at
+``t0`` too, so the step costs one call of the provider's
 :meth:`~repro.grid.providers.CarbonIntensityProvider.integrate_intensity`
 over ``[t0, now)`` (exact partial bins, on the trace the provider
 already holds), shared by the cluster segment and every running job's
@@ -38,7 +42,7 @@ from __future__ import annotations
 import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Protocol, Sequence, Set
 
 import numpy as np
 
@@ -67,7 +71,6 @@ __all__ = [
 PRIO_COMPLETION = 0
 PRIO_PHASE = 1          # checkpoint/restore phase ends
 PRIO_ARRIVAL = 3
-PRIO_SCHEDULE = 5
 PRIO_TICK = 7
 
 #: failure requeues before the next failure cancels the job (Slurm's
@@ -121,12 +124,11 @@ class _Manager(Protocol):
 
 @dataclass
 class JobAccount:
-    """Per-job energy/carbon ledger maintained by the RJMS."""
+    """Per-job energy/carbon ledger maintained by the RJMS; each step
+    charges it at the job's draw in ``Cluster.job_draws``."""
 
     energy_kwh: float = 0.0
     carbon_g: float = 0.0
-    #: draw of the job's allocation (W); nonzero only while it runs
-    current_power_w: float = 0.0
 
 
 @dataclass
@@ -201,11 +203,7 @@ class RJMS:
         (already-wrapped providers are used as-is), so every intensity
         lookup in the simulation — accounting and policies — flows
         through the serving layer's fault handling; spot lookups are
-        also cached, history windows and integrals are not.  Accrual
-        asks it for one ``integrate_intensity(t0, now)`` per step and
-        never for a history window.  A telemetry reading at
-        ``t`` holds over the accrued step that starts at ``t``; its
-        ``grid.intensity`` is the step's time-weighted mean.
+        also cached, history windows and integrals are not.
     queues:
         Queue configuration; orders the pending queue.
     tick_seconds:
@@ -214,6 +212,9 @@ class RJMS:
         no job events fire).
     checkpoint_model:
         Cost model used by suspend/resume.
+
+    Each job in ``running`` holds nodes and has at most one live event;
+    :meth:`in_phase` tells which are checkpointing or restoring.
     """
 
     def __init__(self, cluster: Cluster, jobs: Sequence[Job],
@@ -246,8 +247,8 @@ class RJMS:
         self.suspended: Dict[int, Job] = {}
         self.accounts: Dict[int, JobAccount] = {}
         self.job_caps: Dict[int, Optional[float]] = {}
-        #: jobs currently in a checkpoint or restore phase
-        self._phase: Dict[int, str] = {}
+        #: ids of the jobs in a checkpoint or restore phase (see in_phase)
+        self._phase: Set[int] = set()
         #: each job's one live completion or phase-end event
         self._job_events: Dict[int, Event] = {}
         self._managers: List[_Manager] = []
@@ -285,11 +286,11 @@ class RJMS:
     def _accrue_all(self) -> None:
         """Integrate cluster and running-job power over ``[t0, now)``.
 
-        ``t0`` is the cluster's previous accrual time.  Completion,
-        suspension and node failure all take a job out of ``running``
-        and zero its power, so the running jobs are the only accounts
-        that accrue; one intensity integral serves them, the cluster
-        and the step's telemetry (this is its only writer).
+        ``t0`` is the cluster's previous accrual time.  The jobs that
+        hold nodes (exactly ``running``) are the only accounts that
+        accrue, each at the draw the cluster keeps for it; one intensity
+        integral serves them, the cluster and the step's telemetry (this
+        is its only writer).
         """
         t0, now = self.cluster.last_accrual, self.now
         watts = self.cluster.accrue(now)
@@ -302,17 +303,57 @@ class RJMS:
         self.telemetry.record("cluster.power", t0, watts)
         self.telemetry.record("grid.intensity", t0, integral / dt)
         self.telemetry.record("cluster.nodes_busy", t0, self.cluster.n_busy)
-        for jid in self.running:
-            acc = self.accounts[jid]
-            w = acc.current_power_w
+        for jid, w in self.cluster.job_draws.items():
             if w > 0:
+                acc = self.accounts[jid]
                 acc.energy_kwh += w * dt / units.SECONDS_PER_HOUR \
                     / units.WATTS_PER_KW
                 acc.carbon_g += (w / units.WATTS_PER_KW) * integral \
                     / units.SECONDS_PER_HOUR
 
-    def _refresh_job_power(self, job: Job) -> None:
-        self.accounts[job.job_id].current_power_w = self.cluster.job_power(job.job_id)
+    def in_phase(self, job: Job) -> bool:
+        """Whether ``job`` holds its nodes to checkpoint or restore."""
+        return job.job_id in self._phase
+
+    # -- placement: the one way on and the one way off the cluster ---------------
+
+    def _place(self, job: Job, n_nodes: int) -> float:
+        """Check ``job``'s node bounds and the free nodes, accrue, put it
+        on exactly ``n_nodes`` nodes and into ``running``, and re-apply
+        its kept cap; returns the cap's perf factor."""
+        jid, held = job.job_id, job.nodes_allocated
+        if not job.min_nodes <= n_nodes <= job.max_nodes:
+            raise ValueError(f"job {jid} takes {job.min_nodes}.."
+                             f"{job.max_nodes} nodes, not {n_nodes}")
+        if n_nodes - held > self.cluster.n_free:
+            raise ValueError(f"job {jid} needs {n_nodes - held} more nodes, "
+                             f"{self.cluster.n_free} free")
+        self._accrue_all()
+        if not held:
+            self.cluster.allocate(jid, n_nodes, job.utilization)
+        elif n_nodes > held:
+            self.cluster.grow(jid, n_nodes - held, job.utilization)
+        else:
+            self.cluster.shrink(jid, held - n_nodes)
+        self.running[jid] = job
+        cap = self.job_caps.get(jid)
+        return 1.0 if cap is None else self.cluster.set_job_cap(jid, cap)
+
+    def _remove(self, job: Job) -> None:
+        """Take ``job`` off its nodes and out of ``running``: end any
+        checkpoint/restore phase and cancel its live event."""
+        self.cluster.release(job.job_id)
+        del self.running[job.job_id]
+        self._phase.discard(job.job_id)
+        self._replace_event(job, None)
+
+    def _replace_event(self, job: Job, event: Optional[Event]) -> None:
+        """Cancel ``job``'s one live event; keep ``event`` (if any)."""
+        old = self._job_events.pop(job.job_id, None)
+        if old is not None:
+            old.cancel()
+        if event is not None:
+            self._job_events[job.job_id] = event
 
     # -- lifecycle: arrival ----------------------------------------------------------
 
@@ -325,40 +366,24 @@ class RJMS:
     # -- lifecycle: start ---------------------------------------------------------------
 
     def _start_job(self, job: Job, n_nodes: int) -> None:
-        self._accrue_all()
-        self.cluster.allocate(job.job_id, n_nodes, job.utilization)
-        cap = self.job_caps.get(job.job_id)
-        perf = 1.0
-        if cap is not None:
-            perf = self.cluster.set_job_cap(job.job_id, cap)
+        perf = self._place(job, n_nodes)
         job.start(self.now, n_nodes, perf)
         self.pending.remove(job)
-        self.running[job.job_id] = job
         # a job requeued by a node failure keeps what it already used
         self.accounts.setdefault(job.job_id, JobAccount())
-        self._refresh_job_power(job)
         self._schedule_completion(job)
 
     def _schedule_completion(self, job: Job) -> None:
-        old = self._job_events.pop(job.job_id, None)
-        if old is not None:
-            old.cancel()
         eta = job.eta(self.now)
-        if np.isfinite(eta):
-            self._job_events[job.job_id] = self.engine.schedule_at(
-                eta, self._completion_fn(job), priority=PRIO_COMPLETION,
-                label=f"complete:{job.job_id}")
+        self._replace_event(job, self.engine.schedule_at(
+            eta, self._completion_fn(job), priority=PRIO_COMPLETION,
+            label=f"complete:{job.job_id}") if np.isfinite(eta) else None)
 
     def _completion_fn(self, job: Job):
         def _complete() -> None:
-            if job.state is not JobState.RUNNING:
-                return  # stale event (suspended/cancelled meanwhile)
             self._accrue_all()
             job.complete(self.now)
-            self.cluster.release(job.job_id)
-            self.running.pop(job.job_id, None)
-            self._job_events.pop(job.job_id, None)
-            self.accounts[job.job_id].current_power_w = 0.0
+            self._remove(job)
             self._schedule_pass()
         return _complete
 
@@ -371,10 +396,9 @@ class RJMS:
         self._accrue_all()
         self.job_caps[job.job_id] = cap_watts_per_node
         perf = self.cluster.set_job_cap(job.job_id, cap_watts_per_node)
-        if self._phase.get(job.job_id) is None:  # not mid checkpoint/restore
+        if not self.in_phase(job):  # a phase end sets the perf factor
             job.set_perf_factor(self.now, perf)
             self._schedule_completion(job)
-        self._refresh_job_power(job)
 
     # -- lifecycle: suspend/resume (§3.3) ----------------------------------------------
 
@@ -382,30 +406,23 @@ class RJMS:
         """Checkpoint then suspend a running suspendable job."""
         if job.state is not JobState.RUNNING or not job.suspendable:
             raise ValueError(f"job {job.job_id} cannot be suspended")
-        if self._phase.get(job.job_id) is not None:
+        if self.in_phase(job):
             raise ValueError(f"job {job.job_id} already mid-phase")
         self._accrue_all()
         # checkpoint phase: nodes busy, no progress
         job.set_perf_factor(self.now, 0.0)
-        self._phase[job.job_id] = "checkpoint"
-        ev = self._job_events.pop(job.job_id, None)
-        if ev is not None:
-            ev.cancel()
-        ckpt_s = self.checkpoint_model.checkpoint_seconds(job)
-        self._job_events[job.job_id] = self.engine.schedule_in(
-            ckpt_s, self._finish_suspend_fn(job), priority=PRIO_PHASE,
-            label=f"ckpt-done:{job.job_id}")
+        self._phase.add(job.job_id)
+        self._replace_event(job, self.engine.schedule_in(
+            self.checkpoint_model.checkpoint_seconds(job),
+            self._finish_suspend_fn(job), priority=PRIO_PHASE,
+            label=f"ckpt-done:{job.job_id}"))
 
     def _finish_suspend_fn(self, job: Job):
         def _finish() -> None:
             self._accrue_all()
-            self.cluster.release(job.job_id)
             job.suspend(self.now)
-            self._phase.pop(job.job_id, None)
-            self._job_events.pop(job.job_id, None)
-            self.running.pop(job.job_id, None)
+            self._remove(job)
             self.suspended[job.job_id] = job
-            self.accounts[job.job_id].current_power_w = 0.0
             self._schedule_pass()
         return _finish
 
@@ -414,37 +431,22 @@ class RJMS:
         if job.state is not JobState.SUSPENDED:
             raise ValueError(f"job {job.job_id} is not suspended")
         n = n_nodes if n_nodes is not None else job.nodes_requested
-        if self.cluster.n_free < n:
-            raise ValueError(
-                f"cannot resume job {job.job_id}: {self.cluster.n_free} free "
-                f"< {n} needed")
-        self._accrue_all()
-        self.cluster.allocate(job.job_id, n, job.utilization)
-        cap = self.job_caps.get(job.job_id)
-        if cap is not None:
-            self.cluster.set_job_cap(job.job_id, cap)
+        self._place(job, n)
         job.resume(self.now, n, perf_factor=0.0)  # restoring: no progress
-        self._phase[job.job_id] = "restore"
-        self.suspended.pop(job.job_id, None)
-        self.running[job.job_id] = job
-        self._refresh_job_power(job)
-        restore_s = self.checkpoint_model.restore_seconds(job)
-        self._job_events[job.job_id] = self.engine.schedule_in(
-            restore_s, self._finish_resume_fn(job), priority=PRIO_PHASE,
-            label=f"restore-done:{job.job_id}")
+        self._phase.add(job.job_id)
+        del self.suspended[job.job_id]
+        self._replace_event(job, self.engine.schedule_in(
+            self.checkpoint_model.restore_seconds(job),
+            self._finish_resume_fn(job), priority=PRIO_PHASE,
+            label=f"restore-done:{job.job_id}"))
 
     def _finish_resume_fn(self, job: Job):
         def _finish() -> None:
-            if job.state is not JobState.RUNNING:
-                return
             self._accrue_all()
-            self._phase.pop(job.job_id, None)
-            self._job_events.pop(job.job_id, None)
-            nodes = self.cluster.nodes_of_job(job.job_id)
-            perf = nodes[0].perf_factor if nodes else 1.0
+            self._phase.discard(job.job_id)
+            perf = self.cluster.nodes_of_job(job.job_id)[0].perf_factor
             job.set_perf_factor(self.now, perf)
             self._schedule_completion(job)
-            self._refresh_job_power(job)
         return _finish
 
     # -- lifecycle: node failures (fail-in-place, paper ref [40]) -------------------
@@ -470,17 +472,8 @@ class RJMS:
         self._accrue_all()
 
         if node.state is NodeState.BUSY:
-            assert node.job_id is not None
-            job = self.running.get(node.job_id)
-            if job is None:  # pragma: no cover - bookkeeping guard
-                raise RuntimeError("busy node with unknown job")
-            ev = self._job_events.pop(job.job_id, None)
-            if ev is not None:
-                ev.cancel()
-            self._phase.pop(job.job_id, None)
-            self.cluster.release(job.job_id)
-            self.running.pop(job.job_id, None)
-            self.accounts[job.job_id].current_power_w = 0.0
+            job = self.running[node.job_id]
+            self._remove(job)
             if job.n_restarts >= MAX_FAILURE_REQUEUES:
                 job.cancel(self.now)
             else:
@@ -506,24 +499,13 @@ class RJMS:
         """Grow or shrink a running malleable job to ``n_nodes``."""
         if job.state is not JobState.RUNNING or not job.is_malleable:
             raise ValueError(f"job {job.job_id} cannot be resized")
-        if self._phase.get(job.job_id) is not None:
+        if self.in_phase(job):
             raise ValueError(f"job {job.job_id} is mid-phase")
-        current = job.nodes_allocated
-        if n_nodes == current:
+        if n_nodes == job.nodes_allocated:
             return
-        self._accrue_all()
-        if n_nodes > current:
-            if self.cluster.n_free < n_nodes - current:
-                raise ValueError("not enough free nodes to grow")
-            self.cluster.grow(job.job_id, n_nodes - current, job.utilization)
-        else:
-            self.cluster.shrink(job.job_id, current - n_nodes)
-        cap = self.job_caps.get(job.job_id)
-        if cap is not None:
-            self.cluster.set_job_cap(job.job_id, cap)
+        self._place(job, n_nodes)
         job.resize(self.now, n_nodes)
         self._schedule_completion(job)
-        self._refresh_job_power(job)
 
     # -- scheduling pass --------------------------------------------------------------------
 

@@ -14,16 +14,17 @@ power; the RJMS charges carbon on each step as it is appended, and
 :func:`resample_power` turns it into a binned
 :class:`~repro.core.operational.PowerTrace` only when one is asked for.
 
-Cluster power and the free- and busy-node counts only change on an
-allocation, release, resize, cap, failure or repair.  Every such change
-goes through a :class:`Cluster` method, which writes the new draw of
-each node it touched into a per-node list and updates both counts (no
-cache); summing that list in node order is the same bits as a scan.
+Node and job draws and the node counts change only through
+:class:`Cluster` methods, which keep each node's draw, each job's draw
+(its nodes' draws summed in allocation order: the only copy; the RJMS
+charges jobs from :attr:`Cluster.job_draws`) and both counts current.
+There is no cache; the kept sums are the same bits as a scan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,9 +83,10 @@ class Cluster:
 
     Node state changes go through the cluster (:meth:`allocate`,
     :meth:`release`, :meth:`grow`, :meth:`shrink`, :meth:`set_job_cap`,
-    :meth:`mark_down`, :meth:`repair`): each keeps the per-node draw and
-    the node counts current, after checking its arguments.  Mutating a
-    :class:`Node` directly leaves them stale.
+    :meth:`mark_down`, :meth:`repair`): each keeps the per-node draw,
+    each allocated job's draw and the node counts current, after
+    checking its arguments.  Mutating a :class:`Node` directly leaves
+    them stale.
     """
 
     def __init__(self, n_nodes: int, power_model: NodePowerModel,
@@ -98,6 +100,9 @@ class Cluster:
             for nd in self.nodes:
                 nd.power_off()
         self._alloc: Dict[int, List[Node]] = {}
+        #: each allocated job's draw (W), and a read-only live view of it
+        self._job_watts: Dict[int, float] = {}
+        self.job_draws: Mapping[int, float] = MappingProxyType(self._job_watts)
         self._segments: List[PowerSegment] = []
         self._last_accrual = 0.0
         self._energy_joules = 0.0
@@ -130,7 +135,11 @@ class Cluster:
 
     def job_power(self, job_id: int) -> float:
         """Draw (W) of ``job_id``'s nodes, summed in allocation order."""
-        return sum(self._watts[nd.node_id] for nd in self._alloc.get(job_id, ()))
+        return self._job_watts.get(job_id, 0.0)
+
+    def _redraw(self, job_id: int) -> None:
+        self._job_watts[job_id] = sum(self._watts[nd.node_id]
+                                      for nd in self._alloc[job_id])
 
     def _scan_free(self) -> int:
         return sum(1 for nd in self.nodes
@@ -162,14 +171,12 @@ class Cluster:
         """
         if job_id in self._alloc:
             raise ValueError(f"job {job_id} already holds nodes; use grow()")
-        chosen = self._take_free(job_id, n_nodes, utilization)
-        self._alloc[job_id] = chosen
-        return list(chosen)
+        return self._take_free(job_id, n_nodes, utilization)
 
     def _take_free(self, job_id: int, n_nodes: int,
                    utilization: float) -> List[Node]:
-        """Power on and allocate the first ``n_nodes`` free nodes, in
-        node order."""
+        """Power on the first ``n_nodes`` free nodes, in node order, and
+        add them to ``job_id``'s allocation."""
         if n_nodes < 1 or not 0.0 < utilization <= 1.0:
             raise ValueError(f"need >= 1 node at utilization in (0, 1], "
                              f"got {n_nodes} at {utilization}")
@@ -184,6 +191,8 @@ class Cluster:
                 nd.power_on()
             nd.allocate(job_id, utilization)
             self._watts[nd.node_id] = nd.current_power()
+        self._alloc.setdefault(job_id, []).extend(chosen)
+        self._redraw(job_id)
         self._free -= n_nodes
         self._busy += n_nodes
         return chosen
@@ -205,15 +214,14 @@ class Cluster:
             held = self._alloc.pop(job_id)
         except KeyError:
             raise ValueError(f"job {job_id} holds no nodes") from None
+        del self._job_watts[job_id]
         self._free_nodes(held)
 
     def grow(self, job_id: int, extra_nodes: int, utilization: float) -> List[Node]:
         """Add nodes to a malleable job's allocation."""
         if job_id not in self._alloc:
             raise ValueError(f"job {job_id} holds no nodes")
-        chosen = self._take_free(job_id, extra_nodes, utilization)
-        self._alloc[job_id].extend(chosen)
-        return list(chosen)
+        return self._take_free(job_id, extra_nodes, utilization)
 
     def shrink(self, job_id: int, drop_nodes: int) -> None:
         """Remove nodes from a malleable job's allocation (keeps >= 1)."""
@@ -224,6 +232,7 @@ class Cluster:
             raise ValueError(
                 f"can drop 1..{len(held) - 1} nodes, got {drop_nodes}")
         self._free_nodes([held.pop() for _ in range(drop_nodes)])
+        self._redraw(job_id)
 
     def set_job_cap(self, job_id: int, cap_watts_per_node: Optional[float]) -> float:
         """Cap every node of a job; returns the resulting perf factor."""
@@ -233,6 +242,7 @@ class Cluster:
         for nd in held:
             nd.set_cap(cap_watts_per_node)
             self._watts[nd.node_id] = nd.current_power()
+        self._redraw(job_id)
         return held[0].perf_factor
 
     # -- failures -------------------------------------------------------------------
@@ -302,11 +312,14 @@ class Cluster:
 
     def check_invariants(self) -> None:
         """Assert allocation bookkeeping consistency and that the kept
-        node draws and counts equal a fresh scan (used by tests)."""
+        node and job draws and counts equal a fresh scan (used by tests)."""
         for name, kept, scan in (
                 ("power", self._watts, [nd.current_power() for nd in self.nodes]),
                 ("n_free", self._free, self._scan_free()),
-                ("n_busy", self._busy, self._scan_busy())):
+                ("n_busy", self._busy, self._scan_busy()),
+                ("job draws", self._job_watts,
+                 {jid: sum(nd.current_power() for nd in held)
+                  for jid, held in self._alloc.items() if held})):
             if kept != scan:
                 raise AssertionError(f"kept {name} {kept} != scan {scan}")
         seen: Dict[int, int] = {}

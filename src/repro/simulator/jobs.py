@@ -139,7 +139,7 @@ class Job:
     n_suspensions: int = field(default=0, init=False)
     suspended_seconds: float = field(default=0.0, init=False)
     n_restarts: int = field(default=0, init=False)
-    _suspend_started: Optional[float] = field(default=None, init=False)
+    suspended_since: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.nodes_requested < 1:
@@ -274,7 +274,7 @@ class Job:
         self.current_rate = 0.0
         self.nodes_allocated = 0
         self.n_suspensions += 1
-        self._suspend_started = now
+        self.suspended_since = now
 
     def resume(self, now: float, n_nodes: int,
                perf_factor: float = 1.0) -> None:
@@ -283,9 +283,9 @@ class Job:
             raise ValueError(f"cannot resume job in state {self.state}")
         if not self.min_nodes <= n_nodes <= self.max_nodes:
             raise ValueError("resume allocation outside bounds")
-        if self._suspend_started is not None:
-            self.suspended_seconds += now - self._suspend_started
-            self._suspend_started = None
+        if self.suspended_since is not None:
+            self.suspended_seconds += now - self.suspended_since
+            self.suspended_since = None
         self.state = JobState.RUNNING
         self.nodes_allocated = n_nodes
         self.last_progress_time = now

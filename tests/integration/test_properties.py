@@ -1,5 +1,6 @@
 """Cross-cutting property-based tests (hypothesis) on system invariants."""
 
+import collections
 import copy
 import dataclasses
 
@@ -9,12 +10,14 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import units
 from repro.grid import StaticProvider, SyntheticProvider
+from repro.powerstack import LinearScalingPolicy, SiteController
 from repro.scheduler import (
     RJMS,
     CarbonBackfillPolicy,
     CarbonCheckpointPolicy,
     EasyBackfillPolicy,
     FCFSPolicy,
+    MalleabilityManager,
     MoldableEasyBackfillPolicy,
     SchedulerPolicy,
 )
@@ -24,6 +27,7 @@ from repro.simulator import (
     ComponentPowerModel,
     JobState,
     NodePowerModel,
+    NodeState,
     WorkloadConfig,
     WorkloadGenerator,
 )
@@ -263,3 +267,79 @@ class TestCarbonAccountingInvariants:
             result.total_energy_kwh, rel=1e-6)
         assert result.total_carbon_kg > 0
         assert_telemetry_reconciles(result, cluster.last_accrual)
+
+
+def managed_site(seed, idle_power_off):
+    """An 8-node site where every kind of state change happens: node
+    failures, carbon suspend/resume, malleable resizes and PowerStack
+    caps, over a half-suspendable, half-malleable workload."""
+    pm = power_model()
+    cluster = Cluster(8, pm, idle_power_off=idle_power_off)
+    rjms = RJMS(cluster, workload(seed, n_jobs=20, suspendable=0.5,
+                                  malleable=0.5),
+                MoldableEasyBackfillPolicy(),
+                provider=SyntheticProvider("DE", seed=seed))
+    high, low = 8 * pm.peak_watts, 3 * pm.peak_watts
+    rjms.register_manager(FailureInjector(mtbf_seconds=36 * HOUR,
+                                          repair_seconds=HOUR, seed=seed))
+    rjms.register_manager(CarbonCheckpointPolicy(suspend_percentile=60.0,
+                                                 resume_percentile=40.0))
+    rjms.register_manager(MalleabilityManager(
+        lambda t: high if int(t // (6 * HOUR)) % 2 == 0 else low))
+    rjms.register_manager(SiteController(
+        LinearScalingPolicy(3 * (pm.peak_watts + pm.idle_watts),
+                            6 * pm.peak_watts, 350.0, 490.0), cluster))
+    return rjms
+
+
+def assert_placement_consistent(rjms):
+    """The jobs holding nodes are exactly ``running``; each holds as
+    many nodes as it thinks, at the draw a fresh scan of them gives;
+    every job mid checkpoint/restore is running."""
+    cluster = rjms.cluster
+    holders = {nd.job_id for nd in cluster.nodes
+               if nd.state is NodeState.BUSY}
+    assert holders == set(rjms.running) == set(cluster.job_draws)
+    for jid, job in rjms.running.items():
+        nodes = cluster.nodes_of_job(jid)
+        assert job.state is JobState.RUNNING
+        assert job.nodes_allocated == len(nodes)
+        assert cluster.job_draws[jid] == sum(nd.current_power()
+                                             for nd in nodes)
+    assert all(j.job_id in rjms.running for j in rjms.jobs
+               if rjms.in_phase(j))
+    cluster.check_invariants()
+
+
+class TestPlacementInvariants:
+    @pytest.mark.parametrize("idle_power_off", [False, True],
+                             ids=["idle-on", "idle-off"])
+    @given(seed=st.integers(0, 1000))
+    @SIM_SETTINGS
+    def test_after_every_event(self, seed, idle_power_off):
+        """Under failures, suspend/resume, resizes and caps, the RJMS's
+        view of who holds which nodes, at what draw, matches the
+        cluster's after every engine event."""
+        rjms = managed_site(seed, idle_power_off)
+        step = rjms.engine.step
+
+        def checked_step():
+            fired = step()
+            assert_placement_consistent(rjms)
+            return fired
+        rjms.engine.step = checked_step
+        rjms.run()
+
+    def test_the_site_makes_every_kind_of_change(self):
+        rjms = managed_site(0, False)
+        changes = ("fail_node", "suspend_job", "resume_job", "resize_job",
+                   "set_job_cap")
+        calls = collections.Counter()
+        for name in changes:
+            def counted(*args, _fn=getattr(rjms, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            setattr(rjms, name, counted)
+        rjms.run()
+        assert all(calls[name] > 0 for name in changes), calls

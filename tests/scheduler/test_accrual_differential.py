@@ -2,9 +2,10 @@
 
 :class:`ReferenceRJMS` keeps the previous accounting: each step walks
 every ``JobAccount`` ever created and integrates each live one over its
-own ``provider.history`` window, and the cluster's carbon is summed over
-its power segments after the run.  Its cluster has no cache: every
-power and node-count query scans afresh.  The RJMS must give the same
+own ``provider.history`` window, at the draw a fresh scan of the job's
+nodes gives, and the cluster's carbon is summed over its power segments
+after the run.  Its cluster keeps nothing: every power, job-draw and
+node-count query scans afresh.  The RJMS must give the same
 bits: job start and end times, power segments, total energy and carbon,
 and every account's energy and carbon.
 """
@@ -40,10 +41,14 @@ PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
 
 
 class ScanCluster(Cluster):
-    """A cluster without the power and node-count cache."""
+    """A cluster that rescans its nodes for every power, job-draw and
+    node count."""
 
     def current_power(self) -> float:
         return self._scan_power()
+
+    def job_power(self, job_id: int) -> float:
+        return sum(nd.current_power() for nd in self.nodes_of_job(job_id))
 
     @property
     def n_free(self) -> int:
@@ -66,13 +71,13 @@ class ReferenceRJMS(RJMS):
         self.cluster.accrue(now)
         for jid, acc in self.accounts.items():
             last = self._last_update[jid]
-            if acc.current_power_w > 0 and now > last:
+            watts = self.cluster.job_power(jid)
+            if watts > 0 and now > last:
                 dt = now - last
-                acc.energy_kwh += acc.current_power_w * dt \
+                acc.energy_kwh += watts * dt \
                     / units.SECONDS_PER_HOUR / units.WATTS_PER_KW
                 trace = self.provider.history(last, now)
-                acc.carbon_g += trace.carbon_for_power(
-                    acc.current_power_w, last, now)
+                acc.carbon_g += trace.carbon_for_power(watts, last, now)
             self._last_update[jid] = now
 
     def _start_job(self, job, n_nodes: int) -> None:

@@ -139,6 +139,37 @@ class TestFailNode:
         report = build_job_report(short, result.accounts[2], result.provider)
         assert report.carbon_kg == result.carbon_per_job_kg[2]
 
+    def test_failed_job_leaves_no_live_event(self, node_power_model):
+        """The killed job's completion event is cancelled: it would fire
+        at 4 h, while the job waits for the node repaired at 11 h."""
+        job = one_job()
+        rjms = RJMS(Cluster(4, node_power_model), [job],
+                    EasyBackfillPolicy())
+        rjms.engine.run_until(HOUR)
+        rjms.fail_node(0, repair_seconds=10 * HOUR)
+        assert job.state is JobState.PENDING
+        assert not rjms._job_events
+        rjms.engine.run()
+        assert job.state is JobState.COMPLETED
+        assert job.end_time == pytest.approx(15 * HOUR)
+
+    def test_failure_mid_checkpoint_ends_the_phase(self, node_power_model):
+        """A failure during a checkpoint takes the job off its nodes in
+        full: the phase ends, and its phase-end event never fires."""
+        job = one_job(suspendable=True)
+        rjms = RJMS(Cluster(4, node_power_model), [job],
+                    EasyBackfillPolicy())
+        rjms.engine.run_until(HOUR)
+        rjms.suspend_job(job)
+        assert rjms.in_phase(job)
+        rjms.fail_node(0, repair_seconds=10 * HOUR)
+        assert job.state is JobState.PENDING
+        assert not rjms.in_phase(job)
+        rjms.engine.run()
+        assert job.state is JobState.COMPLETED
+        assert job.n_suspensions == 0
+        rjms.cluster.check_invariants()
+
     def test_validation(self, node_power_model):
         cluster = Cluster(4, node_power_model)
         rjms = RJMS(cluster, [one_job(nodes=1, work=HOUR)],

@@ -5,10 +5,12 @@ import pytest
 
 from repro.grid import StaticProvider, SyntheticProvider
 from repro.scheduler import RJMS, EasyBackfillPolicy, FCFSPolicy
+from repro.scheduler.rjms import SchedulerPolicy, StartDecision
 from repro.simulator import (
     CheckpointModel,
     Cluster,
     Job,
+    JobKind,
     JobState,
 )
 
@@ -327,3 +329,93 @@ class TestResultMetrics:
         assert "cluster.power" in result.telemetry.sensors()
         times, vals = result.telemetry.series("cluster.power")
         assert len(vals) > 10
+
+
+def placement(rjms, job):
+    """Everything a rejected placement must leave as it was."""
+    cluster = rjms.cluster
+    return ([(nd.state, nd.job_id, nd.cap_watts) for nd in cluster.nodes],
+            cluster.n_free, cluster.current_power(),
+            cluster.job_power(job.job_id), len(cluster.power_segments()),
+            sorted(rjms.running), sorted(rjms.suspended),
+            job.state, job.nodes_allocated)
+
+
+class TestRejectedPlacement:
+    """A start, resume or resize outside the job's node bounds, or
+    wanting more nodes than are free, raises before the cluster, the
+    run queues or the job's draw change."""
+
+    def test_resume_outside_bounds(self, node_power_model):
+        jobs = make_jobs((0.0, 2, 4 * HOUR, dict(suspendable=True)))
+        rjms = make_rjms(node_power_model, jobs)
+        job = jobs[0]
+        rjms.engine.run_until(HOUR)
+        rjms.suspend_job(job)
+        rjms.engine.run_until(2 * HOUR)
+        assert job.state is JobState.SUSPENDED
+        before = placement(rjms, job)
+        for n in (5, 1):
+            with pytest.raises(ValueError):
+                rjms.resume_job(job, n_nodes=n)
+            assert placement(rjms, job) == before
+        rjms.cluster.check_invariants()
+        rjms.resume_job(job)
+        assert rjms.cluster.n_free == 6
+        assert rjms.in_phase(job)
+
+    def test_resume_without_free_nodes(self, node_power_model):
+        jobs = make_jobs((0.0, 2, 4 * HOUR, dict(suspendable=True)),
+                         (1.5 * HOUR, 7, HOUR))
+        rjms = make_rjms(node_power_model, jobs)
+        job = jobs[0]
+        rjms.engine.run_until(HOUR)
+        rjms.suspend_job(job)
+        rjms.engine.run_until(2 * HOUR)
+        assert jobs[1].state is JobState.RUNNING
+        before = placement(rjms, job)
+        with pytest.raises(ValueError, match="1 free"):
+            rjms.resume_job(job)
+        assert placement(rjms, job) == before
+
+    def test_resize_outside_bounds(self, node_power_model):
+        jobs = make_jobs((0.0, 2, 4 * HOUR,
+                          dict(kind=JobKind.MALLEABLE, max_nodes=4)))
+        rjms = make_rjms(node_power_model, jobs)
+        job = jobs[0]
+        rjms.engine.run_until(HOUR)
+        before = placement(rjms, job)
+        draw = rjms.cluster.job_power(job.job_id)
+        for n in (6, 0):
+            with pytest.raises(ValueError):
+                rjms.resize_job(job, n)
+            assert placement(rjms, job) == before
+        rjms.cluster.check_invariants()
+        rjms.resize_job(job, 4)
+        assert rjms.cluster.job_power(job.job_id) == pytest.approx(2 * draw)
+        assert rjms.cluster.n_free == 4
+
+    def test_grow_without_free_nodes(self, node_power_model):
+        jobs = make_jobs((0.0, 2, 4 * HOUR,
+                          dict(kind=JobKind.MALLEABLE, max_nodes=4)),
+                         (0.0, 5, 4 * HOUR))
+        rjms = make_rjms(node_power_model, jobs)
+        job = jobs[0]
+        rjms.engine.run_until(HOUR)
+        before = placement(rjms, job)
+        with pytest.raises(ValueError, match="1 free"):
+            rjms.resize_job(job, 4)
+        assert placement(rjms, job) == before
+
+    def test_start_outside_bounds(self, node_power_model):
+        class Oversize(SchedulerPolicy):
+            def schedule(self, ctx):
+                return [StartDecision(j, 3) for j in ctx.pending]
+
+        jobs = make_jobs((0.0, 2, HOUR))
+        rjms = RJMS(Cluster(8, node_power_model), jobs, Oversize())
+        with pytest.raises(ValueError):
+            rjms.run()
+        assert rjms.cluster.n_free == 8
+        assert not rjms.running and jobs[0].state is JobState.PENDING
+        rjms.cluster.check_invariants()

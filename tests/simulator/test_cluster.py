@@ -220,13 +220,13 @@ def fresh_busy(cluster):
 
 def snapshot(cluster):
     """Everything a mutator may change: node states, the allocation
-    map, power and both counts."""
+    map, node and job draws, power and both counts."""
     return ([(nd.state, nd.job_id, nd.cap_watts, nd.utilization)
              for nd in cluster.nodes],
             {jid: [nd.node_id for nd in cluster.nodes_of_job(jid)]
              for jid in range(1, 5)},
             list(cluster._watts), cluster.current_power(),
-            cluster.n_free, cluster.n_busy)
+            dict(cluster.job_draws), cluster.n_free, cluster.n_busy)
 
 
 _OP = st.tuples(
@@ -339,6 +339,17 @@ class TestPowerCache:
         assert small_cluster.n_busy == 3
         small_cluster._alloc[1].pop()
         with pytest.raises(AssertionError, match="kept n_busy"):
+            small_cluster.check_invariants()
+
+    def test_check_invariants_catches_a_stale_job_draw(self,
+                                                       small_cluster):
+        """Each job's draw is kept too: a node draw that changes without
+        its job's draw being re-summed is caught."""
+        small_cluster.allocate(1, 2, 0.9)
+        node = small_cluster.nodes_of_job(1)[0]
+        node.set_cap(250.0)
+        small_cluster._watts[node.node_id] = node.current_power()
+        with pytest.raises(AssertionError, match="kept job draws"):
             small_cluster.check_invariants()
 
     def test_check_invariants_catches_an_idle_node_under_idle_off(self):
