@@ -21,8 +21,11 @@ differs from the last one it was fit on; otherwise the last forecast is
 reused (a prediction depends only on the fitted history, and a longer
 one only appends samples).  The slot means of a runtime depend only on
 the forecast, so they are kept as one row per runtime until the forecast
-object changes; the rows a pass lacks are computed in one 2-D
-``mean_over`` call.
+object changes, each row as its prefix minimum: a job's now-mean is the
+row's first entry and its best mean the entry at its last slack slot.
+Right after the forecast, every pending job the gate may hold is scored
+at once; the rows that batch lacks are computed in one 2-D
+``mean_over`` call, and both holding checks of the pass read its scores.
 
 Starvation safety: a job whose accumulated wait exceeds ``max_delay_s``
 bypasses the gate unconditionally, so the policy degrades to plain EASY
@@ -90,9 +93,10 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         #: the last history the forecaster was fit on, and its forecast
         self._fitted: Optional[Tuple[CarbonIntensityTrace,
                                      CarbonIntensityTrace]] = None
-        #: slot means per job runtime on the forecast ``_rows_for``:
-        #: ``row[k]`` is the mean over ``[s_k, s_k + runtime)``,
-        #: ``s_k = start_time + k * step``
+        #: prefix minima of slot means per job runtime on the forecast
+        #: ``_rows_for``: ``row[k]`` is the least mean over
+        #: ``[s_i, s_i + runtime)`` for ``i <= k``,
+        #: ``s_i = start_time + i * step``; ``row[0]`` is slot 0's mean
         self._rows: Dict[float, np.ndarray] = {}
         self._rows_for: Optional[CarbonIntensityTrace] = None
 
@@ -152,13 +156,14 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         Slots lie on the grid ``s_k = forecast.start_time + k * step``,
         which starts at the first sample boundary at or after now (see
         :meth:`_forecast`).  A job's now-mean is its runtime's ``row[0]``
-        and its best mean the minimum of the row's first
-        ``slack // step + 1`` entries.  Rows are kept per runtime while
+        and its best mean ``row[slack // step]``, the least of the first
+        ``slack // step + 1`` slot means.  Rows are kept per runtime while
         ``forecast`` is the same object; rows missing or too short for a
-        window are computed together in one 2-D ``mean_over`` call.  That
-        call is elementwise, so every mean has the bits of scoring its
-        job alone.  ``forecast`` must reach past ``s_0 + slack + runtime``
-        of every window, as :meth:`_forecast` guarantees.
+        window are computed together in one 2-D ``mean_over`` call, with
+        their prefix minima.  That call is elementwise and a minimum does
+        not round, so every mean has the bits of scoring its job alone.
+        ``forecast`` must reach past ``s_0 + slack + runtime`` of every
+        window, as :meth:`_forecast` guarantees.
         """
         if forecast is not self._rows_for:
             self._rows_for, self._rows = forecast, {}
@@ -174,27 +179,28 @@ class CarbonBackfillPolicy(SchedulerPolicy):
             starts = forecast.start_time \
                 + np.arange(max(missing.values())) * step
             runtimes = np.fromiter(missing, np.float64, len(missing))
-            rows.update(zip(missing, forecast.mean_over(
-                starts, starts + runtimes[:, None])))
+            rows.update(zip(missing, np.minimum.accumulate(forecast.mean_over(
+                starts, starts + runtimes[:, None]), axis=1)))
         now_means, best_means = [], []
         for n, (_, runtime) in zip(n_slots, windows):
             row = rows[runtime]
             now_means.append(row.item(0))
-            best_means.append(row[:n].min().item())
+            best_means.append(row.item(n - 1))
         return now_means, best_means
 
-    def _held(self, forecast: CarbonIntensityTrace, jobs: Iterable[Job],
-              windows: Dict[int, Tuple[float, float]]) -> Set[int]:
-        """Ids of the ``jobs`` whose start the gate delays: those whose best
-        slot promises at least ``min_saving_fraction`` below starting now."""
-        ids = [j.job_id for j in jobs if j.job_id in windows]
-        if not ids:
-            return set()
-        now_means, best_means = self._score(forecast,
-                                            [windows[i] for i in ids])
-        return {i for i, now_mean, best in zip(ids, now_means, best_means)
-                if now_mean > 0
-                and (now_mean - best) / now_mean >= self.min_saving_fraction}
+    def _held(self, scores: Dict[int, Tuple[float, float]],
+              jobs: Iterable[Job]) -> Set[int]:
+        """Ids of the ``jobs`` whose start the gate delays: those scored
+        ``(now mean, best mean)`` in ``scores`` whose best slot promises at
+        least ``min_saving_fraction`` below starting now."""
+        held = set()
+        for job in jobs:
+            # an unscored job (no window) is never held
+            now_mean, best = scores.get(job.job_id, (0.0, 0.0))
+            if now_mean > 0 and (now_mean - best) / now_mean \
+                    >= self.min_saving_fraction:
+                held.add(job.job_id)
+        return held
 
     # -- policy ------------------------------------------------------------------
 
@@ -202,16 +208,19 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         base = self._inner.schedule(ctx)
         if not base:
             return base
-        if all(self._window(ctx, d.job) is None for d in base):
-            return base
-        # One forecast for the pass, long enough for every job either
-        # inner pass may offer; prefix consistency makes it exact.
         windows = {j.job_id: w for j in ctx.pending
                    if (w := self._window(ctx, j)) is not None}
+        if not any(d.job.job_id in windows for d in base):
+            return base
+        # One forecast for the pass, long enough for every job either
+        # inner pass may offer; prefix consistency makes it exact.  Both
+        # holding checks read one batch of scores over every such job.
         forecast = self._forecast(ctx, max(map(sum, windows.values())))
         if forecast is None:
             return base
-        held_ids = self._held(forecast, (d.job for d in base), windows)
+        scores = dict(zip(windows, zip(
+            *self._score(forecast, list(windows.values())))))
+        held_ids = self._held(scores, (d.job for d in base))
         if not held_ids:
             return base
         # Holding freed nodes: rerun the inner policy on the reduced
@@ -227,7 +236,6 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         )
         second = self._inner.schedule(reduced)
         offered = {d.job.job_id for d in base}
-        held_ids = self._held(forecast, (d.job for d in second
-                                         if d.job.job_id not in offered),
-                              windows)
+        held_ids = self._held(scores, (d.job for d in second
+                                       if d.job.job_id not in offered))
         return [d for d in second if d.job.job_id not in held_ids]

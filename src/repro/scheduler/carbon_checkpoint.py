@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 from repro.grid.intensity import CarbonIntensityTrace
 from repro.scheduler.rjms import RJMS
 from repro.simulator.jobs import Job, JobState
@@ -84,15 +86,17 @@ class CarbonCheckpointPolicy:
 
     def _thresholds(self, rjms: RJMS) -> tuple[float, float] | None:
         """``(suspend_above, resume_below)`` percentiles of the trailing
-        history; recomputed only when that history differs from the
-        last one (the window moves in whole samples, not every tick)."""
+        history, both from one ``np.percentile`` call; recomputed only
+        when that history differs from the last one (the window moves in
+        whole samples, not every tick)."""
         t0 = max(0.0, rjms.now - self.history_s)
         if rjms.now - t0 < 6 * units.SECONDS_PER_HOUR:
             return None  # not enough history
         hist = rjms.provider.history(t0, rjms.now)
         if self._last is None or self._last[0] != hist:
-            self._last = (hist, (hist.percentile(self.suspend_percentile),
-                                 hist.percentile(self.resume_percentile)))
+            suspend, resume = np.percentile(
+                hist.values, [self.suspend_percentile, self.resume_percentile])
+            self._last = (hist, (float(suspend), float(resume)))
         return self._last[1]
 
     # -- manager hook -------------------------------------------------------------

@@ -8,7 +8,7 @@ run times."
 
 :class:`QueueSet` routes a job to the first queue whose limits admit it
 (queues ordered from most to least restrictive, the usual site layout),
-and supplies the priority key the RJMS sorts the pending queue by.
+and supplies the priority key the RJMS keeps the pending queue ordered by.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ class QueueSet:
 
     Jobs are ordered by (queue priority desc, submit time asc, id asc) —
     the deterministic total order every policy in this package assumes.
+    The RJMS keeps its pending list in this order by inserting each job
+    at its :meth:`sort_key` place; :meth:`order` sorts a whole list and
+    stays as the reference that order is checked against (as
+    ``tests/scheduler/test_pass_skip.py`` does).
     """
 
     def __init__(self, queues: Tuple[QueueConfig, ...] = DEFAULT_QUEUES) -> None:

@@ -39,6 +39,7 @@ series integrate to the totals and a zero-length state leaves none.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -95,6 +96,7 @@ class SchedulingContext:
     """Everything a policy may consult during one scheduling pass."""
 
     now: float
+    #: the pending jobs in queue order (:meth:`QueueSet.sort_key`)
     pending: List[Job]
     cluster: Cluster
     provider: CarbonIntensityProvider
@@ -205,7 +207,8 @@ class RJMS:
         through the serving layer's fault handling; spot lookups are
         also cached, history windows and integrals are not.
     queues:
-        Queue configuration; orders the pending queue.
+        Queue configuration; ``pending`` is kept in its
+        :meth:`~repro.scheduler.queues.QueueSet.sort_key` order.
     tick_seconds:
         Period of the management tick that re-runs managers and the
         scheduling pass (carbon conditions change over time even when
@@ -242,6 +245,7 @@ class RJMS:
         self.telemetry.register(Sensor("grid.intensity", "gCO2/kWh"))
         self.telemetry.register(Sensor("cluster.nodes_busy", "nodes"))
 
+        #: jobs waiting to start, in queue order (see _enqueue)
         self.pending: List[Job] = []
         self.running: Dict[int, Job] = {}
         self.suspended: Dict[int, Job] = {}
@@ -357,9 +361,17 @@ class RJMS:
 
     # -- lifecycle: arrival ----------------------------------------------------------
 
+    def _enqueue(self, job: Job) -> None:
+        """Insert ``job`` into ``pending`` at its place in queue order.
+
+        The order is ``sorted``'s: every job's route was checked in
+        ``__init__``, no key field changes after that, and job ids make
+        the keys distinct."""
+        bisect.insort(self.pending, job, key=self.queues.sort_key)
+
     def _arrival_fn(self, job: Job):
         def _arrive() -> None:
-            self.pending.append(job)
+            self._enqueue(job)
             self._schedule_pass()
         return _arrive
 
@@ -478,7 +490,7 @@ class RJMS:
                 job.cancel(self.now)
             else:
                 job.requeue(self.now, lose_progress=not job.suspendable)
-                self.pending.append(job)
+                self._enqueue(job)
 
         self.cluster.mark_down(node_id)
         self.engine.schedule_in(repair_seconds, self._repair_fn(node_id),
@@ -533,7 +545,7 @@ class RJMS:
             return
         ctx = SchedulingContext(
             now=self.now,
-            pending=self.queues.order(self.pending),
+            pending=list(self.pending),
             cluster=self.cluster,
             provider=self.provider,
             running=list(self.running.values()),
@@ -548,12 +560,14 @@ class RJMS:
             reg = obs.metrics()
             reg.counter("rjms.schedule_passes").inc()
             reg.counter("rjms.jobs_started").inc(len(decisions))
+        # by identity: a copy of a pending job compares equal to it
+        pending = {j.job_id: j for j in self.pending} if decisions else {}
         seen = set()
         need = 0
         for d in decisions:
             if d.job.job_id in seen:
                 raise ValueError(f"policy started job {d.job.job_id} twice")
-            if d.job not in self.pending:
+            if pending.get(d.job.job_id) is not d.job:
                 raise ValueError(f"policy started non-pending job {d.job.job_id}")
             seen.add(d.job.job_id)
             need += d.n_nodes

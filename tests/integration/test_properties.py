@@ -19,6 +19,8 @@ from repro.scheduler import (
     FCFSPolicy,
     MalleabilityManager,
     MoldableEasyBackfillPolicy,
+    QueueConfig,
+    QueueSet,
     SchedulerPolicy,
 )
 from repro.scheduler.backfill import head_reservation
@@ -343,3 +345,71 @@ class TestPlacementInvariants:
             setattr(rjms, name, counted)
         rjms.run()
         assert all(calls[name] > 0 for name in changes), calls
+
+
+def assert_queue_ordered(rjms):
+    """``pending`` holds the same objects, in the same order, as
+    ``queues.order`` sorts them into."""
+    ordered = rjms.queues.order(rjms.pending)
+    assert [id(j) for j in rjms.pending] == [id(j) for j in ordered]
+
+
+def run_checking_queue_order(rjms):
+    step = rjms.engine.step
+
+    def checked_step():
+        fired = step()
+        assert_queue_ordered(rjms)
+        return fired
+    rjms.engine.step = checked_step
+    rjms.run()
+
+
+#: routes by width, and the wider a job the higher its priority, so a
+#: later arrival often goes ahead of jobs already waiting
+MIXED_QUEUES = QueueSet((
+    QueueConfig("narrow", priority=10, max_nodes=1, max_walltime_s=4 * HOUR),
+    QueueConfig("mid", priority=50, max_nodes=4, max_walltime_s=48 * HOUR),
+    QueueConfig("wide", priority=90, max_nodes=8, max_walltime_s=48 * HOUR),
+    QueueConfig("long", priority=30, max_nodes=8,
+                max_walltime_s=1000 * HOUR),
+))
+
+
+class TestQueueOrder:
+    """The RJMS keeps ``pending`` in queue order as jobs arrive, start
+    and come back after a node failure, instead of sorting each pass."""
+
+    @pytest.mark.parametrize("idle_power_off", [False, True],
+                             ids=["idle-on", "idle-off"])
+    @given(seed=st.integers(0, 1000))
+    @SIM_SETTINGS
+    def test_managed_site_after_every_event(self, seed, idle_power_off):
+        run_checking_queue_order(managed_site(seed, idle_power_off))
+
+    @given(seed=st.integers(0, 1000))
+    @SIM_SETTINGS
+    def test_mixed_priorities_after_every_event(self, seed):
+        rjms = RJMS(Cluster(8, power_model()),
+                    workload(seed, n_jobs=40, mean_interarrival_s=600.0),
+                    EasyBackfillPolicy(), queues=MIXED_QUEUES)
+        rjms.register_manager(FailureInjector(mtbf_seconds=24 * HOUR,
+                                              repair_seconds=HOUR,
+                                              seed=seed))
+        run_checking_queue_order(rjms)
+
+    def test_requeues_go_ahead_of_waiting_jobs(self):
+        """The managed site requeues failed jobs while later jobs wait,
+        so a requeue that appended would break the order."""
+        rjms = managed_site(0, False)
+        fail_node = rjms.fail_node
+        ahead = []
+
+        def counted(node_id, *args, **kwargs):
+            before = {id(j) for j in rjms.pending}
+            fail_node(node_id, *args, **kwargs)
+            ahead.extend(i for i, j in enumerate(rjms.pending[:-1])
+                         if id(j) not in before)
+        rjms.fail_node = counted
+        run_checking_queue_order(rjms)
+        assert ahead

@@ -13,7 +13,8 @@ from repro.grid.forecast import (
     SeasonalNaiveForecaster,
 )
 from repro.scheduler import CarbonBackfillPolicy, EasyBackfillPolicy, RJMS
-from repro.simulator import Cluster, WorkloadConfig, WorkloadGenerator
+from repro.scheduler.rjms import SchedulingContext
+from repro.simulator import Cluster, Job, WorkloadConfig, WorkloadGenerator
 from tests.grid.test_intensity import per_bin_integral
 
 HOUR = 3600.0
@@ -165,7 +166,6 @@ class TestGate:
             step, frac, windows, steps, values, start = gate_batch(rng)
             policy = CarbonBackfillPolicy(min_saving_fraction=frac)
             jobs = [SimpleNamespace(job_id=k) for k in range(len(windows))]
-            by_id = dict(enumerate(windows))
             alone = []
             for w in windows:
                 own = CarbonIntensityTrace(
@@ -175,7 +175,8 @@ class TestGate:
             for forecast in (CarbonIntensityTrace(values[:steps], step, start),
                              CarbonIntensityTrace(values, step, start)):
                 now_means, bests = policy._score(forecast, windows)
-                held_ids = policy._held(forecast, jobs, by_id)
+                held_ids = policy._held(
+                    dict(enumerate(zip(now_means, bests))), jobs)
                 for k, (own, now_mean, best) in enumerate(alone):
                     assert (now_means[k], bests[k]) == (now_mean, best)
                     assert (k in held_ids) == slot_loop_holds(
@@ -336,3 +337,74 @@ class TestScoreRows:
                     CarbonBackfillPolicy()._score(forecast, windows) == \
                     slot_means_score(forecast, windows)
         assert reused > 200
+
+
+class TestBatchShape:
+    """A pass scores every pending job the gate may hold in one
+    ``_score`` call, right after the forecast, and both holding checks
+    read that batch: one 2-D ``mean_over`` call when the pass has a new
+    forecast or a row is missing or too short, none when the kept rows
+    cover every window."""
+
+    def test_mean_over_calls_per_pass(self, node_power_model, monkeypatch):
+        shapes = []
+        mean_over = CarbonIntensityTrace.mean_over
+
+        def counted(trace, t0, t1):
+            shapes.append(np.shape(t1))
+            return mean_over(trace, t0, t1)
+
+        monkeypatch.setattr(CarbonIntensityTrace, "mean_over", counted)
+        policy = CarbonBackfillPolicy(min_saving_fraction=0.0)  # holds all
+        score = policy._score
+        scores = []
+
+        def counted_score(forecast, windows):
+            scores.append(len(windows))
+            return score(forecast, windows)
+
+        policy._score = counted_score
+        provider = SyntheticProvider("ES", seed=7)
+        cluster = Cluster(16, node_power_model, idle_power_off=True)
+        now = 3 * DAY + 0.5 * HOUR
+
+        def job(job_id, waited_h, runtime_h, nodes=1):
+            return Job(job_id=job_id, submit_time=now - waited_h * HOUR,
+                       nodes_requested=nodes,
+                       runtime_estimate=runtime_h * HOUR,
+                       work_seconds=runtime_h * HOUR)
+
+        def schedule(at, *jobs):
+            shapes.clear()
+            scores.clear()
+            ctx = SchedulingContext(now=at, pending=list(jobs),
+                                    cluster=cluster, provider=provider,
+                                    running=[], expected_end={})
+            started = [d.job.job_id for d in policy.schedule(ctx)]
+            return started, shapes[:], scores[:]
+
+        # slack 10 h on 3 h, 8 h on 10 h; 600 s is too short to hold
+        a, h, short = job(1, 2, 3), job(2, 4, 10), job(3, 0, 600 / HOUR)
+        # 15 nodes: blocked behind a and h until the gate holds them
+        wide = job(4, 2, 6, nodes=15)
+        # a new forecast: one batch of 11 slots on three runtimes; the
+        # second inner pass offers the wide job, scored in that batch
+        assert schedule(now, a, h, wide, short) == ([3], [(3, 11)], [3])
+        forecast = policy._rows_for
+        # the kept rows cover every window: no integral at all
+        assert schedule(now, a, h, wide, short) == ([3], [], [3])
+        # a missing runtime (5 h, slack 8 h), on the same forecast
+        b = job(5, 4, 5)
+        assert schedule(now, a, h, b, short) == ([3], [(1, 9)], [3])
+        assert policy._rows_for is forecast
+        # a 3 h job with 12 h of slack: the 3 h row is too short
+        c = job(6, 0, 3)
+        assert schedule(now, a, h, b, c, short) == ([3], [(1, 13)], [4])
+        assert policy._rows_for is forecast
+        assert schedule(now, c, b, h, a, short) == ([3], [], [4])
+        # two hours on the history has moved: a new forecast
+        assert schedule(now + 2 * HOUR, a, h, b, c, short) == \
+            ([3], [(3, 11)], [4])
+        assert policy._rows_for is not forecast
+        # no job the gate may hold: no forecast, no batch
+        assert schedule(now + 2 * HOUR, short) == ([3], [], [])

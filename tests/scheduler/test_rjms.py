@@ -1,5 +1,7 @@
 """Tests for the RJMS core: lifecycle, accounting, suspend/resume, caps."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -418,4 +420,47 @@ class TestRejectedPlacement:
             rjms.run()
         assert rjms.cluster.n_free == 8
         assert not rjms.running and jobs[0].state is JobState.PENDING
+        rjms.cluster.check_invariants()
+
+
+def pass_state(rjms):
+    """The cluster, ``pending`` and ``running`` as a policy sees them,
+    jobs by identity."""
+    cluster = rjms.cluster
+    return ([(nd.state, nd.job_id, nd.cap_watts) for nd in cluster.nodes],
+            cluster.n_free, cluster.current_power(), dict(cluster.job_draws),
+            len(cluster.power_segments()),
+            [id(j) for j in rjms.pending],
+            {jid: id(j) for jid, j in rjms.running.items()},
+            [j.state for j in rjms.jobs])
+
+
+class TestPolicyDecisions:
+    def test_copy_of_pending_job_rejected_before_any_change(
+            self, node_power_model):
+        """A decision is checked by identity: a copy of a pending job
+        compares equal to it, but starting the copy would put the copy
+        on nodes while the queued job stays pending.  The pass raises
+        before the cluster, ``pending`` or ``running`` change."""
+
+        class StartsCopies(EasyBackfillPolicy):
+            seen = None
+
+            def schedule(self, ctx):
+                decisions = super().schedule(ctx)
+                if ctx.running:
+                    self.seen = pass_state(rjms)
+                    return [StartDecision(copy.copy(d.job), d.n_nodes)
+                            for d in decisions]
+                return decisions
+
+        jobs = make_jobs((0.0, 1, HOUR), (600.0, 1, HOUR))
+        policy = StartsCopies()
+        rjms = RJMS(Cluster(4, node_power_model), jobs, policy)
+        with pytest.raises(ValueError,
+                           match="policy started non-pending job 2"):
+            rjms.run()
+        assert policy.seen is not None and jobs[0].state is JobState.RUNNING
+        assert pass_state(rjms) == policy.seen
+        assert rjms.pending == [jobs[1]] and rjms.pending[0] is jobs[1]
         rjms.cluster.check_invariants()
