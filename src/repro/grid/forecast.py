@@ -111,9 +111,7 @@ class SeasonalNaiveForecaster(Forecaster):
         h = self.history
         per = max(1, int(round(self.period_seconds / h.step_seconds)))
         per = min(per, len(h))
-        last = h.values[-per:]
-        reps = int(np.ceil(n / per))
-        return np.tile(last, reps)[:n]
+        return h.values[-per:][np.arange(n) % per]
 
 
 class ExponentialSmoothingForecaster(Forecaster):

@@ -65,9 +65,9 @@ class CarbonIntensityTrace:
             raise ValueError(f"trace values must be 1-D, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("trace must contain at least one sample")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("trace contains non-finite values")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("carbon intensity cannot be negative")
         if self.step_seconds <= 0:
             raise ValueError(f"step_seconds must be positive, got {self.step_seconds}")
@@ -159,14 +159,13 @@ class CarbonIntensityTrace:
             return float(out)
         return out
 
-    def window(self, t0: float, t1: float) -> "CarbonIntensityTrace":
-        """Sub-trace covering ``[t0, t1)``; sample boundaries are preserved.
+    def sample_range(self, t0: float, t1: float) -> tuple[int, int]:
+        """``(i0, i1)``: the samples ``values[i0:i1]`` that
+        :meth:`window` returns for ``[t0, t1)``.
 
-        The samples ``i0:i1`` it covers start at the bin holding ``t0`` and
-        end at the first sample boundary at or after ``t1``.  The last
-        window is memoized on the instance: while ``(i0, i1)`` is
-        unchanged the same (immutable) trace object is returned, with
-        whatever it has cached since.
+        They start at the bin holding ``t0`` (clamped to the trace) and
+        end at the first sample boundary at or after ``t1``, always at
+        least one sample.
         """
         if t1 <= t0:
             raise ValueError(f"empty window [{t0}, {t1})")
@@ -175,6 +174,17 @@ class CarbonIntensityTrace:
                      0), n - 1)
         i1 = min(max(math.ceil((t1 - self.start_time) / self.step_seconds),
                      i0 + 1), n)
+        return i0, i1
+
+    def window(self, t0: float, t1: float) -> "CarbonIntensityTrace":
+        """Sub-trace covering ``[t0, t1)``; sample boundaries are preserved.
+
+        It holds the samples :meth:`sample_range` names.  The last
+        window is memoized on the instance: while ``(i0, i1)`` is
+        unchanged the same (immutable) trace object is returned, with
+        whatever it has cached since.
+        """
+        i0, i1 = self.sample_range(t0, t1)
         last = self.__dict__.get("_window")
         if last is not None and last[0] == i0 and last[1] == i1:
             return last[2]
@@ -261,15 +271,25 @@ class CarbonIntensityTrace:
                         + (b - (start + j * step)) * vals.item(j))
 
     def _integrate_array(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-        """:meth:`integrate_intensity` over arrays of bounds, same arithmetic."""
+        """:meth:`integrate_intensity` over arrays of bounds, same arithmetic.
+
+        When every bound lies in ``[start, end]`` with ``t1 >= t0``, the
+        clamps are the identity and each out-of-trace term is ``+0.0``
+        times an end sample, so that path skips the array work for them.
+        """
         vals, start, step = self.values, self.start_time, self.step_seconds
         last = vals.size - 1
         end = start + vals.size * step
         hi, lo = self._cumulative()
-        total = (np.maximum(np.minimum(t1, start) - t0, 0.0) * vals[0]
-                 + np.maximum(t1 - np.maximum(t0, end), 0.0) * vals[last])
-        a = np.minimum(np.maximum(t0, start), end)
-        b = np.maximum(np.minimum(np.maximum(t1, start), end), a)
+        if t0.size and t1.size and t0.min() >= start and t1.max() <= end \
+                and (t1 >= t0).all():
+            a, b = t0, t1
+            total = 0.0 * vals.item(0) + 0.0 * vals.item(last)
+        else:
+            total = (np.maximum(np.minimum(t1, start) - t0, 0.0) * vals[0]
+                     + np.maximum(t1 - np.maximum(t0, end), 0.0) * vals[last])
+            a = np.minimum(np.maximum(t0, start), end)
+            b = np.maximum(np.minimum(np.maximum(t1, start), end), a)
         i = np.minimum(((a - start) / step).astype(np.int64), last)
         j = np.minimum(((b - start) / step).astype(np.int64), last)
         jm1 = j - 1

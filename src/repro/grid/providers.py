@@ -24,6 +24,7 @@ average intensity fluctuates less than the marginal generator's.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Hashable
 
 import numpy as np
 
@@ -49,6 +50,13 @@ class CarbonIntensityProvider(ABC):
     integral accounting charges a step with.  Implementations must be
     deterministic: repeated calls with the same arguments return the same
     values.
+
+    ``history_range`` is a key for a ``history`` window that fetches no
+    data: two calls that return equal keys promise ``history`` traces
+    that are ``==``, so a caller holding the first trace may skip the
+    second request.  ``None`` (the default) means "fetch to know"; a
+    provider that can fail, stall or revise its data must report it, so
+    every request still reaches it.
     """
 
     #: zone code for provenance/reporting
@@ -61,6 +69,10 @@ class CarbonIntensityProvider(ABC):
     @abstractmethod
     def history(self, t0: float, t1: float) -> CarbonIntensityTrace:
         """The actual intensity trace over ``[t0, t1)``."""
+
+    def history_range(self, t0: float, t1: float) -> Hashable | None:
+        """Key of the ``history(t0, t1)`` window, or None to fetch it."""
+        return None
 
     def average_intensity_at(self, t: float) -> float:
         """Average (consumption-mix) intensity; defaults to the marginal one."""
@@ -126,6 +138,10 @@ class TraceProvider(CarbonIntensityProvider):
 
     def history(self, t0: float, t1: float) -> CarbonIntensityTrace:
         return self.trace.window(t0, t1)
+
+    def history_range(self, t0: float, t1: float) -> tuple[int, int]:
+        """The trace's sample range of the window (the trace never changes)."""
+        return self.trace.sample_range(t0, t1)
 
     def integrate_intensity(self, t0: float, t1: float) -> float:
         if t1 <= t0:
@@ -219,12 +235,19 @@ class SyntheticProvider(CarbonIntensityProvider):
         mean = self.model.zone.mean_intensity_g_per_kwh
         return mean + self.average_damping * (self.intensity_at(t) - mean)
 
-    def history(self, t0: float, t1: float) -> CarbonIntensityTrace:
+    def _covering(self, t0: float, t1: float) -> CarbonIntensityTrace:
+        """The generated trace, long enough for the window ``[t0, t1)``."""
         if t0 < 0 or t1 <= t0:
             raise ValueError(f"invalid history window [{t0}, {t1})")
-        return self._ensure_horizon(t1).window(t0, t1)
+        return self._ensure_horizon(t1)
+
+    def history(self, t0: float, t1: float) -> CarbonIntensityTrace:
+        return self._covering(t0, t1).window(t0, t1)
+
+    def history_range(self, t0: float, t1: float) -> tuple[int, int]:
+        """The sample range of the window; a longer horizon keeps every
+        sample it had, so a range names the same samples for good."""
+        return self._covering(t0, t1).sample_range(t0, t1)
 
     def integrate_intensity(self, t0: float, t1: float) -> float:
-        if t0 < 0 or t1 <= t0:
-            raise ValueError(f"invalid history window [{t0}, {t1})")
-        return self._ensure_horizon(t1).integrate_intensity(t0, t1)
+        return self._covering(t0, t1).integrate_intensity(t0, t1)

@@ -16,13 +16,17 @@ the forecast starts: the end of the trailing history window, which the
 provider rounds up to the first sample boundary at or after now.
 
 Each scheduling pass needs one forecast, on trailing history, far enough
-for every pending job.  The forecaster is fit only when that history
-differs from the last one it was fit on; otherwise the last forecast is
-reused (a prediction depends only on the fitted history, and a longer
-one only appends samples).  The slot means of a runtime depend only on
-the forecast, so they are kept as one row per runtime until the forecast
-object changes, each row as its prefix minimum: a job's now-mean is the
-row's first entry and its best mean the entry at its last slack slot.
+for every pending job.  The history is requested only when the
+provider's ``history_range`` key is None or differs from the key of the
+history last fit on: an unchanged sample range promises the same trace,
+so most 900 s ticks of an hourly signal make no provider call.  The
+forecaster is fit only when that history differs from the last one it
+was fit on; otherwise the last forecast is reused (a prediction depends
+only on the fitted history, and a longer one only appends samples).
+The slot means of a runtime depend only on the forecast, so they are
+kept as one row per runtime until the forecast object changes, each row
+as its prefix minimum: a job's now-mean is the row's first entry and
+its best mean the entry at its last slack slot.
 Right after the forecast, every pending job the gate may hold is scored
 at once; the rows that batch lacks are computed in one 2-D
 ``mean_over`` call, and both holding checks of the pass read its scores.
@@ -93,25 +97,32 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         #: the last history the forecaster was fit on, and its forecast
         self._fitted: Optional[Tuple[CarbonIntensityTrace,
                                      CarbonIntensityTrace]] = None
+        #: ``(provider, history_range key)`` of that history, once known
+        self._fitted_key: Optional[Tuple[object, object]] = None
         #: prefix minima of slot means per job runtime on the forecast
         #: ``_rows_for``: ``row[k]`` is the least mean over
         #: ``[s_i, s_i + runtime)`` for ``i <= k``,
         #: ``s_i = start_time + i * step``; ``row[0]`` is slot 0's mean
-        self._rows: Dict[float, np.ndarray] = {}
+        self._rows: Dict[float, List[float]] = {}
         self._rows_for: Optional[CarbonIntensityTrace] = None
 
     # -- carbon gate -----------------------------------------------------------
 
-    def _window(self, ctx: SchedulingContext,
-                job: Job) -> Optional[Tuple[float, float]]:
-        """``(slack, runtime)`` of a job the gate may hold; None if it must start."""
-        slack = self.max_delay_s - (ctx.now - job.submit_time)
-        if slack <= 0:
-            return None  # starvation guard: start it
-        runtime = min(job.runtime_estimate, job.work_seconds * 2)
-        if runtime < self.min_job_seconds:
-            return None
-        return slack, runtime
+    def _windows(self, ctx: SchedulingContext
+                 ) -> Dict[int, Tuple[float, float]]:
+        """``{job id: (slack, runtime)}`` of the pending jobs the gate may
+        hold; every other pending job must start."""
+        now, max_delay, shortest = \
+            ctx.now, self.max_delay_s, self.min_job_seconds
+        windows = {}
+        for job in ctx.pending:
+            slack = max_delay - (now - job.submit_time)
+            if slack <= 0:
+                continue  # starvation guard: start it
+            runtime = min(job.runtime_estimate, job.work_seconds * 2)
+            if runtime >= shortest:
+                windows[job.job_id] = (slack, runtime)
+        return windows
 
     def _forecast(self, ctx: SchedulingContext,
                   horizon_s: float) -> Optional[CarbonIntensityTrace]:
@@ -120,21 +131,31 @@ class CarbonBackfillPolicy(SchedulerPolicy):
 
         The history window ends at the first sample boundary at or after
         ``now`` (the provider rounds its end up), so the forecast starts
-        there, not at ``now``.  Fits only when the trailing history
-        differs from the last fitted one.  While it is equal, the last
-        forecast (and its cached cumulative integral) is returned as is,
-        or predicted further if it is too short.
+        there, not at ``now``.  Requests that history only when the
+        provider's ``history_range`` key is None or differs from the
+        fitted history's (keys are paired with the provider object), and
+        fits only when the trailing history differs from the last fitted
+        one.
+        While it is equal, the last forecast (and its cached cumulative
+        integral) is returned as is, or predicted further if it is too
+        short.
         """
         t0 = max(0.0, ctx.now - self.history_s)
         if ctx.now - t0 < 2 * units.SECONDS_PER_HOUR:
             return None  # not enough history to say anything
+        last = self._fitted
+        provider = ctx.provider
         try:
-            history = ctx.provider.history(t0, ctx.now)
+            key = (provider, provider.history_range(t0, ctx.now))
+            if key[1] is not None and key == self._fitted_key:
+                history = last[0]  # the same samples: no request
+            else:
+                history = provider.history(t0, ctx.now)
         except ValueError:
             return None
         steps = max(1, int(np.ceil(horizon_s / history.step_seconds)) + 1)
-        last = self._fitted
         if last is not None and last[0] == history:
+            self._fitted_key = key
             if len(last[1]) >= steps:
                 return last[1]
             history = last[0]
@@ -143,7 +164,7 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         if last is None or self.forecaster.history is not history:
             self.forecaster.fit(history)
         forecast = self.forecaster.predict(steps)
-        self._fitted = (history, forecast)
+        self._fitted, self._fitted_key = (history, forecast), key
         return forecast
 
     def _score(self, forecast: CarbonIntensityTrace,
@@ -169,23 +190,24 @@ class CarbonBackfillPolicy(SchedulerPolicy):
             self._rows_for, self._rows = forecast, {}
         rows = self._rows
         step = forecast.step_seconds
-        n_slots = [int(slack // step) + 1 for slack, _ in windows]
+        needs = [(runtime, int(slack // step) + 1)
+                 for slack, runtime in windows]
         missing: Dict[float, int] = {}  # runtime -> slots it needs
-        for n, (_, runtime) in zip(n_slots, windows):
+        for runtime, n in needs:
             row = rows.get(runtime)
-            if (row is None or row.size < n) and missing.get(runtime, 0) < n:
+            if (row is None or len(row) < n) and missing.get(runtime, 0) < n:
                 missing[runtime] = n
         if missing:
             starts = forecast.start_time \
                 + np.arange(max(missing.values())) * step
             runtimes = np.fromiter(missing, np.float64, len(missing))
             rows.update(zip(missing, np.minimum.accumulate(forecast.mean_over(
-                starts, starts + runtimes[:, None]), axis=1)))
+                starts, starts + runtimes[:, None]), axis=1).tolist()))
         now_means, best_means = [], []
-        for n, (_, runtime) in zip(n_slots, windows):
+        for runtime, n in needs:
             row = rows[runtime]
-            now_means.append(row.item(0))
-            best_means.append(row.item(n - 1))
+            now_means.append(row[0])
+            best_means.append(row[n - 1])
         return now_means, best_means
 
     def _held(self, scores: Dict[int, Tuple[float, float]],
@@ -208,8 +230,7 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         base = self._inner.schedule(ctx)
         if not base:
             return base
-        windows = {j.job_id: w for j in ctx.pending
-                   if (w := self._window(ctx, j)) is not None}
+        windows = self._windows(ctx)
         if not any(d.job.job_id in windows for d in base):
             return base
         # One forecast for the pass, long enough for every job either

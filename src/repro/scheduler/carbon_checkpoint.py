@@ -7,7 +7,8 @@ when the intensity is low."
 
 This manager runs on the RJMS tick.  Each tick it classifies the current
 intensity against trailing-history percentiles (computed once per
-distinct history window, not once per tick):
+distinct history window, not once per tick; the window is requested
+only when the provider cannot vouch that its sample range is unchanged):
 
 * above the ``suspend_percentile`` -> suspend suspendable running jobs
   (largest allocations first — most carbon moved per checkpoint), if
@@ -81,6 +82,8 @@ class CarbonCheckpointPolicy:
         #: the last history window and its (suspend, resume) thresholds
         self._last: tuple[CarbonIntensityTrace,
                           tuple[float, float]] | None = None
+        #: ``(provider, history_range key)`` of that window
+        self._last_key: tuple[object, object] | None = None
 
     # -- intensity classification ------------------------------------------------
 
@@ -88,15 +91,20 @@ class CarbonCheckpointPolicy:
         """``(suspend_above, resume_below)`` percentiles of the trailing
         history, both from one ``np.percentile`` call; recomputed only
         when that history differs from the last one (the window moves in
-        whole samples, not every tick)."""
+        whole samples, not every tick), and the history is requested only
+        when the provider's ``history_range`` key is None or has moved."""
         t0 = max(0.0, rjms.now - self.history_s)
         if rjms.now - t0 < 6 * units.SECONDS_PER_HOUR:
             return None  # not enough history
-        hist = rjms.provider.history(t0, rjms.now)
-        if self._last is None or self._last[0] != hist:
-            suspend, resume = np.percentile(
-                hist.values, [self.suspend_percentile, self.resume_percentile])
-            self._last = (hist, (float(suspend), float(resume)))
+        provider = rjms.provider
+        key = (provider, provider.history_range(t0, rjms.now))
+        if key[1] is None or key != self._last_key:
+            hist = provider.history(t0, rjms.now)
+            if self._last is None or self._last[0] != hist:
+                suspend, resume = np.percentile(hist.values, [
+                    self.suspend_percentile, self.resume_percentile])
+                self._last = (hist, (float(suspend), float(resume)))
+            self._last_key = key
         return self._last[1]
 
     # -- manager hook -------------------------------------------------------------

@@ -233,6 +233,16 @@ class CarbonService(CarbonIntensityProvider):
                 lambda v: CarbonIntensityTrace.constant(
                     v, t1 - t0, start_time=t0, zone=self.zone_code))
 
+    def history_range(self, t0: float, t1: float):
+        """The backend's key, with no backend call or retry: a key
+        fetches no data, and a backend that can fail reports None, so
+        its windows are fetched.  None too unless the breaker is closed:
+        then ``history`` answers from the degradation chain, and its
+        flat or fallback window is not the one the backend's key names."""
+        if self.breaker.state is not BreakerState.CLOSED:
+            return None
+        return self.backend.history_range(t0, t1)
+
     def integrate_intensity(self, t0: float, t1: float) -> float:
         """Intensity integral over ``[t0, t1)``: one guarded backend call,
         never cached, degrading in the same order as :meth:`history`."""

@@ -127,6 +127,20 @@ class TestSeasonalNaive:
         f = SeasonalNaiveForecaster().fit(hist).predict(5)
         np.testing.assert_allclose(f.values, [1, 2, 1, 2, 1])
 
+    @pytest.mark.parametrize("n_hist", [5, 24, 60])  # short, one, more
+    @pytest.mark.parametrize("n", [1, 7, 23, 24, 25, 48, 61])
+    def test_indexed_forecast_equals_tiling(self, n_hist, n):
+        """Indexing the last period equals tiling it and cutting at
+        ``n``, below, at and above the 24 h period, also on a history
+        shorter than one period."""
+        vals = np.random.default_rng(n_hist * 100 + n).uniform(50, 500, n_hist)
+        fc = SeasonalNaiveForecaster().fit(CarbonIntensityTrace(vals, HOUR))
+        last = vals[-min(24, n_hist):]
+        tiled = np.tile(last, int(np.ceil(n / last.size)))[:n]
+        got = fc._forecast_values(n)
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(got, tiled)
+
 
 class TestExponentialSmoothing:
     def test_tracks_level_shift(self):

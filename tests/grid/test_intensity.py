@@ -40,6 +40,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-finite"):
             make([100, float("inf")])
 
+    def test_non_finite_is_reported_before_negative(self):
+        """``-inf`` is both, and ``nan`` beside a negative sample: the
+        finiteness check runs first, so both read "non-finite"."""
+        with pytest.raises(ValueError, match="non-finite"):
+            make([100, float("-inf")])
+        with pytest.raises(ValueError, match="non-finite"):
+            make([float("nan"), -1.0])
+
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match="1-D"):
             CarbonIntensityTrace(np.zeros((2, 2)), HOUR)
@@ -258,6 +266,106 @@ class TestCumulativeIntegral:
         assert "_cum" not in vars(t)
         t.integrate_intensity(0.0, 1.5 * HOUR)
         assert "_cum" in vars(t)
+
+
+def clamped_integral(trace, t0, t1):
+    """The array integral with every bound clamped to the trace and the
+    out-of-trace terms always added: the reference for the in-range path
+    of :meth:`_integrate_array`, which skips both."""
+    vals, start, step = trace.values, trace.start_time, trace.step_seconds
+    last = vals.size - 1
+    end = start + vals.size * step
+    hi, lo = trace._cumulative()
+    total = (np.maximum(np.minimum(t1, start) - t0, 0.0) * vals[0]
+             + np.maximum(t1 - np.maximum(t0, end), 0.0) * vals[last])
+    a = np.minimum(np.maximum(t0, start), end)
+    b = np.maximum(np.minimum(np.maximum(t1, start), end), a)
+    i = np.minimum(((a - start) / step).astype(np.int64), last)
+    j = np.minimum(((b - start) / step).astype(np.int64), last)
+    jm1 = j - 1
+    vi = vals[i]
+    inner = np.where(
+        i == j,
+        (b - a) * vi,
+        (start + i * step + step - a) * vi
+        + (hi[jm1] - hi[i]) + (lo[jm1] - lo[i])
+        + (b - (start + j * step)) * vals[j])
+    return total + inner
+
+
+@st.composite
+def trace_and_bound_arrays(draw):
+    """A trace whose samples are often zero, plus bound arrays that all
+    lie inside it with ``t1 >= t0`` (the in-range path), or that mix
+    bounds inside, straddling either end, wholly outside and reversed;
+    as 1-D pairs or as the gate's 2-D slot grid."""
+    vals = draw(st.lists(st.one_of(st.just(0.0), st.floats(0, 2000)),
+                         min_size=1, max_size=40))
+    step = draw(st.sampled_from([1.0, 900.0, 3600.0]))
+    start = draw(quarter_s)
+    trace = make(vals, step=step, start=start)
+    span_q = int(len(vals) * step * 4)
+    inside = st.integers(0, span_q).map(lambda q: start + q / 4.0)
+    anywhere = st.integers(-span_q - 40, 2 * span_q + 40).map(
+        lambda q: start + q / 4.0)
+    kind = draw(st.sampled_from(["inside", "mixed", "grid"]))
+    if kind == "grid":  # slot starts on the grid, one row per runtime
+        n = draw(st.integers(1, len(vals)))
+        starts = start + np.arange(n) * step
+        runtimes = np.array(draw(st.lists(
+            st.integers(1, span_q).map(lambda q: q / 4.0),
+            min_size=1, max_size=4)))
+        return trace, starts, starts + runtimes[:, None]
+    pairs = draw(st.lists(st.tuples(inside, inside) if kind == "inside"
+                          else st.tuples(anywhere, anywhere),
+                          min_size=1, max_size=12))
+    if kind == "inside":
+        pairs = [(min(p), max(p)) for p in pairs]
+    return (trace, np.array([a for a, _ in pairs]),
+            np.array([b for _, b in pairs]))
+
+
+class TestInRangeIntegral:
+    """``_integrate_array`` against the clamped formula it replaced, by
+    bits: the in-range path leaves out only terms that are ``+0.0`` times
+    a sample and clamps that are the identity."""
+
+    @given(trace_and_bound_arrays())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_clamped_formula_bit_for_bit(self, case):
+        trace, t0, t1 = case
+        got = trace.integrate_intensity(t0, t1)
+        ref = clamped_integral(trace, t0, t1)
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_in_range_bounds_take_the_short_path(self, monkeypatch):
+        """In-range bounds make no ``np.maximum`` call (the clamps and
+        the outside terms are skipped); one bound outside brings them
+        back, with the outside term in the result."""
+        calls = []
+        maximum = np.maximum
+
+        def counted(*args):
+            calls.append(args)
+            return maximum(*args)
+
+        monkeypatch.setattr(np, "maximum", counted)
+        t = make([100.0, 300.0, 200.0], start=HOUR)
+        inside = t.integrate_intensity(np.array([HOUR, 1.5 * HOUR]),
+                                       np.array([4 * HOUR, 2 * HOUR]))
+        assert not calls
+        assert inside.tolist() == [600 * HOUR, 50 * HOUR]
+        straddle = t.integrate_intensity(np.array([0.0]), np.array([2 * HOUR]))
+        assert calls
+        assert straddle.tolist() == [200 * HOUR]
+
+    def test_zero_d_bounds_give_a_scalar_like_the_general_path(self):
+        t = make([100.0, 300.0])
+        for a, b in ((0.5 * HOUR, HOUR), (-HOUR, HOUR)):  # inside, straddle
+            got = t.integrate_intensity(np.array(a), np.array(b))
+            ref = clamped_integral(t, np.array(a), np.array(b))
+            assert type(got) is type(ref) and got == ref
 
 
 def clip_window(trace, t0, t1):

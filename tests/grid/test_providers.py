@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.grid import (
+    CarbonIntensityProvider,
     CarbonIntensityTrace,
     StaticProvider,
     SyntheticProvider,
     TraceProvider,
     generate_month,
 )
+from repro.service import CarbonService, FlakyProvider, SlowProvider
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -152,3 +154,85 @@ class TestSyntheticProvider:
         a = SyntheticProvider("IT", seed=4).intensity_at(10 * DAY)
         b = SyntheticProvider("IT", seed=4).intensity_at(10 * DAY)
         assert a == b
+
+
+#: ``(t0, t1)``: ``t0`` jittered inside its hour, mostly hours 50-53,
+#: and ``t1`` up to four hours later, so draws often share a sample range
+#: but not their bounds; sometimes anywhere in 20 days (before or past a
+#: trace's ends too)
+jitter = st.floats(0.0, HOUR, exclude_max=True)
+window_bounds = st.tuples(
+    st.one_of(st.integers(50, 53), st.integers(0, 20 * 24)),
+    jitter, st.integers(0, 3), jitter).map(
+    lambda w: (w[0] * HOUR + w[1],
+               w[0] * HOUR + w[1] + w[2] * HOUR + w[3] + 1.0))
+
+
+def keyed_provider(kind, wrap):
+    if kind == "trace":
+        vals = np.random.default_rng(1).uniform(50, 500, 15 * 24)
+        p = TraceProvider(CarbonIntensityTrace(vals, HOUR, 2 * DAY, "XX"))
+    else:
+        p = SyntheticProvider("DE", seed=4)
+    return CarbonService(p) if wrap else p
+
+
+class TestHistoryRange:
+    """``history_range`` keys a ``history`` window without fetching it:
+    equal keys promise ``==`` traces."""
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["bare", "service"])
+    @pytest.mark.parametrize("kind", ["trace", "synthetic"])
+    @given(st.lists(st.tuples(window_bounds, st.booleans()),
+                    min_size=2, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_keys_mean_equal_windows(self, kind, wrap, windows):
+        """Also across a synthetic horizon extension between two calls:
+        the regenerated trace keeps every sample it had."""
+        p = keyed_provider(kind, wrap)
+        seen = []
+        for (t0, t1), extend in windows:
+            if extend and kind == "synthetic":
+                p.intensity_at(t1 + 40 * DAY)
+            key, hist = p.history_range(t0, t1), p.history(t0, t1)
+            i0, i1 = key
+            assert len(hist) == i1 - i0
+            for k, h in seen:
+                if k == key:
+                    assert h == hist
+            seen.append((key, hist))
+
+    def test_keys_name_the_window_samples(self):
+        p = keyed_provider("trace", wrap=False)
+        i0, i1 = p.history_range(2 * DAY + 1.5 * HOUR, 3 * DAY + 0.5 * HOUR)
+        assert (i0, i1) == (1, 25)
+        h = p.history(2 * DAY + 1.5 * HOUR, 3 * DAY + 0.5 * HOUR)
+        assert h.start_time == 2 * DAY + HOUR
+        np.testing.assert_array_equal(h.values, p.trace.values[1:25])
+
+    def test_invalid_windows_raise_like_history(self):
+        for p in (keyed_provider("trace", False),
+                  keyed_provider("synthetic", False)):
+            with pytest.raises(ValueError):
+                p.history_range(DAY, DAY)
+        with pytest.raises(ValueError):
+            SyntheticProvider("DE").history_range(-1.0, DAY)
+
+    def test_providers_that_cannot_vouch_report_none(self):
+        """The base class, a constant, and the wrappers that fail or stall
+        (even around a keyed provider) all mean "fetch to know"."""
+
+        class Bare(CarbonIntensityProvider):
+            def intensity_at(self, t):
+                return 1.0
+
+            def history(self, t0, t1):
+                return CarbonIntensityTrace.constant(1.0, t1 - t0,
+                                                     start_time=t0)
+
+        keyed = keyed_provider("trace", wrap=False)
+        for p in (Bare(), StaticProvider(20.0), FlakyProvider(keyed),
+                  SlowProvider(keyed, latency_s=0.0),
+                  CarbonService(FlakyProvider(keyed))):
+            assert p.history_range(2 * DAY, 3 * DAY) is None
+        assert keyed.history_range(2 * DAY, 3 * DAY) is not None

@@ -77,3 +77,26 @@ def test_traced_reference_entry_reports_every_layer(workloads, golden):
     expected = [m for m in layers.COUNT_METRICS if not m.startswith("sweep.")]
     assert [m for m in expected if m not in metrics] == []
     assert metrics["service.lookups"] > 0
+
+
+@pytest.mark.parametrize("name, requests", [("carbon-gate", 1675),
+                                            ("managed-site", 441)])
+def test_history_requests_equal_distinct_ranges(workloads, name, requests):
+    """Over seeds 1-3, the gate and the checkpoint manager request each
+    history window once: a request per distinct sample range, not per
+    tick (4,841 and 1,748 requests before the range key)."""
+    total = 0
+    for seed in (1, 2, 3):
+        rjms = workloads.WORKLOADS[name].build(seed).rjms
+        service, ranges = rjms.provider, []
+        history = service.history
+
+        def recorded(t0, t1):
+            ranges.append(service.backend.history_range(t0, t1))
+            return history(t0, t1)
+
+        service.history = recorded
+        rjms.run()
+        assert len(ranges) == len(set(ranges))
+        total += len(ranges)
+    assert total == requests

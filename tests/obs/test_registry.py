@@ -48,6 +48,48 @@ class TestCreateOnUse:
         assert a is b
 
 
+class TestCounter:
+    def test_starts_at_zero_and_increments(self):
+        c = Counter("x")
+        assert c.value == 0
+        c.inc()
+        c.inc(4)
+        assert c.value == 5
+
+    def test_rejects_negative(self):
+        c = Counter("x")
+        with pytest.raises(ValueError):
+            c.inc(-1)
+        assert c.value == 0  # a rejected step changes nothing
+
+
+class TestGauge:
+    def test_set_and_read(self):
+        g = Gauge("x")
+        assert g.value == 0.0
+        g.set(3.5)
+        assert g.value == 3.5
+        g.set(-1.0)
+        assert g.value == -1.0
+
+    def test_inc_and_dec(self):
+        g = Gauge("x")
+        g.inc()
+        g.inc(2.5)
+        assert g.value == 3.5
+        g.dec()
+        g.dec(0.5)
+        assert g.value == 2.0
+
+    def test_inc_dec_compose_with_set(self):
+        g = Gauge("x")
+        g.set(10.0)
+        g.dec(15.0)
+        assert g.value == -5.0  # gauges may go negative
+        g.inc(5.0)
+        assert g.value == 0.0
+
+
 class TestGaugeDeltas:
     """Satellite: Gauge.inc/dec for delta-tracking call sites."""
 

@@ -186,10 +186,11 @@ class TestGate:
         assert 0 < held < scored
 
     def test_one_forecast_per_pass(self, node_power_model, light_workload):
-        """At most one fit per ``schedule()``, and a pass fits only when
-        its history trace differs from the last fitted one, also in passes
-        where holds trigger the reduced second inner pass; so the fits
-        number the distinct history windows."""
+        """At most one fit per ``schedule()``, also in passes where holds
+        trigger the reduced second inner pass.  A pass requests history
+        only when the provider's range key moved, so every request is a
+        new window and the fits number the requests; passes that forecast
+        on an unchanged range make no request at all."""
 
         class CountingForecaster(SeasonalNaiveForecaster):
             fits = 0
@@ -208,6 +209,14 @@ class TestGate:
             return inner_schedule(ctx)
 
         policy._inner.schedule = counted_inner
+        forecast = policy._forecast
+        forecasts = []  # forecasts per pass
+
+        def counted_forecast(ctx, horizon_s):
+            forecasts[-1] += 1
+            return forecast(ctx, horizon_s)
+
+        policy._forecast = counted_forecast
         schedule = policy.schedule
         windows = []  # each pass's history traces
         fits_per_pass = []
@@ -216,6 +225,7 @@ class TestGate:
             history = ctx.provider.history
             before = CountingForecaster.fits
             inner_calls.append(0)
+            forecasts.append(0)
             windows.append([])
 
             def recorded(t0, t1):
@@ -234,16 +244,95 @@ class TestGate:
         result = run(node_power_model, light_workload, policy)
         assert len(result.completed_jobs) == len(light_workload)
         assert max(fits_per_pass) == 1
+        assert max(forecasts) == 1
         assert inner_calls.count(2) > 0  # holds ran the second pass
-        last, distinct = None, 0
+        last, requests = None, 0
         for fits, traces in zip(fits_per_pass, windows):
             assert len(traces) <= 1  # one history request per pass
             for trace in traces:
-                assert fits == (trace != last)
-                distinct += trace != last
+                assert trace != last  # every request is a new window
                 last = trace
-        assert CountingForecaster.fits == distinct
-        assert distinct < sum(map(len, windows))  # some passes reused
+            assert fits == len(traces)
+            requests += len(traces)
+        assert CountingForecaster.fits == requests > 0
+        quiet = sum(n == 1 and not traces
+                    for n, traces in zip(forecasts, windows))
+        assert quiet > 0  # forecasting passes that made no request
+
+
+class TestHistoryKey:
+    """The gate requests a history window only when the provider's
+    ``history_range`` key is None or has moved."""
+
+    @staticmethod
+    def simulate(node_power_model, jobs, keyed):
+        """One light-workload run; returns the result, the fits and the
+        sample range of every history request."""
+        fits, ranges = [], []
+
+        class CountingForecaster(SeasonalNaiveForecaster):
+            def fit(self, history):
+                fits.append(history)
+                return super().fit(history)
+
+        provider = SyntheticProvider("ES", seed=7)
+        history = provider.history
+
+        def recorded(t0, t1):
+            ranges.append(SyntheticProvider.history_range(provider, t0, t1))
+            return history(t0, t1)
+
+        provider.history = recorded
+        if not keyed:
+            provider.history_range = lambda t0, t1: None
+        policy = CarbonBackfillPolicy(CountingForecaster(), max_delay_s=DAY,
+                                      min_saving_fraction=0.03)
+        cluster = Cluster(16, node_power_model, idle_power_off=True)
+        result = RJMS(cluster, copy.deepcopy(jobs), policy,
+                      provider=provider).run()
+        return result, len(fits), ranges
+
+    def test_forced_none_key_changes_no_bit(self, node_power_model,
+                                            light_workload):
+        """The same provider with its key forced to None fetches every
+        forecasting pass's window, and the run is the same to the bit:
+        job times, per-job and total energy and carbon, and the fits."""
+        keyed, keyed_fits, keyed_ranges = self.simulate(
+            node_power_model, light_workload, keyed=True)
+        plain, plain_fits, plain_ranges = self.simulate(
+            node_power_model, light_workload, keyed=False)
+
+        def bits(result):
+            return ([(j.job_id, j.start_time, j.end_time)
+                     for j in result.jobs],
+                    [(jid, a.energy_kwh.hex(), a.carbon_g.hex())
+                     for jid, a in sorted(result.accounts.items())],
+                    result.total_energy_kwh.hex(),
+                    result.total_carbon_kg.hex())
+
+        assert bits(keyed) == bits(plain)
+        assert keyed_fits == plain_fits > 0
+        # with keys, one request per distinct range; without, every pass
+        # that forecasts asks again
+        assert len(keyed_ranges) == len(set(keyed_ranges)) \
+            == len(set(plain_ranges)) < len(plain_ranges)
+
+    def test_a_key_holds_only_for_its_provider(self):
+        """Two providers with equal keys for one window but different
+        samples: the gate fetches from the second, not reusing the
+        first's history."""
+        policy = CarbonBackfillPolicy()
+        now = 8 * DAY + 0.25 * HOUR
+        forecasts = []
+        for seed in (1, 2, 1):
+            provider = SyntheticProvider("ES", seed=seed)
+            ctx = SchedulingContext(now=now, pending=[], cluster=None,
+                                    provider=provider, running=[],
+                                    expected_end={})
+            forecasts.append(policy._forecast(ctx, 6 * HOUR))
+            assert policy.forecaster.history == provider.history(
+                now - policy.history_s, now)
+        assert forecasts[0] != forecasts[1] and forecasts[0] == forecasts[2]
 
 
 def trending_forecast(rng, n=72, start=40 * HOUR):

@@ -6,7 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.grid import CarbonIntensityTrace, SyntheticProvider
+from repro.grid import (
+    CarbonIntensityProvider,
+    CarbonIntensityTrace,
+    SyntheticProvider,
+)
 from repro.powerstack import LinearScalingPolicy, SiteController
 from repro.scheduler import CarbonCheckpointPolicy, EasyBackfillPolicy, RJMS
 from repro.simulator import (
@@ -152,16 +156,21 @@ class TestThresholdReuse:
 
     def test_changed_window_values_recompute(self):
         """A provider whose window values change between two calls at the
-        same time gets fresh thresholds, not the cached pair."""
+        same time gets fresh thresholds, not the cached pair: it inherits
+        the ``None`` range key, so every tick requests its window."""
         rng = np.random.default_rng(4)
 
-        class Stub:
+        class Stub(CarbonIntensityProvider):
             values = rng.uniform(100, 500, 168)
+
+            def intensity_at(self, t):
+                return float(self.values[-1])
 
             def history(self, t0, t1):
                 return CarbonIntensityTrace(self.values, HOUR, 0.0)
 
         provider = Stub()
+        assert provider.history_range(0.0, 7 * DAY) is None
         rjms = SimpleNamespace(now=7 * DAY, provider=provider)
         policy = CarbonCheckpointPolicy()
 

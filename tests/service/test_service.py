@@ -54,6 +54,36 @@ class TestTransparency:
         with pytest.raises(ValueError):
             service.history(DAY, HOUR)
 
+    def test_history_range_is_the_backends_key_and_makes_no_call(self,
+                                                                 clock):
+        """The key passes through unguarded: no backend call, no breaker
+        check, and the backend's own key (None for a flaky backend)."""
+        raw = SyntheticProvider("DE", seed=5)
+        service = make_service(SyntheticProvider("DE", seed=5), clock)
+        key = service.history_range(HOUR, DAY)
+        assert key == raw.history_range(HOUR, DAY) is not None
+        assert service.snapshot().get("backend.calls", 0) == 0
+        assert make_service(FlakyProvider(raw), clock).history_range(
+            HOUR, DAY) is None
+
+    def test_history_range_is_none_while_the_breaker_is_not_closed(
+            self, clock):
+        """An open breaker serves a degraded flat window, which the
+        backend's key does not name: no key until a probe closes it."""
+        service = make_service(SyntheticProvider("DE", seed=5), clock)
+        service.intensity_at(HOUR)  # a last-good value to degrade to
+        real = service.history(HOUR, DAY)
+        key = service.history_range(HOUR, DAY)
+        for _ in range(3):
+            service.breaker.record_failure()
+        assert service.history_range(HOUR, DAY) is None
+        assert service.history(HOUR, DAY) != real  # flat last-good window
+        clock.advance(30.0)  # half-open: the next request probes
+        assert service.history_range(HOUR, DAY) is None
+        assert service.history(HOUR, DAY) == real
+        assert service.breaker.state is BreakerState.CLOSED
+        assert service.history_range(HOUR, DAY) == key
+
     def test_ensure_never_double_wraps(self, clock):
         service = make_service(StaticProvider(10.0), clock)
         assert CarbonService.ensure(service) is service
