@@ -323,9 +323,36 @@ class CarbonIntensityTrace:
     def max(self) -> float:
         return float(self.values.max())
 
-    def percentile(self, q) -> float:
-        """q-th percentile of the samples (g/kWh)."""
-        return float(np.percentile(self.values, q))
+    def percentile(self, q):
+        """q-th percentile of the samples (g/kWh): a float for one ``q``,
+        a tuple of floats for a sequence of them, all from one sort.
+
+        The rule is numpy's default ``"linear"`` one, step for step, so
+        the result equals ``np.percentile(values, q)``: the virtual
+        index is ``(n - 1) * (q / 100)``; its neighbours are the sorted
+        samples at its floor and the next index, both the last sample
+        when it is ``>= n - 1``; and the two are blended by numpy's
+        ``_lerp`` with weight ``g`` (the index minus the lower
+        neighbour's): ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)``
+        when ``g >= 0.5``.
+        """
+        many = np.ndim(q) > 0
+        qs = [float(x) for x in q] if many else [float(q)]
+        if not all(0.0 <= x <= 100.0 for x in qs):
+            raise ValueError("Percentiles must be in the range [0, 100]")
+        ranked = np.sort(self.values)
+        last = ranked.size - 1
+        out = []
+        for x in qs:
+            virtual = last * (x / 100.0)
+            # numpy's lower index is -1 (the last sample) past the end
+            lower = -1 if virtual >= last else int(virtual)
+            a = ranked.item(lower)
+            b = ranked.item(-1 if lower == -1 else lower + 1)
+            g = virtual - lower
+            d = b - a
+            out.append(b - d * (1 - g) if g >= 0.5 else a + d * g)
+        return tuple(out) if many else out[0]
 
     # -- transforms --------------------------------------------------------------
 

@@ -40,7 +40,17 @@ class JobPowerManager:
         self.power_model = power_model
 
     def split(self, job_budget_watts: float, n_nodes: int) -> NodeBudget:
-        """Equal per-node split of ``job_budget_watts``.
+        """Equal per-node split of ``job_budget_watts``: :meth:`cap` plus
+        the in-node component breakdown of the node budget."""
+        cap = self.cap(job_budget_watts, n_nodes)
+        return NodeBudget(cap_watts=cap,
+                          component_split=self.component_split(
+                              job_budget_watts / n_nodes if cap is not None
+                              else self.power_model.peak_watts))
+
+    def cap(self, job_budget_watts: float, n_nodes: int) -> Optional[float]:
+        """Per-node cap of an equal split of ``job_budget_watts`` (None:
+        uncapped), without the component breakdown.
 
         Raises
         ------
@@ -59,11 +69,7 @@ class JobPowerManager:
                 f"budget {job_budget_watts:.0f} W cannot hold {n_nodes} nodes "
                 f"at idle ({self.power_model.idle_watts:.0f} W each); "
                 "shrink the allocation instead")
-        cap = clamp_cap(per_node, self.power_model)
-        return NodeBudget(cap_watts=cap,
-                          component_split=self.component_split(
-                              per_node if cap is not None
-                              else self.power_model.peak_watts))
+        return clamp_cap(per_node, self.power_model)
 
     def component_split(self, node_budget_watts: float) -> Dict[str, float]:
         """Divide a node budget across components.

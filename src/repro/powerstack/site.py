@@ -16,6 +16,14 @@ controller *degrades gracefully*: it caps everything at the floor and
 leaves allocation shrinking to the malleability manager (§3.2) — the
 paper's explicit division of labour.
 
+Steps 2 and 3 are a pure function of a few inputs: the budget, the
+idle-node reserve, each running job's ``(job_id, nodes_allocated,
+utilization)`` in ``running`` order and, in ``PRIORITY`` mode, each
+job's priority value.  The controller keeps the caps of the last key of
+those inputs and recomputes them only when the key changes; every tick
+still reads the budget, logs it, and re-applies any kept cap that
+differs from the job's current one (a resumed job, say).
+
 Register the controller as an RJMS manager::
 
     rjms.register_manager(SiteController(policy, cluster))
@@ -30,7 +38,7 @@ from repro.powerstack.jobmgr import JobPowerManager
 from repro.powerstack.sysmgr import DistributionMode, SystemPowerManager
 from repro.scheduler.rjms import RJMS
 from repro.simulator.cluster import Cluster
-from repro.simulator.jobs import JobState
+from repro.simulator.jobs import Job, JobState
 
 __all__ = ["SiteController"]
 
@@ -64,6 +72,9 @@ class SiteController:
         self.min_cap_fraction = float(min_cap_fraction)
         #: (time, budget) history for inspection/benches
         self.budget_log: List[tuple] = []
+        #: the inputs of the last cap computation, and its caps by job id
+        self._key: Optional[tuple] = None
+        self._caps: Dict[int, Optional[float]] = {}
 
     def on_jobs_started(self, rjms: RJMS) -> None:
         """RJMS hook: re-apply the budget the moment new jobs start,
@@ -77,22 +88,37 @@ class SiteController:
                 if j.state is JobState.RUNNING and j.nodes_allocated > 0]
         if not jobs:
             return
+        key = self._inputs(budget, jobs)
+        if key != self._key:
+            self._key, self._caps = key, self._compute_caps(budget, jobs)
+        for job in jobs:
+            cap = self._caps[job.job_id]
+            if cap != rjms.job_caps.get(job.job_id):
+                rjms.set_job_cap(job, cap)
+
+    def _inputs(self, budget: float, jobs: List[Job]) -> tuple:
+        """Everything :meth:`_compute_caps` reads that can change between
+        ticks (the power model, mode and ``min_cap_fraction`` are fixed)."""
+        key = (budget, self.sysmgr.idle_floor_watts(),
+               tuple([(j.job_id, j.nodes_allocated, j.utilization)
+                      for j in jobs]))
+        if self.sysmgr.mode is DistributionMode.PRIORITY:
+            key += (tuple([self.sysmgr.priority_key(j) for j in jobs]),)
+        return key
+
+    def _compute_caps(self, budget: float,
+                      jobs: List[Job]) -> Dict[int, Optional[float]]:
+        """Per-node cap (None: uncapped) of each job, by job id."""
         try:
             grants = self.sysmgr.distribute(budget, jobs)
         except ValueError:
             # Budget below floor: cap everything at floor; shrinking is
             # the malleability manager's job (§3.2).
             grants = {j.job_id: self.sysmgr.job_floor_watts(j) for j in jobs}
+        caps: Dict[int, Optional[float]] = {}
         for job in jobs:
-            grant = grants.get(job.job_id)
-            if grant is None:
-                continue
             demand = self.sysmgr.job_demand_watts(job)
-            grant = max(grant, self.min_cap_fraction * demand)
-            if grant >= demand - 1e-9:
-                cap = None  # uncapped
-            else:
-                cap = self.jobmgr.split(grant, job.nodes_allocated).cap_watts
-            current = rjms.job_caps.get(job.job_id)
-            if cap != current:
-                rjms.set_job_cap(job, cap)
+            grant = max(grants[job.job_id], self.min_cap_fraction * demand)
+            caps[job.job_id] = None if grant >= demand - 1e-9 \
+                else self.jobmgr.cap(grant, job.nodes_allocated)
+        return caps

@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.simulator.cluster import Cluster
 from repro.simulator.jobs import Job
-from repro.simulator.node import NodeState
 
 __all__ = ["DistributionMode", "SystemPowerManager"]
 
@@ -72,10 +71,9 @@ class SystemPowerManager:
         return job.nodes_allocated * pm.power(job.utilization, 1.0)
 
     def idle_floor_watts(self) -> float:
-        """Draw of nodes not allocated to any job (scheduler's business)."""
-        idle = sum(1 for nd in self.cluster.nodes
-                   if nd.state is NodeState.IDLE)
-        return idle * self.cluster.power_model.idle_watts
+        """Draw of nodes not allocated to any job (scheduler's business),
+        from the cluster's kept idle count."""
+        return self.cluster.n_idle * self.cluster.power_model.idle_watts
 
     # -- distribution ----------------------------------------------------------------
 

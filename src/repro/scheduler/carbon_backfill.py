@@ -184,7 +184,11 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         their prefix minima.  That call is elementwise and a minimum does
         not round, so every mean has the bits of scoring its job alone.
         ``forecast`` must reach past ``s_0 + slack + runtime`` of every
-        window, as :meth:`_forecast` guarantees.
+        window, as :meth:`_forecast` guarantees; so every mean a window
+        reads ends inside it, and the means no window reads (a row's
+        slots past its own need) are taken over windows clipped at the
+        forecast's end, which keeps the batch on ``mean_over``'s
+        in-range path.
         """
         if forecast is not self._rows_for:
             self._rows_for, self._rows = forecast, {}
@@ -201,8 +205,9 @@ class CarbonBackfillPolicy(SchedulerPolicy):
             starts = forecast.start_time \
                 + np.arange(max(missing.values())) * step
             runtimes = np.fromiter(missing, np.float64, len(missing))
-            rows.update(zip(missing, np.minimum.accumulate(forecast.mean_over(
-                starts, starts + runtimes[:, None]), axis=1).tolist()))
+            ends = np.minimum(starts + runtimes[:, None], forecast.end_time)
+            rows.update(zip(missing, np.minimum.accumulate(
+                forecast.mean_over(starts, ends), axis=1).tolist()))
         now_means, best_means = [], []
         for runtime, n in needs:
             row = rows[runtime]

@@ -7,7 +7,9 @@ when the intensity is low."
 
 This manager runs on the RJMS tick.  Each tick it classifies the current
 intensity against trailing-history percentiles (computed once per
-distinct history window, not once per tick; the window is requested
+distinct history window, not once per tick, from one sort of its samples
+by :meth:`~repro.grid.intensity.CarbonIntensityTrace.percentile`, which
+follows numpy's ``"linear"`` rule bit for bit; the window is requested
 only when the provider cannot vouch that its sample range is unchanged):
 
 * above the ``suspend_percentile`` -> suspend suspendable running jobs
@@ -25,8 +27,6 @@ job), and a maximum total suspended time per job (bounded stretch).
 from __future__ import annotations
 
 from typing import Dict, List
-
-import numpy as np
 
 from repro.grid.intensity import CarbonIntensityTrace
 from repro.scheduler.rjms import RJMS
@@ -89,10 +89,11 @@ class CarbonCheckpointPolicy:
 
     def _thresholds(self, rjms: RJMS) -> tuple[float, float] | None:
         """``(suspend_above, resume_below)`` percentiles of the trailing
-        history, both from one ``np.percentile`` call; recomputed only
-        when that history differs from the last one (the window moves in
-        whole samples, not every tick), and the history is requested only
-        when the provider's ``history_range`` key is None or has moved."""
+        history, both from one :meth:`CarbonIntensityTrace.percentile`
+        call (one sort); recomputed only when that history differs from
+        the last one (the window moves in whole samples, not every tick),
+        and the history is requested only when the provider's
+        ``history_range`` key is None or has moved."""
         t0 = max(0.0, rjms.now - self.history_s)
         if rjms.now - t0 < 6 * units.SECONDS_PER_HOUR:
             return None  # not enough history
@@ -101,9 +102,8 @@ class CarbonCheckpointPolicy:
         if key[1] is None or key != self._last_key:
             hist = provider.history(t0, rjms.now)
             if self._last is None or self._last[0] != hist:
-                suspend, resume = np.percentile(hist.values, [
-                    self.suspend_percentile, self.resume_percentile])
-                self._last = (hist, (float(suspend), float(resume)))
+                self._last = (hist, hist.percentile(
+                    (self.suspend_percentile, self.resume_percentile)))
             self._last_key = key
         return self._last[1]
 

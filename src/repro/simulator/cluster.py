@@ -125,6 +125,12 @@ class Cluster:
     def n_busy(self) -> int:
         return self._busy
 
+    @property
+    def n_idle(self) -> int:
+        """Free nodes drawing idle power: every free node, or none when
+        idle nodes are powered off."""
+        return 0 if self.idle_power_off else self._free
+
     def nodes_of_job(self, job_id: int) -> List[Node]:
         """Nodes currently allocated to ``job_id`` (empty if none)."""
         return list(self._alloc.get(job_id, []))
@@ -144,6 +150,9 @@ class Cluster:
     def _scan_free(self) -> int:
         return sum(1 for nd in self.nodes
                    if nd.state in (NodeState.IDLE, NodeState.POWERED_OFF))
+
+    def _scan_idle(self) -> int:
+        return sum(1 for nd in self.nodes if nd.state is NodeState.IDLE)
 
     def _scan_busy(self) -> int:
         # busy nodes are exactly the allocated ones (check_invariants)
@@ -341,3 +350,6 @@ class Cluster:
                     f"busy node {nd.node_id} not in allocation map")
             if self.idle_power_off and nd.state is NodeState.IDLE:
                 raise AssertionError(f"idle node {nd.node_id} powered on")
+        if self.n_idle != self._scan_idle():
+            raise AssertionError(
+                f"kept n_idle {self.n_idle} != scan {self._scan_idle()}")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.grid import CarbonIntensityTrace
 
@@ -576,3 +576,55 @@ class TestTransforms:
         assert t.min() == 100
         assert t.max() == 400
         assert t.percentile(50) == pytest.approx(250.0)
+
+
+#: samples that stress the rule: ties, both zeros, heavy tails
+SAMPLES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 250.0]),
+              st.floats(0.0, 1e3, allow_nan=False),
+              st.floats(0.0, 1e300, allow_nan=False)),
+    min_size=1, max_size=400)
+#: percentiles at and near both ends, integers, and anything between
+QS = st.one_of(st.sampled_from([0.0, 100.0, 50.0, np.nextafter(0.0, 1.0),
+                                np.nextafter(100.0, 0.0), 1e-300]),
+               st.integers(0, 100), st.floats(0.0, 100.0))
+
+
+class TestPercentile:
+    """``percentile`` is numpy's ``"linear"`` rule from one sort, equal to
+    ``np.percentile`` by ``==``."""
+
+    @given(values=SAMPLES, qs=st.lists(QS, min_size=1, max_size=4))
+    @example(values=[7.0], qs=[0.0, 37.5, 100.0])
+    @example(values=[250.0, 250.0, 1.0, 250.0], qs=[0.0, 40.0, 100.0])
+    @example(values=[-0.0, 0.0, -0.0], qs=[0.0, 50.0, 75.0, 100.0])
+    @example(values=[0.31183145201048545, 0.42332644897257565],
+             qs=[82.77025938204417])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy(self, values, qs):
+        t = make(values)
+        assert t.percentile(qs) == tuple(np.percentile(values, qs))
+        for q in qs:
+            assert t.percentile(q) == np.percentile(values, q)
+
+    def test_upper_branch_of_the_blend(self):
+        """For weights ``g >= 0.5`` numpy blends down from the upper
+        neighbour, which can round differently from blending up."""
+        a, b = 0.31183145201048545, 0.42332644897257565
+        g = 82.77025938204417 / 100
+        assert a + (b - a) * g != b - (b - a) * (1 - g)
+        assert make([b, a]).percentile(82.77025938204417) \
+            == b - (b - a) * (1 - g)
+
+    def test_one_sample_and_shapes(self):
+        t = make([300.0])
+        assert t.percentile(0) == t.percentile(100) == 300.0
+        assert isinstance(t.percentile(50), float)
+        assert make([1.0, 3.0]).percentile([50, 100]) == (2.0, 3.0)
+
+    @pytest.mark.parametrize("q", [-1e-9, 100.000001, float("nan")])
+    def test_rejects_out_of_range(self, q):
+        with pytest.raises(ValueError, match="range"):
+            make([1.0, 2.0]).percentile(q)
+        with pytest.raises(ValueError, match="range"):
+            make([1.0, 2.0]).percentile([50.0, q])

@@ -8,7 +8,10 @@ benchmark's relative tolerance.  Any change to simulated results fails
 here, without a benchmark run.  One more case runs a reference entry
 through the benchmark's traced mode (``perfbench/layers.py``), so a
 change that breaks what its layer probes read fails here too.  The
-benchmark files are only read.
+rest pin the work the carbon gate, the site controller and the
+checkpoint manager do over seeds 1-3: how often they request history,
+distribute the budget and take percentiles, and that the gate's slot
+means stay inside its forecast.  The benchmark files are only read.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -100,3 +104,53 @@ def test_history_requests_equal_distinct_ranges(workloads, name, requests):
         assert len(ranges) == len(set(ranges))
         total += len(ranges)
     assert total == requests
+
+
+def test_site_ticks_recompute_only_changed_caps(workloads, monkeypatch):
+    """Over managed-site seeds 1-3, the site controller distributes the
+    budget only when the inputs of its caps change (1,876 calls when it
+    recomputed every tick), and the checkpoint manager's thresholds make
+    no ``np.percentile`` call (441 before they came from one sort)."""
+    from repro.powerstack.sysmgr import SystemPowerManager
+
+    counts = {"distribute": 0, "percentile": 0}
+    distribute, percentile = SystemPowerManager.distribute, np.percentile
+
+    def counted_distribute(*args, **kwargs):
+        counts["distribute"] += 1
+        return distribute(*args, **kwargs)
+
+    def counted_percentile(*args, **kwargs):
+        counts["percentile"] += 1
+        return percentile(*args, **kwargs)
+
+    monkeypatch.setattr(SystemPowerManager, "distribute", counted_distribute)
+    monkeypatch.setattr(np, "percentile", counted_percentile)
+    for seed in (1, 2, 3):
+        workloads.WORKLOADS["managed-site"].build(seed).rjms.run()
+    assert counts == {"distribute": 929, "percentile": 0}
+
+
+def test_gate_batches_stay_in_range(workloads, monkeypatch):
+    """Over carbon-gate seeds 1-3, every batch of slot means the gate
+    scores lies inside its forecast, so none takes ``_integrate_array``'s
+    clamped path (680 of the 2,150 did while unread row ends ran past
+    the forecast)."""
+    from repro.grid.intensity import CarbonIntensityTrace
+
+    counts = {"batches": 0, "clamped": 0}
+    integrate = CarbonIntensityTrace._integrate_array
+
+    def counted(trace, t0, t1):
+        if t1.ndim == 2:
+            end = trace.start_time + trace.values.size * trace.step_seconds
+            counts["batches"] += 1
+            counts["clamped"] += not (t0.min() >= trace.start_time
+                                      and t1.max() <= end
+                                      and (t1 >= t0).all())
+        return integrate(trace, t0, t1)
+
+    monkeypatch.setattr(CarbonIntensityTrace, "_integrate_array", counted)
+    for seed in (1, 2, 3):
+        workloads.WORKLOADS["carbon-gate"].build(seed).rjms.run()
+    assert counts == {"batches": 2150, "clamped": 0}

@@ -173,6 +173,84 @@ class TestSchedulerInvariants:
             assert j.end_time - j.start_time == pytest.approx(
                 j.work_seconds, rel=1e-9)
 
+    @pytest.mark.parametrize("idle_power_off", [False, True],
+                             ids=["idle-on", "idle-off"])
+    @given(seed=st.integers(0, 1000))
+    @SIM_SETTINGS
+    def test_no_job_lost_no_oversubscription_managed_site(
+            self, seed, idle_power_off):
+        """Under node failures, suspend/resume, malleable resizes and
+        caps: every job ends exactly once (completed, or cancelled by
+        the requeue cap), the running jobs never hold more nodes than
+        are up, and the cluster bookkeeping stays consistent."""
+        rjms = managed_site(seed, idle_power_off)
+        ends = collections.Counter()
+        for job in rjms.jobs:
+            for name in ("complete", "cancel"):
+                def counted(now, _fn=getattr(job, name), _id=job.job_id):
+                    ends[_id] += 1
+                    return _fn(now)
+                setattr(job, name, counted)
+        cluster, step = rjms.cluster, rjms.engine.step
+
+        def checked_step():
+            fired = step()
+            up = sum(nd.state is not NodeState.DOWN for nd in cluster.nodes)
+            assert sum(j.nodes_allocated
+                       for j in rjms.running.values()) <= up
+            return fired
+        rjms.engine.step = checked_step
+        result = rjms.run()
+        assert ends == {j.job_id: 1 for j in rjms.jobs}
+        assert {j.state for j in rjms.jobs} <= {JobState.COMPLETED,
+                                                JobState.CANCELLED}
+        assert [j.job_id for j in result.completed_jobs] == [
+            j.job_id for j in rjms.jobs if j.state is JobState.COMPLETED]
+        assert not (rjms.pending or rjms.running or rjms.suspended)
+        assert cluster.n_busy == 0
+        cluster.check_invariants()
+        assert result.total_energy_kwh > 0
+
+    @pytest.mark.parametrize("idle_power_off", [False, True],
+                             ids=["idle-on", "idle-off"])
+    @given(seed=st.integers(0, 1000))
+    @SIM_SETTINGS
+    def test_work_conservation_managed_site(self, seed, idle_power_off):
+        """Under node failures, suspend/resume, malleable resizes and
+        caps, each completed job did exactly its work: progress
+        integrated here, at the rate each job had between its state
+        changes, adds up to ``work_seconds`` (a failure restarts it from
+        scratch unless the job checkpoints itself)."""
+        rjms = managed_site(seed, idle_power_off)
+        done, since = {}, {}
+
+        def bank(job, now):
+            if job.state is JobState.RUNNING:
+                done[job.job_id] += (now - since[job.job_id][0]) \
+                    * since[job.job_id][1]
+            since[job.job_id] = (now, job.current_rate)
+
+        for job in rjms.jobs:
+            done[job.job_id] = 0.0
+            for name in ("start", "set_perf_factor", "resize", "suspend",
+                         "resume", "complete", "requeue", "cancel"):
+                def changed(now, *args, _fn=getattr(job, name), _job=job,
+                            _name=name, **kwargs):
+                    bank(_job, now)
+                    _fn(now, *args, **kwargs)
+                    if _name == "requeue" and kwargs.get("lose_progress",
+                                                         True):
+                        done[_job.job_id] = 0.0
+                    since[_job.job_id] = (now, _job.current_rate)
+                setattr(job, name, changed)
+        rjms.run()
+        completed = [j for j in rjms.jobs if j.state is JobState.COMPLETED]
+        assert completed
+        for j in completed:
+            assert j.remaining_work == pytest.approx(0.0, abs=1e-6)
+            assert done[j.job_id] == pytest.approx(j.work_seconds,
+                                                   rel=1e-9, abs=1e-6)
+
     @given(seed=st.integers(0, 500))
     @SIM_SETTINGS
     def test_suspension_preserves_work(self, seed):
@@ -271,10 +349,12 @@ class TestCarbonAccountingInvariants:
         assert_telemetry_reconciles(result, cluster.last_accrual)
 
 
-def managed_site(seed, idle_power_off):
+def managed_site(seed, idle_power_off, site=SiteController):
     """An 8-node site where every kind of state change happens: node
     failures, carbon suspend/resume, malleable resizes and PowerStack
-    caps, over a half-suspendable, half-malleable workload."""
+    caps, over a half-suspendable, half-malleable workload.  ``site``
+    builds the PowerStack controller from its budget policy and the
+    cluster."""
     pm = power_model()
     cluster = Cluster(8, pm, idle_power_off=idle_power_off)
     rjms = RJMS(cluster, workload(seed, n_jobs=20, suspendable=0.5,
@@ -288,7 +368,7 @@ def managed_site(seed, idle_power_off):
                                                  resume_percentile=40.0))
     rjms.register_manager(MalleabilityManager(
         lambda t: high if int(t // (6 * HOUR)) % 2 == 0 else low))
-    rjms.register_manager(SiteController(
+    rjms.register_manager(site(
         LinearScalingPolicy(3 * (pm.peak_watts + pm.idle_watts),
                             6 * pm.peak_watts, 350.0, 490.0), cluster))
     return rjms

@@ -137,6 +137,41 @@ class TestHistogram:
         assert h.mean_s == pytest.approx(0.014)
 
 
+class TestLatencyHistogram:
+    """Count, mean and the conservative bucket-bound quantile."""
+
+    def test_count_and_mean(self):
+        h = LatencyHistogram("lat")
+        for v in (0.001, 0.002, 0.003):
+            h.observe(v)
+        assert h.count == 3
+        assert h.mean_s == pytest.approx(0.002)
+
+    def test_quantile_is_conservative_bucket_bound(self):
+        h = LatencyHistogram("lat", bounds_s=[0.001, 0.01, 0.1])
+        for _ in range(99):
+            h.observe(0.0005)  # first bucket
+        h.observe(0.05)        # third bucket
+        assert h.quantile_s(0.5) == 0.001
+        assert h.quantile_s(1.0) == 0.1
+
+    def test_overflow_bucket(self):
+        h = LatencyHistogram("lat", bounds_s=[0.001])
+        h.observe(5.0)
+        assert h.quantile_s(1.0) == float("inf")
+
+    def test_empty_quantile_is_zero(self):
+        assert LatencyHistogram("lat").quantile_s(0.99) == 0.0
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            LatencyHistogram("lat", bounds_s=[0.1, 0.1])
+        with pytest.raises(ValueError):
+            LatencyHistogram("lat").observe(-1.0)
+        with pytest.raises(ValueError):
+            LatencyHistogram("lat").quantile_s(1.5)
+
+
 class TestPrometheusExposition:
     def _populated(self):
         reg = MetricsRegistry()

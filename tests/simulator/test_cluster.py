@@ -241,8 +241,8 @@ _OP = st.tuples(
 
 
 class TestPowerCache:
-    """``current_power()``, ``job_power``, ``n_free`` and ``n_busy``
-    are kept current by the mutators, not rescanned: after every op they
+    """``current_power()``, ``job_power``, ``n_free``, ``n_busy`` and
+    ``n_idle`` are kept current by the mutators, not rescanned: after every op they
     must equal a fresh scan of the nodes, and an op that raises must
     change nothing."""
 
@@ -282,6 +282,8 @@ class TestPowerCache:
                     nd.current_power() for nd in cluster.nodes_of_job(j))
             assert cluster.n_free == fresh_free(cluster)
             assert cluster.n_busy == fresh_busy(cluster)
+            assert cluster.n_idle == sum(nd.state is NodeState.IDLE
+                                         for nd in cluster.nodes)
             cluster.check_invariants()
 
     @pytest.mark.parametrize("n_nodes, utilization",
@@ -357,6 +359,13 @@ class TestPowerCache:
         cluster.nodes[2].power_on()
         cluster._watts[2] = cluster.nodes[2].current_power()
         with pytest.raises(AssertionError, match="powered on"):
+            cluster.check_invariants()
+
+    def test_check_invariants_catches_a_stale_idle_count(self):
+        cluster = Cluster(4, PM)
+        cluster.nodes[1].power_off()
+        cluster._watts[1] = cluster.nodes[1].current_power()
+        with pytest.raises(AssertionError, match="n_idle"):
             cluster.check_invariants()
 
     def test_check_invariants_catches_an_empty_allocation(self,
