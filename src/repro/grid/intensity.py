@@ -16,9 +16,8 @@ operations every downstream consumer needs:
 The class is deliberately immutable: values are stored in a read-only
 NumPy array so traces can be shared between scheduler, PowerStack and
 accounting components without defensive copies (a guide-recommended
-"views, not copies" idiom).  The cached cumulative integral and the
-memoized last :meth:`~CarbonIntensityTrace.window` are derived from the
-values, so they take no part in equality or ``repr``.
+"views, not copies" idiom).  The cached cumulative integral is derived
+from the values, so it takes no part in equality or ``repr``.
 """
 
 from __future__ import annotations
@@ -179,20 +178,12 @@ class CarbonIntensityTrace:
     def window(self, t0: float, t1: float) -> "CarbonIntensityTrace":
         """Sub-trace covering ``[t0, t1)``; sample boundaries are preserved.
 
-        It holds the samples :meth:`sample_range` names.  The last
-        window is memoized on the instance: while ``(i0, i1)`` is
-        unchanged the same (immutable) trace object is returned, with
-        whatever it has cached since.
+        It holds the samples :meth:`sample_range` names.
         """
         i0, i1 = self.sample_range(t0, t1)
-        last = self.__dict__.get("_window")
-        if last is not None and last[0] == i0 and last[1] == i1:
-            return last[2]
-        sub = CarbonIntensityTrace(
+        return CarbonIntensityTrace(
             self.values[i0:i1], self.step_seconds,
             self.start_time + i0 * self.step_seconds, self.zone)
-        object.__setattr__(self, "_window", (i0, i1, sub))
-        return sub
 
     # -- integration ----------------------------------------------------------
 

@@ -38,6 +38,7 @@ __all__ = [
     "StaticProvider",
     "TraceProvider",
     "SyntheticProvider",
+    "TrailingHistory",
 ]
 
 
@@ -251,3 +252,36 @@ class SyntheticProvider(CarbonIntensityProvider):
 
     def integrate_intensity(self, t0: float, t1: float) -> float:
         return self._covering(t0, t1).integrate_intensity(t0, t1)
+
+
+class TrailingHistory:
+    """One consumer's trailing ``history`` window over the last
+    ``length_s`` (None while shorter than ``min_s``).
+
+    The window is requested only when the key ``(provider,
+    provider.history_range(...))`` is None or has moved, and a fetched
+    window ``==`` the held one keeps the held object: the same object
+    comes back exactly while the samples are unchanged, so callers may
+    key what they derive from it on identity.  A ``ValueError`` from the
+    provider propagates and leaves the held trace and key as they were.
+    """
+
+    def __init__(self, length_s: float, min_s: float) -> None:
+        self.length_s = float(length_s)
+        self.min_s = float(min_s)
+        self._trace: CarbonIntensityTrace | None = None
+        self._key: tuple[object, object] | None = None
+
+    def at(self, provider: CarbonIntensityProvider,
+           now: float) -> CarbonIntensityTrace | None:
+        """The trailing window ending at ``now``, or None if too short."""
+        t0 = max(0.0, now - self.length_s)
+        if now - t0 < self.min_s:
+            return None
+        key = (provider, provider.history_range(t0, now))
+        if key[1] is None or key != self._key:
+            trace = provider.history(t0, now)
+            if self._trace is None or self._trace != trace:
+                self._trace = trace
+            self._key = key
+        return self._trace

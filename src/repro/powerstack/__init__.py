@@ -25,7 +25,7 @@ Layers (top to bottom):
 """
 
 from repro.powerstack.knobs import clamp_cap
-from repro.powerstack.jobmgr import JobPowerManager, NodeBudget
+from repro.powerstack.jobmgr import JobPowerManager
 from repro.powerstack.sysmgr import SystemPowerManager, DistributionMode
 from repro.powerstack.site import SiteController
 from repro.powerstack.carbon_scaling import (
@@ -39,7 +39,6 @@ from repro.powerstack.carbon_scaling import (
 __all__ = [
     "clamp_cap",
     "JobPowerManager",
-    "NodeBudget",
     "SystemPowerManager",
     "DistributionMode",
     "SiteController",

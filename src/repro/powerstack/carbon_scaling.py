@@ -17,7 +17,8 @@ Four implementations:
   (the operationally popular variant: admins like predictable states);
 * :class:`ForecastScalingPolicy` — wraps another policy but feeds it
   the *forecast mean* over a smoothing horizon instead of the spot
-  intensity, damping reaction to short spikes.
+  intensity, damping reaction to short spikes; it refits on every call,
+  on the history its :class:`~repro.grid.providers.TrailingHistory` holds.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.grid.forecast import Forecaster, SeasonalNaiveForecaster
-from repro.grid.providers import CarbonIntensityProvider
+from repro.grid.providers import CarbonIntensityProvider, TrailingHistory
 from repro import units
 
 __all__ = [
@@ -137,12 +138,13 @@ class ForecastScalingPolicy(PowerBudgetPolicy):
         self.forecaster = forecaster or SeasonalNaiveForecaster()
         self.horizon_s = float(horizon_s)
         self.history_s = float(history_s)
+        self._history = TrailingHistory(self.history_s,
+                                        2 * units.SECONDS_PER_HOUR)
 
     def budget(self, provider: CarbonIntensityProvider, now: float) -> float:
-        t0 = max(0.0, now - self.history_s)
-        if now - t0 < 2 * units.SECONDS_PER_HOUR:
+        history = self._history.at(provider, now)
+        if history is None:
             return self.inner.budget(provider, now)
-        history = provider.history(t0, now)
         self.forecaster.fit(history)
         steps = max(1, int(np.ceil(self.horizon_s / history.step_seconds)))
         forecast = self.forecaster.predict(steps)

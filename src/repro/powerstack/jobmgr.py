@@ -16,21 +16,12 @@ between CPU, GPU and DRAM domains in their default policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.powerstack.knobs import clamp_cap
 from repro.simulator.power import NodePowerModel
 
-__all__ = ["NodeBudget", "JobPowerManager"]
-
-
-@dataclass(frozen=True)
-class NodeBudget:
-    """Per-node budget with its in-node component split (watts)."""
-
-    cap_watts: Optional[float]
-    component_split: Dict[str, float]
+__all__ = ["JobPowerManager"]
 
 
 class JobPowerManager:
@@ -39,18 +30,9 @@ class JobPowerManager:
     def __init__(self, power_model: NodePowerModel) -> None:
         self.power_model = power_model
 
-    def split(self, job_budget_watts: float, n_nodes: int) -> NodeBudget:
-        """Equal per-node split of ``job_budget_watts``: :meth:`cap` plus
-        the in-node component breakdown of the node budget."""
-        cap = self.cap(job_budget_watts, n_nodes)
-        return NodeBudget(cap_watts=cap,
-                          component_split=self.component_split(
-                              job_budget_watts / n_nodes if cap is not None
-                              else self.power_model.peak_watts))
-
     def cap(self, job_budget_watts: float, n_nodes: int) -> Optional[float]:
         """Per-node cap of an equal split of ``job_budget_watts`` (None:
-        uncapped), without the component breakdown.
+        uncapped); :meth:`component_split` divides a node budget further.
 
         Raises
         ------

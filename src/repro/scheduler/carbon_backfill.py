@@ -16,13 +16,13 @@ the forecast starts: the end of the trailing history window, which the
 provider rounds up to the first sample boundary at or after now.
 
 Each scheduling pass needs one forecast, on trailing history, far enough
-for every pending job.  The history is requested only when the
-provider's ``history_range`` key is None or differs from the key of the
-history last fit on: an unchanged sample range promises the same trace,
-so most 900 s ticks of an hourly signal make no provider call.  The
-forecaster is fit only when that history differs from the last one it
-was fit on; otherwise the last forecast is reused (a prediction depends
-only on the fitted history, and a longer one only appends samples).
+for every pending job.  A :class:`~repro.grid.providers.TrailingHistory`
+holds that history (most 900 s ticks of an hourly signal make no
+provider call) and returns the same object while its samples are
+unchanged.  The forecaster is fit only when that object is not the one
+it was last fit on; otherwise the last forecast is reused (a prediction
+depends only on the fitted history, and a longer one only appends
+samples).
 The slot means of a runtime depend only on the forecast, so they are
 kept as one row per runtime until the forecast object changes, each row
 as its prefix minimum: a job's now-mean is the row's first entry and
@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.grid.forecast import Forecaster, SeasonalNaiveForecaster
 from repro.grid.intensity import CarbonIntensityTrace
+from repro.grid.providers import TrailingHistory
 from repro.scheduler.backfill import EasyBackfillPolicy
 from repro.scheduler.rjms import SchedulerPolicy, SchedulingContext, StartDecision
 from repro.simulator.jobs import Job
@@ -94,11 +95,11 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         self.history_s = float(history_s)
         self.min_job_seconds = float(min_job_seconds)
         self._inner = EasyBackfillPolicy()
+        self._history = TrailingHistory(self.history_s,
+                                        2 * units.SECONDS_PER_HOUR)
         #: the last history the forecaster was fit on, and its forecast
         self._fitted: Optional[Tuple[CarbonIntensityTrace,
                                      CarbonIntensityTrace]] = None
-        #: ``(provider, history_range key)`` of that history, once known
-        self._fitted_key: Optional[Tuple[object, object]] = None
         #: prefix minima of slot means per job runtime on the forecast
         #: ``_rows_for``: ``row[k]`` is the least mean over
         #: ``[s_i, s_i + runtime)`` for ``i <= k``,
@@ -131,40 +132,28 @@ class CarbonBackfillPolicy(SchedulerPolicy):
 
         The history window ends at the first sample boundary at or after
         ``now`` (the provider rounds its end up), so the forecast starts
-        there, not at ``now``.  Requests that history only when the
-        provider's ``history_range`` key is None or differs from the
-        fitted history's (keys are paired with the provider object), and
-        fits only when the trailing history differs from the last fitted
-        one.
-        While it is equal, the last forecast (and its cached cumulative
-        integral) is returned as is, or predicted further if it is too
-        short.
+        there, not at ``now``.  Fits only when the trailing history is
+        not the object last fitted on (:class:`TrailingHistory` keeps
+        one object while the samples are unchanged).  While it is, the
+        last forecast (and its cached cumulative integral) is returned
+        as is, or predicted further if it is too short.
         """
-        t0 = max(0.0, ctx.now - self.history_s)
-        if ctx.now - t0 < 2 * units.SECONDS_PER_HOUR:
-            return None  # not enough history to say anything
-        last = self._fitted
-        provider = ctx.provider
         try:
-            key = (provider, provider.history_range(t0, ctx.now))
-            if key[1] is not None and key == self._fitted_key:
-                history = last[0]  # the same samples: no request
-            else:
-                history = provider.history(t0, ctx.now)
+            history = self._history.at(ctx.provider, ctx.now)
         except ValueError:
             return None
+        if history is None:
+            return None  # not enough history to say anything
         steps = max(1, int(np.ceil(horizon_s / history.step_seconds)) + 1)
-        if last is not None and last[0] == history:
-            self._fitted_key = key
-            if len(last[1]) >= steps:
-                return last[1]
-            history = last[0]
+        last = self._fitted
+        if last is not None and last[0] is history and len(last[1]) >= steps:
+            return last[1]
         # refit unless the forecaster still holds this very trace (it
         # does, unless another caller shares and refit it)
         if last is None or self.forecaster.history is not history:
             self.forecaster.fit(history)
         forecast = self.forecaster.predict(steps)
-        self._fitted, self._fitted_key = (history, forecast), key
+        self._fitted = (history, forecast)
         return forecast
 
     def _score(self, forecast: CarbonIntensityTrace,

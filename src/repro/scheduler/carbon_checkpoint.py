@@ -9,8 +9,8 @@ This manager runs on the RJMS tick.  Each tick it classifies the current
 intensity against trailing-history percentiles (computed once per
 distinct history window, not once per tick, from one sort of its samples
 by :meth:`~repro.grid.intensity.CarbonIntensityTrace.percentile`, which
-follows numpy's ``"linear"`` rule bit for bit; the window is requested
-only when the provider cannot vouch that its sample range is unchanged):
+follows numpy's ``"linear"`` rule bit for bit, on the window its
+:class:`~repro.grid.providers.TrailingHistory` holds):
 
 * above the ``suspend_percentile`` -> suspend suspendable running jobs
   (largest allocations first — most carbon moved per checkpoint), if
@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.grid.intensity import CarbonIntensityTrace
+from repro.grid.providers import TrailingHistory
 from repro.scheduler.rjms import RJMS
 from repro.simulator.jobs import Job, JobState
 from repro import units
@@ -79,32 +80,25 @@ class CarbonCheckpointPolicy:
         #: suspension order for FIFO resume
         self._suspend_seq: Dict[int, int] = {}
         self._seq = 0
+        self._history = TrailingHistory(self.history_s,
+                                        6 * units.SECONDS_PER_HOUR)
         #: the last history window and its (suspend, resume) thresholds
         self._last: tuple[CarbonIntensityTrace,
                           tuple[float, float]] | None = None
-        #: ``(provider, history_range key)`` of that window
-        self._last_key: tuple[object, object] | None = None
 
     # -- intensity classification ------------------------------------------------
 
     def _thresholds(self, rjms: RJMS) -> tuple[float, float] | None:
         """``(suspend_above, resume_below)`` percentiles of the trailing
         history, both from one :meth:`CarbonIntensityTrace.percentile`
-        call (one sort); recomputed only when that history differs from
-        the last one (the window moves in whole samples, not every tick),
-        and the history is requested only when the provider's
-        ``history_range`` key is None or has moved."""
-        t0 = max(0.0, rjms.now - self.history_s)
-        if rjms.now - t0 < 6 * units.SECONDS_PER_HOUR:
+        call (one sort); recomputed only when the history object changes
+        (the window moves in whole samples, not every tick)."""
+        hist = self._history.at(rjms.provider, rjms.now)
+        if hist is None:
             return None  # not enough history
-        provider = rjms.provider
-        key = (provider, provider.history_range(t0, rjms.now))
-        if key[1] is None or key != self._last_key:
-            hist = provider.history(t0, rjms.now)
-            if self._last is None or self._last[0] != hist:
-                self._last = (hist, hist.percentile(
-                    (self.suspend_percentile, self.resume_percentile)))
-            self._last_key = key
+        if self._last is None or self._last[0] is not hist:
+            self._last = (hist, hist.percentile(
+                (self.suspend_percentile, self.resume_percentile)))
         return self._last[1]
 
     # -- manager hook -------------------------------------------------------------

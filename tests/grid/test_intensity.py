@@ -398,22 +398,16 @@ class TestWindowBounds:
 
 
 def fresh_window(trace, t0, t1):
-    """``trace.window(t0, t1)`` on a copy with no memoized window."""
+    """``trace.window(t0, t1)`` on a fresh copy of ``trace``."""
     copy = CarbonIntensityTrace(trace.values, trace.step_seconds,
                                 trace.start_time, trace.zone)
     return copy.window(t0, t1)
 
 
 class TestWindowMemo:
-    """``window`` returns the same object while its sample range is
-    unchanged, and a new one as soon as either end moves a bin."""
-
-    def test_bounds_in_the_same_bins_share_the_object(self):
-        trace = make(np.arange(48.0) + 100.0, start=HOUR)
-        w = trace.window(5.25 * HOUR, 9.5 * HOUR)  # samples 4..8
-        assert trace.window(5.0 * HOUR, 10.0 * HOUR) is w
-        assert trace.window(5.99 * HOUR, 9.01 * HOUR) is w
-        assert (w.start_time, len(w)) == (5.0 * HOUR, 5)
+    """``window`` is a plain slice: each call returns a new trace with
+    the samples of its range, and none is kept on the instance (the
+    trailing-window reuse lives in ``TrailingHistory``)."""
 
     @pytest.mark.parametrize("dt0, dt1", [(-HOUR, 0.0), (HOUR, 0.0),
                                           (0.0, -HOUR), (0.0, HOUR)])
@@ -425,7 +419,7 @@ class TestWindowMemo:
         assert moved is not w
         assert moved != w
         assert moved == fresh_window(trace, t0 + dt0, t1 + dt1)
-        assert trace.window(t0, t1) is not w  # the memo holds one window
+        assert trace.window(t0, t1) is not w  # a new object on every call
         assert trace.window(t0, t1) == w
 
     @given(trace_and_bounds(),
@@ -434,10 +428,8 @@ class TestWindowMemo:
     @settings(max_examples=200, deadline=None)
     def test_sequence_matches_unmemoized_slices(self, case, moves):
         """Any sequence of requests: each window has the values, start,
-        step and zone of the un-memoized slice, and is the previous
-        object exactly when it covers the same samples."""
+        step and zone of the slice of a fresh copy."""
         trace, t0, _ = case
-        last = None
         for shift, length in moves:
             a = t0 + shift * trace.step_seconds
             b = a + length * trace.step_seconds
@@ -447,10 +439,6 @@ class TestWindowMemo:
             assert w.step_seconds == ref.step_seconds
             assert w.zone == ref.zone
             np.testing.assert_array_equal(w.values, ref.values)
-            if last is not None:
-                same = (last.start_time, len(last)) == (w.start_time, len(w))
-                assert (w is last) == same
-            last = w
 
     def test_memo_takes_no_part_in_equality_or_repr(self):
         trace = make([100, 200, 300])
@@ -467,7 +455,7 @@ class TestWindowMemo:
             raise AssertionError("identical traces compared by value")
 
         monkeypatch.setattr(np, "array_equal", no_compare)
-        assert w == trace.window(0.5 * HOUR, 0.75 * HOUR)
+        assert w == w
         assert not w != w
         with pytest.raises(AssertionError, match="by value"):
             _ = w == make([100])

@@ -14,6 +14,7 @@ from repro.grid import (
     TraceProvider,
     generate_month,
 )
+from repro.grid.providers import TrailingHistory
 from repro.service import CarbonService, FlakyProvider, SlowProvider
 
 HOUR = 3600.0
@@ -236,3 +237,128 @@ class TestHistoryRange:
                   CarbonService(FlakyProvider(keyed))):
             assert p.history_range(2 * DAY, 3 * DAY) is None
         assert keyed.history_range(2 * DAY, 3 * DAY) is not None
+
+
+class Counted(CarbonIntensityProvider):
+    """Forwards to ``inner`` and counts its ``history`` requests."""
+
+    def __init__(self, inner):
+        self.inner, self.requests = inner, 0
+
+    def intensity_at(self, t):
+        return self.inner.intensity_at(t)
+
+    def history_range(self, t0, t1):
+        return self.inner.history_range(t0, t1)
+
+    def history(self, t0, t1):
+        self.requests += 1
+        return self.inner.history(t0, t1)
+
+
+class Drifting(CarbonIntensityProvider):
+    """A provider that revises its samples on :meth:`drift`, so it
+    cannot key a window (``history_range`` is None)."""
+
+    def __init__(self):
+        self.trace = hourly_trace(seed=5)
+
+    def drift(self):
+        self.trace = self.trace.scale(1.25)
+
+    def intensity_at(self, t):
+        return self.trace.at(t)
+
+    def history(self, t0, t1):
+        return self.trace.window(t0, t1)
+
+
+def hourly_trace(seed, days=6):
+    vals = np.random.default_rng(seed).uniform(50, 500, days * 24)
+    return CarbonIntensityTrace(vals, HOUR, 0.0, "XX")
+
+
+def holder_providers(kind):
+    """The providers one sequence of ``at`` calls picks from."""
+    if kind == "synthetic":
+        return [SyntheticProvider("DE", seed=4)]
+    if kind == "trace":
+        return [TraceProvider(hourly_trace(seed=1))]
+    if kind == "static":
+        return [StaticProvider(20.0)]
+    if kind == "flaky":
+        return [FlakyProvider(SyntheticProvider("DE", seed=4),
+                              failure_rate=0.0)]
+    if kind == "drifting":
+        return [Drifting()]
+    # equal keys for every window; the first and third share samples
+    return [TraceProvider(hourly_trace(seed=1)),
+            TraceProvider(hourly_trace(seed=2)),
+            TraceProvider(hourly_trace(seed=1))]
+
+
+class TestTrailingHistory:
+    """One owner of a consumer's trailing window: it asks again only
+    when the key moves or is None, and hands back one object exactly
+    while the samples are unchanged."""
+
+    @pytest.mark.parametrize("kind", ["synthetic", "trace", "static",
+                                      "flaky", "drifting", "swap"])
+    @given(st.lists(st.tuples(st.integers(0, 4 * 24 * 5), st.integers(0, 2),
+                              st.booleans()), min_size=1, max_size=24),
+           st.sampled_from([(6 * HOUR, 2 * HOUR), (DAY, 6 * HOUR),
+                            (2.5 * DAY, DAY)]))
+    @settings(max_examples=60, deadline=None)
+    def test_contract(self, kind, steps, lengths):
+        """Nondecreasing ``now`` on a quarter-hour grid, as ticks give;
+        each step picks a provider (``swap``) and may revise the
+        drifting one's samples before the call."""
+        length_s, min_s = lengths
+        providers = [Counted(p) for p in holder_providers(kind)]
+        keyed = providers[0].history_range(0.0, DAY) is not None
+        holder = TrailingHistory(length_s, min_s)
+        last = None
+        keys = []
+        calls = 0
+        for quarter, pick, drift in sorted(steps):
+            now = quarter * 900.0
+            p = providers[pick % len(providers)]
+            if drift and isinstance(p.inner, Drifting):
+                p.inner.drift()
+            before = sum(q.requests for q in providers)
+            got = holder.at(p, now)
+            if now < min_s:
+                assert got is None
+                assert sum(q.requests for q in providers) == before
+                continue
+            t0 = max(0.0, now - length_s)
+            fresh = p.inner.history(t0, now)
+            assert got == fresh
+            if last is not None:
+                assert (got is last) == (last == fresh)
+            last = got
+            calls += 1
+            keys.append((id(p), p.history_range(t0, now)))
+        requests = sum(q.requests for q in providers)
+        if not keyed:
+            assert requests == calls
+        elif kind == "swap":
+            assert requests == sum(k != prev for k, prev
+                                   in zip(keys, [None] + keys))
+        else:
+            assert requests == len(set(keys))
+
+    def test_provider_errors_propagate_and_keep_the_held_trace(self):
+        p = Counted(TraceProvider(hourly_trace(seed=1)))
+        holder = TrailingHistory(DAY, 2 * HOUR)
+        held = holder.at(p, DAY)
+
+        def fails(t0, t1):
+            raise ValueError("no data")
+
+        p.history = fails
+        with pytest.raises(ValueError):
+            holder.at(p, 2 * DAY)
+        del p.history
+        assert holder.at(p, 23.5 * HOUR) is held  # the same samples
+        assert p.requests == 1

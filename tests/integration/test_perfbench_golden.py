@@ -10,7 +10,7 @@ through the benchmark's traced mode (``perfbench/layers.py``), so a
 change that breaks what its layer probes read fails here too.  The
 rest pin the work the carbon gate, the site controller and the
 checkpoint manager do over seeds 1-3: how often they request history,
-distribute the budget and take percentiles, and that the gate's slot
+fit, distribute the budget and take percentiles, and that the gate's slot
 means stay inside its forecast.  The benchmark files are only read.
 """
 
@@ -24,6 +24,8 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.grid.forecast import Forecaster
+from repro.grid.intensity import CarbonIntensityTrace
 
 PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
 
@@ -104,6 +106,28 @@ def test_history_requests_equal_distinct_ranges(workloads, name, requests):
         assert len(ranges) == len(set(ranges))
         total += len(ranges)
     assert total == requests
+
+
+@pytest.mark.parametrize("name, owner, method, calls", [
+    ("carbon-gate", Forecaster, "fit", 1675),
+    ("managed-site", CarbonIntensityTrace, "percentile", 441)])
+def test_history_derivations_equal_requests(workloads, monkeypatch, name,
+                                            owner, method, calls):
+    """Over seeds 1-3, the gate fits its forecaster and the checkpoint
+    manager takes its percentiles once per history request: what each
+    derives from a window is keyed on the window object its
+    ``TrailingHistory`` hands back."""
+    count = [0]
+    derive = getattr(owner, method)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(owner, method, counted)
+    for seed in (1, 2, 3):
+        workloads.WORKLOADS[name].build(seed).rjms.run()
+    assert count[0] == calls
 
 
 def test_site_ticks_recompute_only_changed_caps(workloads, monkeypatch):

@@ -48,6 +48,43 @@ class TestCreateOnUse:
         assert a is b
 
 
+class TestRegistryViews:
+    """The flat snapshot and the text table (``repro service stats``)."""
+
+    def test_repeated_lookups_feed_one_series(self):
+        reg = MetricsRegistry()
+        reg.counter("a").inc(2)
+        reg.counter("a").inc(3)
+        reg.gauge("b").set(1.0)
+        reg.gauge("b").inc()
+        reg.histogram("c").observe(0.01)
+        reg.histogram("c").observe(0.03)
+        snap = reg.snapshot()
+        assert snap["a"] == 5
+        assert snap["b"] == 2.0
+        assert snap["c.count"] == 2
+
+    def test_snapshot_flattens_every_kind(self):
+        reg = MetricsRegistry()
+        reg.counter("cache.hits").inc(7)
+        reg.gauge("breaker.state").set(2.0)
+        reg.histogram("backend.latency").observe(0.01)
+        snap = reg.snapshot()
+        assert snap["cache.hits"] == 7
+        assert snap["breaker.state"] == 2.0
+        assert snap["backend.latency.count"] == 1
+        assert snap["backend.latency.mean_s"] == pytest.approx(0.01)
+
+    def test_table_names_every_metric(self):
+        reg = MetricsRegistry()
+        reg.counter("cache.hits").inc()
+        reg.gauge("cache.size").set(1)
+        reg.histogram("backend.latency").observe(0.02)
+        table = reg.render()
+        for name in ("cache.hits", "cache.size", "backend.latency.count"):
+            assert name in table
+
+
 class TestCounter:
     def test_starts_at_zero_and_increments(self):
         c = Counter("x")

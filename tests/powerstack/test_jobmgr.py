@@ -13,24 +13,22 @@ def mgr(node_power_model):
 class TestSplit:
     def test_equal_split(self, mgr, node_power_model):
         budget = 4 * 400.0
-        nb = mgr.split(budget, 4)
-        assert nb.cap_watts == pytest.approx(400.0)
+        assert mgr.cap(budget, 4) == pytest.approx(400.0)
 
     def test_generous_budget_uncaps(self, mgr, node_power_model):
-        nb = mgr.split(4 * (node_power_model.peak_watts + 50.0), 4)
-        assert nb.cap_watts is None
+        assert mgr.cap(4 * (node_power_model.peak_watts + 50.0), 4) is None
 
     def test_budget_below_idle_rejected(self, mgr, node_power_model):
         """The job manager refuses un-holdable budgets — shrinking the
         allocation is the §3.2 remedy, not silent under-capping."""
         with pytest.raises(ValueError, match="shrink"):
-            mgr.split(4 * (node_power_model.idle_watts - 20.0), 4)
+            mgr.cap(4 * (node_power_model.idle_watts - 20.0), 4)
 
     def test_validation(self, mgr):
         with pytest.raises(ValueError):
-            mgr.split(100.0, 0)
+            mgr.cap(100.0, 0)
         with pytest.raises(ValueError):
-            mgr.split(0.0, 1)
+            mgr.cap(0.0, 1)
 
 
 class TestComponentSplit:

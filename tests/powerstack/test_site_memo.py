@@ -2,7 +2,7 @@
 
 :class:`RecomputingSiteController` is the controller as it was before it
 kept its caps: every tick it redistributes the budget, scans the nodes
-for the idle reserve and splits each grant with its component breakdown.
+for the idle reserve and splits each grant into a per-node cap.
 On the managed site of ``test_properties`` (node failures, carbon
 suspend/resume, malleable resizes and caps), idle-on and idle-off, in
 every distribution mode, both must make the same ``set_job_cap`` calls
@@ -58,7 +58,7 @@ class RecomputingSiteController(SiteController):
             if grant >= demand - 1e-9:
                 cap = None
             else:
-                cap = self.jobmgr.split(grant, job.nodes_allocated).cap_watts
+                cap = self.jobmgr.cap(grant, job.nodes_allocated)
             if cap != rjms.job_caps.get(job.job_id):
                 rjms.set_job_cap(job, cap)
 
