@@ -5,7 +5,9 @@ Three claims about :mod:`repro.obs` (DESIGN.md §5e):
 1. **Disabled means free.**  Wrapping every cell of the CPU-bound
    64-cell grid E21 uses in a (disabled) ``obs.span`` hook — exactly
    what the instrumented hot paths do — costs < 5% wall clock versus
-   the bare kernel loop.  The disabled path is one attribute check
+   the bare kernel loop.  Each cell runs bare and hooked back to back,
+   alternating which goes first, and the gate reads the median of
+   those paired ratios.  The disabled path is one attribute check
    returning a shared no-op handle — this bench pins that it stays
    that way.
 2. **One merged timeline.**  A traced ``workers=2`` sweep of a 3-stage
@@ -19,6 +21,7 @@ Three claims about :mod:`repro.obs` (DESIGN.md §5e):
 
 import json
 import re
+import statistics
 import time
 
 from benchmarks.conftest import report
@@ -42,7 +45,9 @@ TRACED_GRID = {"lane": list(range(16)), "reps": [20_000] * 4}
 STAGES = ("sweep.cell", "cell.prepare", "cell.compute")
 
 OVERHEAD_BUDGET = 1.05  # disabled-mode wall clock vs direct calls
-BEST_OF = 3
+#: passes over the grid, each timing every cell bare and hooked back to
+#: back; the overhead is the median of those pairs' ratios
+PASSES = 3
 
 #: one ``# TYPE name counter|gauge|histogram`` header per family
 _PROM_TYPE_RE = re.compile(
@@ -64,13 +69,26 @@ def staged_cell(lane: int, reps: int):
     return row
 
 
-def _best_of(fn, rounds: int = BEST_OF) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _paired_rounds(cells, passes: int = PASSES):
+    """``(bare, hooked)`` wall seconds of each cell, run bare and inside
+    a disabled ``obs.span`` back to back, ``passes`` times over the
+    grid; which half runs first alternates from pair to pair.  A pair
+    takes milliseconds, so host drift lands on both halves alike and its
+    ratio sees the hook's cost and little else."""
+    rounds = []
+    for p in range(passes):
+        for i, params in enumerate(cells):
+            secs = [0.0, 0.0]
+            for hooked in (0, 1) if (p + i) % 2 == 0 else (1, 0):
+                t0 = time.perf_counter()
+                if hooked:
+                    with obs.span("sweep.cell", attrs={"cell_index": i}):
+                        spin_cell(**params)
+                else:
+                    spin_cell(**params)
+                secs[hooked] = time.perf_counter() - t0
+            rounds.append((secs[0], secs[1]))
+    return rounds
 
 
 def test_bench_obs_overhead_and_merge(benchmark, tmp_path, capsys):
@@ -83,19 +101,18 @@ def test_bench_obs_overhead_and_merge(benchmark, tmp_path, capsys):
     # obs and is priced separately, by E21).
     _, cells = expand_grid(GRID)
 
-    def direct():
-        for params in cells:
-            spin_cell(**params)
-
     def hooked_disabled():
         for i, params in enumerate(cells):
             with obs.span("sweep.cell", attrs={"cell_index": i}):
                 spin_cell(**params)
 
-    direct_s = _best_of(direct)
-    disabled_s = _best_of(hooked_disabled)
+    rounds = _paired_rounds(cells)
+    ratios = [hooked_s / bare_s for bare_s, hooked_s in rounds]
+    direct_s = sum(bare_s for bare_s, _ in rounds) / PASSES
+    disabled_s = sum(hooked_s for _, hooked_s in rounds) / PASSES
     benchmark.pedantic(hooked_disabled, rounds=1, iterations=1)
-    overhead = disabled_s / direct_s
+    overhead = statistics.median(ratios)
+    q1, _, q3 = statistics.quantiles(ratios)
     assert overhead < OVERHEAD_BUDGET, (
         f"disabled-mode observability costs {(overhead - 1):.1%} "
         f"(budget {OVERHEAD_BUDGET - 1:.0%}) on the E21 grid")
@@ -137,11 +154,13 @@ def test_bench_obs_overhead_and_merge(benchmark, tmp_path, capsys):
         "E22 — observability overhead & merged tracing (extension)",
         "\n".join([
             f"disabled-mode overhead: {(overhead - 1):+.2%} on the "
-            f"64-cell E21 grid (budget +{OVERHEAD_BUDGET - 1:.0%})",
-            f"  bare kernel loop:   {direct_s:8.3f} s (best of "
-            f"{BEST_OF})",
-            f"  hooked, tracing off:{disabled_s:8.3f} s (best of "
-            f"{BEST_OF})",
+            f"64-cell E21 grid (budget +{OVERHEAD_BUDGET - 1:.0%}; "
+            f"median of {len(ratios)} per-cell paired ratios, "
+            f"quartiles {q1 - 1:+.2%} to {q3 - 1:+.2%})",
+            f"  bare kernel loop:   {direct_s:8.3f} s (per pass, "
+            f"mean of {PASSES})",
+            f"  hooked, tracing off:{disabled_s:8.3f} s (per pass, "
+            f"mean of {PASSES})",
             f"traced workers=2 sweep: {len(per_cell)} per-cell spans = "
             f"{n_cells} cells x {len(STAGES)} stages, "
             f"{len(worker_pids)} worker processes, one timeline",

@@ -31,10 +31,11 @@ totals are the same bits as integrating each job's own window and
 every cluster segment after the run.  The cluster total is kept as a
 running sum.
 
-Telemetry is a view of the same steps: each step records, at ``t0``,
-one reading per sensor that holds over ``[t0, now)`` — its watts, the
-mean intensity its carbon was charged at, and its busy nodes — so the
-series integrate to the totals and a zero-length state leaves none.
+Each step is stored once, as the cluster's power segment plus one
+:data:`AccrualStep`.  Telemetry is built from them on read: one reading
+per sensor at each step's ``t0`` (watts, the mean intensity its carbon
+was charged at, busy nodes), so the series integrate to the totals and
+a zero-length state leaves none.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import bisect
 import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Set
+from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -77,6 +78,25 @@ PRIO_TICK = 7
 #: failure requeues before the next failure cancels the job (Slurm's
 #: ``MaxBatchRequeue`` default): no job restarts forever
 MAX_FAILURE_REQUEUES = 5
+
+#: an accrual step beside its power segment ``(t0, t1, watts)``: the
+#: intensity integral over it (gCO2/kWh x s), busy nodes, jobs' draw (W)
+AccrualStep = Tuple[float, int, float]
+
+
+def step_telemetry(segments: Sequence[PowerSegment],
+                   steps: Sequence[AccrualStep]) -> TelemetryDB:
+    """Sensor series with one reading per step at its ``t0``;
+    ``steps[i]`` belongs to ``segments[i]`` (unequal lengths raise)."""
+    times = [t0 for t0, _, _ in segments]
+    return TelemetryDB([
+        (Sensor("cluster.power", "W"), times, [w for _, _, w in segments]),
+        (Sensor("grid.intensity", "gCO2/kWh"), times,
+         [integral / (t1 - t0)
+          for (t0, t1, _), (integral, _, _) in zip(segments, steps)]),
+        (Sensor("cluster.nodes_busy", "nodes"), times,
+         [busy for _, busy, _ in steps]),
+    ])
 
 
 @dataclass(frozen=True)
@@ -144,13 +164,38 @@ class SimulationResult:
     makespan_s: float
     #: the cluster's exact power log, ``(t0, t1, watts)`` per accrual step
     power_segments: List[PowerSegment]
+    #: the rest of each step's record, entry *i* for ``power_segments[i]``
+    steps: List[AccrualStep]
     provider: CarbonIntensityProvider
-    telemetry: TelemetryDB
 
     @functools.cached_property
     def power_trace(self) -> PowerTrace:
         """The power log resampled to 300 s bins, built on first read."""
         return resample_power(self.power_segments)
+
+    @functools.cached_property
+    def telemetry(self) -> TelemetryDB:
+        """:func:`step_telemetry` of the run, built on first read."""
+        return step_telemetry(self.power_segments, self.steps)
+
+    @property
+    def idle_energy_kwh(self) -> float:
+        """Energy of the watts no job drew: each step's cluster watts
+        less its jobs' draw."""
+        return sum((watts - jobs_w) * (t1 - t0) / units.SECONDS_PER_HOUR
+                   / units.WATTS_PER_KW
+                   for (t0, t1, watts), (_, _, jobs_w)
+                   in zip(self.power_segments, self.steps, strict=True))
+
+    @property
+    def idle_carbon_kg(self) -> float:
+        """Carbon of the watts no job drew, charged at each step's
+        integral like the jobs' carbon."""
+        return sum(((watts - jobs_w) / units.WATTS_PER_KW) * integral
+                   / units.SECONDS_PER_HOUR
+                   for (_, _, watts), (integral, _, jobs_w)
+                   in zip(self.power_segments, self.steps, strict=True)) \
+            / units.GRAMS_PER_KG
 
     @property
     def completed_jobs(self) -> List[Job]:
@@ -240,10 +285,6 @@ class RJMS:
         self.tick_seconds = float(tick_seconds)
         self.checkpoint_model = checkpoint_model or CheckpointModel()
         self.engine = SimulationEngine(start_time)
-        self.telemetry = TelemetryDB()
-        self.telemetry.register(Sensor("cluster.power", "W"))
-        self.telemetry.register(Sensor("grid.intensity", "gCO2/kWh"))
-        self.telemetry.register(Sensor("cluster.nodes_busy", "nodes"))
 
         #: jobs waiting to start, in queue order (see _enqueue)
         self.pending: List[Job] = []
@@ -259,6 +300,8 @@ class RJMS:
         self._finalized = False
         #: cluster carbon accrued so far (g), one term per power segment
         self._carbon_g = 0.0
+        #: entry *i* completes the cluster's power segment *i*
+        self._steps: List[AccrualStep] = []
 
         can_mold = bool(getattr(policy, "can_mold", False))
         for job in self.jobs:
@@ -287,14 +330,19 @@ class RJMS:
     def now(self) -> float:
         return self.engine.now
 
+    @property
+    def telemetry(self) -> TelemetryDB:
+        """:func:`step_telemetry` of the steps so far, built on each read."""
+        return step_telemetry(self.cluster.power_segments(), self._steps)
+
     def _accrue_all(self) -> None:
         """Integrate cluster and running-job power over ``[t0, now)``.
 
         ``t0`` is the cluster's previous accrual time.  The jobs that
         hold nodes (exactly ``running``) are the only accounts that
         accrue, each at the draw the cluster keeps for it; one intensity
-        integral serves them, the cluster and the step's telemetry (this
-        is its only writer).
+        integral serves them and the cluster.  The step is recorded once:
+        the segment ``accrue`` appends plus one :data:`AccrualStep`.
         """
         t0, now = self.cluster.last_accrual, self.now
         watts = self.cluster.accrue(now)
@@ -304,9 +352,7 @@ class RJMS:
         self._carbon_g += (watts / units.WATTS_PER_KW) * integral \
             / units.SECONDS_PER_HOUR
         dt = now - t0
-        self.telemetry.record("cluster.power", t0, watts)
-        self.telemetry.record("grid.intensity", t0, integral / dt)
-        self.telemetry.record("cluster.nodes_busy", t0, self.cluster.n_busy)
+        jobs_w = 0.0
         for jid, w in self.cluster.job_draws.items():
             if w > 0:
                 acc = self.accounts[jid]
@@ -314,6 +360,8 @@ class RJMS:
                     / units.WATTS_PER_KW
                 acc.carbon_g += (w / units.WATTS_PER_KW) * integral \
                     / units.SECONDS_PER_HOUR
+                jobs_w += w
+        self._steps.append((integral, self.cluster.n_busy, jobs_w))
 
     def in_phase(self, job: Job) -> bool:
         """Whether ``job`` holds its nodes to checkpoint or restore."""
@@ -641,6 +689,6 @@ class RJMS:
             total_carbon_kg=self._carbon_g / units.GRAMS_PER_KG,
             makespan_s=makespan,
             power_segments=self.cluster.power_segments(),
+            steps=list(self._steps),
             provider=self.provider,
-            telemetry=self.telemetry,
         )

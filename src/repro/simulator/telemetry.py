@@ -1,4 +1,4 @@
-"""DCDB-style telemetry: sensors, recording, aggregation.
+"""DCDB-style telemetry: sensors and aggregation.
 
 Section 3.4: "it is necessary to extend operational data analytics
 tools, such as DCDB, to be able to quantify and aggregate carbon
@@ -8,18 +8,18 @@ facility to application level; this module provides the subset the
 carbon accounting layer needs:
 
 * :class:`Sensor` — a named, unit-carrying series;
-* :class:`TelemetryDB` — append-only ingestion with windowed queries
-  (mean/max/sum/integral) and per-job tagging.
+* :class:`TelemetryDB` — sensor series, built whole in one constructor
+  call, with windowed queries (mean/max/sum/integral).
 
-Storage is deliberately simple: per-sensor appended lists converted to
-NumPy on query; ingestion is O(1) amortized and queries vectorize.
+The RJMS builds one from its accrual steps when its telemetry is read.
+Series are kept as lists and converted to NumPy on query.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,60 +39,42 @@ class Sensor:
 
 
 class TelemetryDB:
-    """Append-only sensor store with windowed aggregation.
+    """Read-only sensor series with windowed aggregation.
 
-    Readings must be appended in non-decreasing time order per sensor
-    (the simulator clock is monotone); this keeps queries binary-search
-    fast without an index.
+    ``series`` gives each sensor once, as ``(sensor, times, values)``.
+    Times must be non-decreasing (the simulator clock is monotone); this
+    keeps queries binary-search fast without an index.
 
-    A reading holds until the next one.  The RJMS records one per
+    A reading holds until the next one.  The RJMS's view holds one per
     sensor per accrued step, at the step's start; ``grid.intensity`` is
     the step's time-weighted mean.
     """
 
-    def __init__(self) -> None:
-        self._sensors: Dict[str, Sensor] = {}
-        self._times: Dict[str, List[float]] = {}
-        self._values: Dict[str, List[float]] = {}
-
-    # -- ingestion -------------------------------------------------------------
-
-    def register(self, sensor: Sensor) -> None:
-        """Idempotently register a sensor (unit conflicts raise)."""
-        existing = self._sensors.get(sensor.name)
-        if existing is not None:
-            if existing.unit != sensor.unit:
-                raise ValueError(
-                    f"sensor {sensor.name!r} is already registered with "
-                    f"unit {existing.unit!r}; cannot re-register it with "
-                    f"unit {sensor.unit!r}")
-            return
-        self._sensors[sensor.name] = sensor
-        self._times[sensor.name] = []
-        self._values[sensor.name] = []
-
-    def record(self, name: str, time: float, value: float) -> None:
-        """Append one reading (auto-registers a unitless sensor)."""
-        if name not in self._sensors:
-            self.register(Sensor(name))
-        times = self._times[name]
-        if times and time < times[-1] - 1e-9:
-            raise ValueError(
-                f"out-of-order reading for {name!r}: {time} < {times[-1]}")
-        times.append(float(time))
-        self._values[name].append(float(value))
-
-    # -- queries -----------------------------------------------------------------
+    def __init__(self, series: Iterable[Tuple[Sensor, Sequence[float],
+                                              Sequence[float]]]) -> None:
+        self._series: Dict[str, Tuple[Sensor, List[float], List[float]]] = {}
+        for sensor, times, values in series:
+            name = sensor.name
+            if name in self._series:
+                raise ValueError(f"sensor {name!r} is given twice, with units "
+                                 f"{self.unit_of(name)!r} and {sensor.unit!r}")
+            if len(times) != len(values):
+                raise ValueError(f"sensor {name!r} has {len(times)} times "
+                                 f"but {len(values)} values")
+            if any(t < before - 1e-9 for before, t in zip(times, times[1:])):
+                raise ValueError(f"out-of-order reading for {name!r}")
+            self._series[name] = (sensor, [float(t) for t in times],
+                                  [float(v) for v in values])
 
     def sensors(self) -> List[str]:
-        return sorted(self._sensors)
+        return sorted(self._series)
 
     def unit_of(self, name: str) -> str:
-        return self._require(name).unit
+        return self._require(name)[0].unit
 
-    def _require(self, name: str) -> Sensor:
+    def _require(self, name: str) -> Tuple[Sensor, List[float], List[float]]:
         try:
-            return self._sensors[name]
+            return self._series[name]
         except KeyError:
             raise KeyError(f"unknown sensor {name!r}; known: "
                            f"{', '.join(self.sensors()) or '(none)'}") from None
@@ -101,12 +83,11 @@ class TelemetryDB:
                t0: Optional[float] = None,
                t1: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
         """(times, values) arrays for the window ``[t0, t1)``."""
-        self._require(name)
-        times = self._times[name]
+        _, times, values = self._require(name)
         lo = 0 if t0 is None else bisect_left(times, t0)
         hi = len(times) if t1 is None else bisect_left(times, t1)
         return (np.asarray(times[lo:hi], dtype=np.float64),
-                np.asarray(self._values[name][lo:hi], dtype=np.float64))
+                np.asarray(values[lo:hi], dtype=np.float64))
 
     def aggregate(self, name: str, how: str,
                   t0: Optional[float] = None,

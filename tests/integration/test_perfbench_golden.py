@@ -7,11 +7,13 @@ digest (every start and end time) exactly, energy and carbon within the
 benchmark's relative tolerance.  Any change to simulated results fails
 here, without a benchmark run.  One more case runs a reference entry
 through the benchmark's traced mode (``perfbench/layers.py``), so a
-change that breaks what its layer probes read fails here too.  The
-rest pin the work the carbon gate, the site controller and the
-checkpoint manager do over seeds 1-3: how often they request history,
-fit, distribute the budget and take percentiles, and that the gate's slot
-means stay inside its forecast.  The benchmark files are only read.
+change that breaks what its layer probes read fails here too, and two
+check the telemetry view of a reference run against the per-step writer
+it replaced.  The rest pin the work the carbon gate, the site
+controller and the checkpoint manager do over seeds 1-3: how often they
+request history, fit, distribute the budget and take percentiles, and
+that the gate's slot means stay inside its forecast.  The benchmark
+files are only read.
 """
 
 from __future__ import annotations
@@ -83,6 +85,21 @@ def test_traced_reference_entry_reports_every_layer(workloads, golden):
     expected = [m for m in layers.COUNT_METRICS if not m.startswith("sweep.")]
     assert [m for m in expected if m not in metrics] == []
     assert metrics["service.lookups"] > 0
+    # three sensors, one reading each per accrual step
+    assert metrics["rjms.telemetry_points"] == \
+        3 * metrics["rjms.power_segments"]
+
+
+@pytest.mark.parametrize("name", ["carbon-gate", "easy-large"])
+def test_reference_entry_telemetry_equals_the_step_writer(workloads, name):
+    """The telemetry view of a reference run equals, by ``==``, what the
+    previous writer recorded at every accrual step."""
+    from tests.scheduler.test_telemetry_view import (
+        assert_same_telemetry, attach_reference_writer)
+
+    rjms = workloads.WORKLOADS[name].build(workloads.REFERENCE).rjms
+    reference = attach_reference_writer(rjms)
+    assert_same_telemetry(rjms.run().telemetry, reference)
 
 
 @pytest.mark.parametrize("name, requests", [("carbon-gate", 1675),

@@ -74,6 +74,61 @@ def assert_telemetry_reconciles(result, end_s):
     assert carbon_kg == pytest.approx(result.total_carbon_kg, rel=1e-12)
 
 
+#: how far (W) a step's idle watts may sit from its idle nodes' draw:
+#: float error of two sums of at most eight node draws
+IDLE_WATTS_ABS = 1e-9
+
+
+def record_idle_nodes(rjms):
+    """The cluster's idle node count over each accrual step, one entry
+    per power segment, read as the segment is appended."""
+    cluster, accrue, idle = rjms.cluster, rjms.cluster.accrue, []
+
+    def accrued(now):
+        if now > cluster.last_accrual:
+            idle.append(cluster.n_idle)
+        return accrue(now)
+    cluster.accrue = accrued
+    return idle
+
+
+def assert_jobs_and_idle_make_totals(result, idle_nodes, idle_watts):
+    """Per-job energy and carbon plus the idle term equal the cluster
+    totals, and each step's idle watts are its idle nodes' draw, so the
+    idle term is measured, not the totals less the jobs."""
+    assert len(idle_nodes) == len(result.steps) == len(result.power_segments)
+    for (_, _, watts), (_, _, jobs_w), n_idle in zip(
+            result.power_segments, result.steps, idle_nodes):
+        assert watts - jobs_w == pytest.approx(n_idle * idle_watts, rel=0,
+                                               abs=IDLE_WATTS_ABS)
+    job_energy = sum(a.energy_kwh for a in result.accounts.values())
+    job_carbon_kg = sum(a.carbon_g for a in result.accounts.values()) \
+        / units.GRAMS_PER_KG
+    assert job_energy + result.idle_energy_kwh == pytest.approx(
+        result.total_energy_kwh, rel=1e-12)
+    assert job_carbon_kg + result.idle_carbon_kg == pytest.approx(
+        result.total_carbon_kg, rel=1e-12)
+
+
+def accounting_run(seed, case, failures, idle_power_off):
+    """A 20-job run on 8 nodes under FCFS, EASY, carbon backfill, or
+    EASY with checkpoint suspend/resume (``case`` 0-3), with node
+    failures if ``failures``."""
+    policy = [FCFSPolicy(), EasyBackfillPolicy(),
+              CarbonBackfillPolicy(max_delay_s=6 * HOUR),
+              EasyBackfillPolicy()][case]
+    checkpoint = case == 3
+    jobs = workload(seed, n_jobs=20, suspendable=1.0 if checkpoint else 0.0)
+    rjms = RJMS(Cluster(8, power_model(), idle_power_off=idle_power_off),
+                jobs, policy, provider=SyntheticProvider("DE", seed=seed))
+    if checkpoint:
+        rjms.register_manager(CarbonCheckpointPolicy())
+    if failures:
+        rjms.register_manager(FailureInjector(mtbf_seconds=24 * HOUR,
+                                              seed=seed))
+    return rjms
+
+
 class ReservationAudit(SchedulerPolicy):
     """Wraps an EASY policy and re-checks its blocked head's reservation
     after every pass.
@@ -306,20 +361,8 @@ class TestCarbonAccountingInvariants:
         and checkpoint suspend/resume, with or without node failures
         (a requeued or failure-cancelled job keeps what it used before
         the failure).  The telemetry adds up to the same totals."""
-        policy = [FCFSPolicy(), EasyBackfillPolicy(),
-                  CarbonBackfillPolicy(max_delay_s=6 * HOUR),
-                  EasyBackfillPolicy()][case]
-        checkpoint = case == 3
-        jobs = workload(seed, n_jobs=20,
-                        suspendable=1.0 if checkpoint else 0.0)
-        cluster = Cluster(8, power_model(), idle_power_off=True)
-        rjms = RJMS(cluster, jobs, policy,
-                    provider=SyntheticProvider("DE", seed=seed))
-        if checkpoint:
-            rjms.register_manager(CarbonCheckpointPolicy())
-        if failures:
-            rjms.register_manager(FailureInjector(mtbf_seconds=24 * HOUR,
-                                                  seed=seed))
+        rjms = accounting_run(seed, case, failures, idle_power_off=True)
+        cluster = rjms.cluster
         result = rjms.run()
         job_energy = sum(a.energy_kwh for a in result.accounts.values())
         job_carbon_kg = sum(a.carbon_g for a in result.accounts.values()) \
@@ -329,6 +372,38 @@ class TestCarbonAccountingInvariants:
         assert job_carbon_kg == pytest.approx(result.total_carbon_kg,
                                               rel=1e-12)
         assert_telemetry_reconciles(result, cluster.last_accrual)
+
+    @given(seed=st.integers(0, 1000), case=st.integers(0, 3),
+           failures=st.booleans())
+    @example(seed=1, case=1, failures=True)
+    @SIM_SETTINGS
+    def test_jobs_and_idle_equal_cluster_totals_idle_on(self, seed, case,
+                                                        failures):
+        """With idle nodes drawing power, per-job energy and carbon plus
+        the idle term add up to the cluster totals, under FCFS, EASY,
+        carbon backfill, and checkpoint suspend/resume, with or without
+        node failures (a down node draws nothing)."""
+        rjms = accounting_run(seed, case, failures, idle_power_off=False)
+        idle_nodes = record_idle_nodes(rjms)
+        result = rjms.run()
+        assert result.idle_energy_kwh > 0
+        assert_jobs_and_idle_make_totals(result, idle_nodes,
+                                         power_model().idle_watts)
+
+    @pytest.mark.parametrize("idle_power_off", [False, True],
+                             ids=["idle-on", "idle-off"])
+    @given(seed=st.integers(0, 1000))
+    @SIM_SETTINGS
+    def test_jobs_and_idle_equal_cluster_totals_managed_site(
+            self, seed, idle_power_off):
+        """The same under the managed site's node failures,
+        suspend/resume, malleable resizes and PowerStack caps: a capped
+        job draws less, an idle node still draws its idle watts."""
+        rjms = managed_site(seed, idle_power_off)
+        idle_nodes = record_idle_nodes(rjms)
+        result = rjms.run()
+        assert_jobs_and_idle_make_totals(result, idle_nodes,
+                                         power_model().idle_watts)
 
     @given(seed=st.integers(0, 300))
     @SIM_SETTINGS

@@ -7,34 +7,20 @@ from repro.simulator import Sensor, TelemetryDB
 
 
 class TestSensors:
-    def test_register_idempotent(self):
-        db = TelemetryDB()
-        db.register(Sensor("power", "W"))
-        db.register(Sensor("power", "W"))
-        assert db.sensors() == ["power"]
-
     def test_unit_conflict_raises(self):
-        db = TelemetryDB()
-        db.register(Sensor("power", "W"))
         with pytest.raises(ValueError, match="unit"):
-            db.register(Sensor("power", "kW"))
+            TelemetryDB([(Sensor("power", "W"), [], []),
+                         (Sensor("power", "kW"), [], [])])
 
     def test_unit_conflict_names_sensor_and_both_units(self):
         """The error must say which sensor clashed and show the
-        registered unit alongside the rejected one."""
-        db = TelemetryDB()
-        db.register(Sensor("node.power", "W"))
+        first unit alongside the rejected one."""
         with pytest.raises(ValueError) as exc:
-            db.register(Sensor("node.power", "kW"))
+            TelemetryDB([(Sensor("node.power", "W"), [], []),
+                         (Sensor("node.power", "kW"), [], [])])
         message = str(exc.value)
         assert "'node.power'" in message
         assert "'W'" in message and "'kW'" in message
-
-    def test_auto_registration(self):
-        db = TelemetryDB()
-        db.record("temp", 0.0, 42.0)
-        assert "temp" in db.sensors()
-        assert db.unit_of("temp") == ""
 
     def test_sensor_needs_name(self):
         with pytest.raises(ValueError):
@@ -42,27 +28,38 @@ class TestSensors:
 
 
 class TestRecording:
+    """Readings come in whole, through the constructor."""
+
     def test_out_of_order_rejected(self):
-        db = TelemetryDB()
-        db.record("x", 10.0, 1.0)
         with pytest.raises(ValueError, match="out-of-order"):
-            db.record("x", 5.0, 2.0)
+            TelemetryDB([(Sensor("x"), [10.0, 5.0], [1.0, 2.0])])
 
     def test_same_timestamp_allowed(self):
-        db = TelemetryDB()
-        db.record("x", 10.0, 1.0)
-        db.record("x", 10.0, 2.0)
+        db = TelemetryDB([(Sensor("x"), [10.0, 10.0], [1.0, 2.0])])
         _, vals = db.series("x")
         assert list(vals) == [1.0, 2.0]
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="2 times but 1 values"):
+            TelemetryDB([(Sensor("x"), [0.0, 1.0], [1.0])])
+
+    def test_inputs_are_copied(self):
+        times, values = [0.0, 10.0], [1.0, 2.0]
+        db = TelemetryDB([(Sensor("x", "W"), times, values)])
+        times.append(20.0)
+        values[0] = 99.0
+        assert list(db.series("x")[0]) == [0.0, 10.0]
+        assert list(db.series("x")[1]) == [1.0, 2.0]
+        assert db.unit_of("x") == "W"
 
 
 class TestQueries:
     @pytest.fixture
     def db(self):
-        db = TelemetryDB()
-        for t, v in [(0, 100), (10, 200), (20, 300), (30, 400)]:
-            db.record("power", float(t), float(v))
-        return db
+        readings = [(0, 100), (10, 200), (20, 300), (30, 400)]
+        return TelemetryDB([(Sensor("power"),
+                             [float(t) for t, _ in readings],
+                             [float(v) for _, v in readings])])
 
     def test_series_window(self, db):
         times, vals = db.series("power", 10.0, 30.0)
