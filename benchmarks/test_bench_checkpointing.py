@@ -9,60 +9,22 @@ Expected shape:
 * the saving shrinks as checkpoint cost grows, and the policy stops
   suspending once the first-order worthwhile test fails (the ablation
   DESIGN.md §5 calls for).
+
+The world is ``repro.parallel.scenarios.checkpoint_world``.
 """
 
-import copy
-
-import pytest
-
 from benchmarks.conftest import report
-from repro.grid import SyntheticProvider
-from repro.scheduler import RJMS, CarbonCheckpointPolicy, EasyBackfillPolicy
-from repro.simulator import (
-    CheckpointModel,
-    Cluster,
-    ComponentPowerModel,
-    NodePowerModel,
-    WorkloadConfig,
-    WorkloadGenerator,
-)
+from repro import units
+from repro.parallel.scenarios import checkpoint_world
 
-HOUR = 3600.0
-PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
-
-
-def make_workload():
-    cfg = WorkloadConfig(n_jobs=60, mean_interarrival_s=5000.0,
-                         max_nodes_log2=3, runtime_median_s=4 * HOUR,
-                         runtime_sigma=0.7, suspendable_fraction=1.0)
-    return WorkloadGenerator(cfg, seed=5).generate()
-
-
-#: checkpoint state sizes swept (GB per node); bandwidth fixed at 1 GB/s
+#: checkpoint state per node swept (GB); written at 1 GB/s, read at 2 GB/s
 STATE_SIZES = [8.0, 64.0, 512.0, 4096.0]
 
 
 def run_sweep():
-    jobs = make_workload()
-    results = {}
-
-    def run(name, managers=(), ckpt=None):
-        cluster = Cluster(16, PM, idle_power_off=True)
-        provider = SyntheticProvider("DE", seed=9)
-        rjms = RJMS(cluster, copy.deepcopy(jobs), EasyBackfillPolicy(),
-                    provider=provider,
-                    checkpoint_model=ckpt or CheckpointModel())
-        for m in managers:
-            rjms.register_manager(m)
-        return rjms.run()
-
-    results["baseline"] = run("baseline")
+    results = {"baseline": checkpoint_world().run()}
     for gb in STATE_SIZES:
-        ckpt = CheckpointModel(state_gb_per_node=gb, write_bw_gb_s=1.0,
-                               read_bw_gb_s=2.0)
-        results[f"ckpt-{gb:.0f}GB"] = run(
-            f"ckpt-{gb:.0f}GB", managers=[CarbonCheckpointPolicy()],
-            ckpt=ckpt)
+        results[f"ckpt-{gb:.0f}GB"] = checkpoint_world(gb).run()
     return results
 
 
@@ -104,6 +66,6 @@ def test_bench_checkpointing(benchmark):
             / base.total_carbon_kg * 100
         lines.append(f"{name:>14s} {r.total_carbon_kg:10.1f} "
                      f"{saving:7.1f}% {suspensions[name]:12d} "
-                     f"{r.makespan_s / 3600:11.1f}")
+                     f"{r.makespan_s / units.SECONDS_PER_HOUR:11.1f}")
     report("E11 — carbon-aware checkpointing, overhead sweep (§3.3)",
            "\n".join(lines))

@@ -13,25 +13,23 @@ is essentially unchanged (performance-neutral).
 
 import copy
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report
+from repro import units
 from repro.grid import SyntheticProvider
+from repro.parallel.scenarios import node_model
 from repro.scheduler import RJMS, EasyBackfillPolicy
 from repro.simulator import (
     ApplicationProfile,
     Cluster,
-    ComponentPowerModel,
-    NodePowerModel,
     WorkloadConfig,
     WorkloadGenerator,
     countdown_energy_saving,
     countdown_power_factor,
 )
 
-HOUR = 3600.0
-PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
+PM = node_model()
 COMM_FRACTIONS = [0.0, 0.05, 0.10, 0.25, 0.40, 0.60]
 
 
@@ -43,7 +41,8 @@ def analytic_curve():
 def simulated_comparison(comm_fraction=0.25):
     """Run one workload with busy-wait vs Countdown utilizations."""
     cfg = WorkloadConfig(n_jobs=50, mean_interarrival_s=2500.0,
-                         max_nodes_log2=3, runtime_median_s=2 * HOUR)
+                         max_nodes_log2=3,
+                         runtime_median_s=2 * units.SECONDS_PER_HOUR)
     base_jobs = WorkloadGenerator(cfg, seed=27).generate()
     profile = ApplicationProfile(comm_fraction=comm_fraction)
     out = {}

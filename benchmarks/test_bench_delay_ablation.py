@@ -3,9 +3,10 @@
 DESIGN.md §5 calls for ablating the carbon-aware backfill's two knobs:
 the per-job delay bound (how much queue pain users accept) and the
 minimum-saving gate (how eagerly the scheduler holds).  This bench
-sweeps both on the E10 scenario — through the parallel sweep executor
-(``workers=2``), whose serial-parity contract guarantees the grid's
-numbers are independent of how it was sharded.
+sweeps both on the E10 scenario with 150 jobs
+(``repro.parallel.scenarios.delay_ablation_cell``) — through the
+parallel sweep executor (``workers=2``), whose serial-parity contract
+guarantees the grid's numbers are independent of how it was sharded.
 
 Expected shape: carbon saving grows with the allowed delay up to about
 half a day, then *declines* — holds beyond the forecast's useful horizon
@@ -16,53 +17,15 @@ The site's operational question — "what delay buys how much carbon?" —
 becomes a table with an interior optimum.
 """
 
-import pytest
-
 from benchmarks.conftest import report
-from repro.grid import SyntheticProvider
+from repro import units
 from repro.parallel import run_sweep
-from repro.scheduler import RJMS, CarbonBackfillPolicy, EasyBackfillPolicy
-from repro.simulator import (
-    Cluster,
-    ComponentPowerModel,
-    NodePowerModel,
-    WorkloadConfig,
-    WorkloadGenerator,
-)
-
-HOUR = 3600.0
-PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
-
-
-def make_workload():
-    cfg = WorkloadConfig(n_jobs=150, mean_interarrival_s=4000.0,
-                         max_nodes_log2=4, runtime_median_s=2 * HOUR,
-                         runtime_sigma=0.8)
-    return WorkloadGenerator(cfg, seed=3).generate()
-
-
-def run_one(policy):
-    """One full scheduling run; rebuilds its world from fixed seeds so
-    any cell can execute in any worker process."""
-    cluster = Cluster(32, PM, idle_power_off=True)
-    provider = SyntheticProvider("ES", seed=7)
-    return RJMS(cluster, make_workload(), policy,
-                provider=provider).run()
-
-
-def ablation_cell(max_delay_h, min_saving):
-    """Module-level (picklable) sweep cell — runs in pool workers."""
-    r = run_one(CarbonBackfillPolicy(
-        max_delay_s=max_delay_h * HOUR,
-        min_saving_fraction=min_saving))
-    return {"carbon_kg": r.total_carbon_kg,
-            "wait_h": r.mean_wait_s / HOUR,
-            "completed": float(len(r.completed_jobs))}
+from repro.parallel.scenarios import backfill_world, delay_ablation_cell
 
 
 def run_ablation():
-    baseline = run_one(EasyBackfillPolicy())
-    table = run_sweep(ablation_cell,
+    baseline = backfill_world("easy", n_jobs=150).run()
+    table = run_sweep(delay_ablation_cell,
                       grid={"max_delay_h": [3, 6, 12, 24],
                             "min_saving": [0.03, 0.10]},
                       metric_names=["carbon_kg", "wait_h", "completed"],
@@ -102,7 +65,8 @@ def test_bench_delay_ablation(benchmark):
     assert waits[(24, 0.10)] <= waits[(24, 0.03)] + 0.25
 
     lines = [f"baseline (EASY): {base_kg:.1f} kg, "
-             f"{baseline.mean_wait_s / HOUR:.2f} h mean wait", "",
+             f"{baseline.mean_wait_s / units.SECONDS_PER_HOUR:.2f} h "
+             "mean wait", "",
              table.render(),
              "",
              "saving vs EASY by (delay, gate):"]
@@ -111,7 +75,7 @@ def test_bench_delay_ablation(benchmark):
                      f"(wait {waits[(d, g)]:.2f} h)")
     lines.append("")
     lines.append(f"sweep: {table.stats.n_cells} cells, "
-                 f"{table.stats.mode}, workers={table.stats.workers}, "
-                 f"{table.stats.wall_s:.1f} s wall")
+                 f"{table.stats.mode}, workers={table.stats.workers}")
+    benchmark.extra_info["sweep_wall_s"] = table.stats.wall_s
     report("E19 — carbon-backfill knob ablation (extension)",
            "\n".join(lines))

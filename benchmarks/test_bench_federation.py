@@ -12,21 +12,18 @@ waits civilized compared with naive greedy routing.
 
 import copy
 
-import pytest
-
 from benchmarks.conftest import report
+from repro import units
 from repro.grid import SyntheticProvider
-from repro.scheduler import EasyBackfillPolicy, Site, route_jobs, run_federation
+from repro.parallel.scenarios import node_model
+from repro.scheduler import EasyBackfillPolicy, Site, run_federation
 from repro.simulator import (
     Cluster,
-    ComponentPowerModel,
-    NodePowerModel,
     WorkloadConfig,
     WorkloadGenerator,
 )
 
-HOUR = 3600.0
-PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
+PM = node_model()
 ZONES = ("FR", "DE", "PL")
 
 
@@ -42,7 +39,8 @@ def make_sites():
 
 def make_workload():
     cfg = WorkloadConfig(n_jobs=90, mean_interarrival_s=1500.0,
-                         max_nodes_log2=3, runtime_median_s=2 * HOUR)
+                         max_nodes_log2=3,
+                         runtime_median_s=2 * units.SECONDS_PER_HOUR)
     return WorkloadGenerator(cfg, seed=23).generate()
 
 
@@ -90,8 +88,9 @@ def test_bench_federation(benchmark):
     for name, fed in results.items():
         saving = (brown - fed.total_carbon_kg) / brown * 100
         split = "/".join(str(fed.jobs_at(z)) for z in ("fr", "de", "pl"))
+        wait_h = fed.mean_wait_s / units.SECONDS_PER_HOUR
         lines.append(f"{name:>17s} {fed.total_carbon_kg:10.1f} "
-                     f"{saving:7.1f}% {fed.mean_wait_s / 3600:12.2f} "
+                     f"{saving:7.1f}% {wait_h:12.2f} "
                      f"{split:>15s}")
     report("E16 — federated follow-the-green routing (extension)",
            "\n".join(lines))

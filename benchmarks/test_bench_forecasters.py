@@ -12,9 +12,8 @@ synoptic (multi-day weather) variability dominates; the ensemble hedges
 between them.
 """
 
-import pytest
-
 from benchmarks.conftest import report
+from repro import units
 from repro.grid import (
     ARForecaster,
     EnsembleForecaster,
@@ -24,8 +23,6 @@ from repro.grid import (
     SyntheticProvider,
     compare_forecasters,
 )
-
-DAY = 86400.0
 
 
 def build_tables():
@@ -41,7 +38,8 @@ def build_tables():
                 "ar4": ARForecaster(order=4),
                 "ensemble": EnsembleForecaster(),
             },
-            fit_window_s=10 * DAY, horizon_steps=24, n_folds=6)
+            fit_window_s=10 * units.SECONDS_PER_DAY, horizon_steps=24,
+            n_folds=6)
     return out
 
 

@@ -10,12 +10,9 @@ The envisioned experiment:
 Expected shape: over-allocating workloads emit measurably more carbon
 for the same delivered work; green discounting shifts billed core-hours
 below raw ones, most for jobs the carbon-aware scheduler placed in
-green windows.
+green windows.  The world is
+``repro.parallel.scenarios.incentive_world``.
 """
-
-import copy
-
-import pytest
 
 from benchmarks.conftest import report
 from repro.accounting import (
@@ -24,27 +21,7 @@ from repro.accounting import (
     build_job_report,
     charge_with_incentive,
 )
-from repro.grid import SyntheticProvider
-from repro.scheduler import RJMS, CarbonBackfillPolicy, EasyBackfillPolicy
-from repro.simulator import (
-    Cluster,
-    ComponentPowerModel,
-    NodePowerModel,
-    WorkloadConfig,
-    WorkloadGenerator,
-)
-
-HOUR = 3600.0
-DAY = 86400.0
-PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
-
-
-def make_workload(seed=41):
-    cfg = WorkloadConfig(n_jobs=100, mean_interarrival_s=3000.0,
-                         max_nodes_log2=3, runtime_median_s=2 * HOUR,
-                         overallocation_fraction=0.5,
-                         overallocation_factor=2.0)
-    return WorkloadGenerator(cfg, seed=seed).generate()
+from repro.parallel.scenarios import incentive_world
 
 
 def right_size(jobs):
@@ -65,19 +42,9 @@ def right_size(jobs):
 
 
 def run_experiment():
-    trace = make_workload()
-    out = {}
-    for name, jobs, policy in [
-        ("well-sized", right_size(trace), EasyBackfillPolicy()),
-        ("over-allocated", copy.deepcopy(trace), EasyBackfillPolicy()),
-        ("over-alloc+carbon-sched", copy.deepcopy(trace),
-         CarbonBackfillPolicy(max_delay_s=DAY, min_saving_fraction=0.03)),
-    ]:
-        cluster = Cluster(16, PM, idle_power_off=True)
-        provider = SyntheticProvider("ES", seed=13)
-        rjms = RJMS(cluster, jobs, policy, provider=provider)
-        out[name] = rjms.run()
-    return out
+    return {"well-sized": incentive_world(transform=right_size).run(),
+            "over-allocated": incentive_world().run(),
+            "over-alloc+carbon-sched": incentive_world("carbon").run()}
 
 
 def bill(result, green_rate=0.5):

@@ -15,6 +15,7 @@ omission is material but not story-breaking.
 import pytest
 
 from benchmarks.conftest import report
+from repro import units
 from repro.embodied import (
     HAWK,
     JUWELS_BOOSTER,
@@ -61,8 +62,10 @@ def test_bench_interconnect(benchmark):
                          f"{(s['memory'] + s['storage']) * 100:13.1f}%")
     lines.append("")
     n_nodes = SUPERMUC_NG.n_cpus // 2
+    fabric_t = {sc.name: interconnect_carbon_kg(n_nodes, sc)
+                / units.KG_PER_TONNE for sc in SCENARIOS}
     lines.append(f"SuperMUC-NG fabric ({n_nodes} nodes): "
-                 + ", ".join(f"{sc.name} {interconnect_carbon_kg(n_nodes, sc) / 1e3:.0f} t"
-                             for sc in SCENARIOS))
+                 + ", ".join(f"{name} {t:.0f} t"
+                             for name, t in fabric_t.items()))
     report("E14 — interconnect sensitivity (the Fig. 1 omission)",
            "\n".join(lines))

@@ -9,62 +9,17 @@ resizing jobs; the rigid baseline can only queue.
 Expected shape: under the same time-varying budget, the malleable fleet
 (a) respects the budget via allocation instead of deep caps, and
 (b) finishes sooner than the rigid fleet, because shrinking beats
-waiting.
+waiting.  The world is ``repro.parallel.scenarios.malleable_site``.
 """
 
-import copy
-
-import numpy as np
-import pytest
-
 from benchmarks.conftest import report
-from repro.grid import SyntheticProvider
-from repro.powerstack import LinearScalingPolicy, SiteController
-from repro.scheduler import EasyBackfillPolicy, MalleabilityManager, RJMS
-from repro.simulator import (
-    Cluster,
-    ComponentPowerModel,
-    JobKind,
-    NodePowerModel,
-    WorkloadConfig,
-    WorkloadGenerator,
-)
-
-HOUR = 3600.0
-PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
-N_NODES = 16
-
-
-def make_workload(malleable: bool):
-    cfg = WorkloadConfig(n_jobs=70, mean_interarrival_s=2500.0,
-                         max_nodes_log2=3, runtime_median_s=3 * HOUR,
-                         malleable_fraction=1.0 if malleable else 0.0,
-                         parallel_fraction=0.99)
-    return WorkloadGenerator(cfg, seed=29).generate()
-
-
-def budget_policy():
-    peak, idle = PM.peak_watts, PM.idle_watts
-    return LinearScalingPolicy(
-        min_watts=6 * peak + 10 * idle,
-        max_watts=14 * peak + 2 * idle,
-        ci_low=350.0, ci_high=490.0)
+from repro import units
+from repro.parallel.scenarios import malleable_site
 
 
 def run_fleets():
-    results = {}
-    for name, malleable in [("rigid", False), ("malleable", True)]:
-        cluster = Cluster(N_NODES, PM)
-        provider = SyntheticProvider("DE", seed=23)
-        policy = budget_policy()
-        rjms = RJMS(cluster, make_workload(malleable),
-                    EasyBackfillPolicy(), provider=provider)
-        rjms.register_manager(SiteController(policy, cluster))
-        if malleable:
-            rjms.register_manager(MalleabilityManager(
-                lambda t, p=policy, pr=provider: p.budget(pr, t)))
-        results[name] = rjms.run()
-    return results
+    return {name: malleable_site(malleable).run()
+            for name, malleable in [("rigid", False), ("malleable", True)]}
 
 
 def test_bench_malleability(benchmark):
@@ -85,8 +40,8 @@ def test_bench_malleability(benchmark):
              f"{'mean wait h':>12s} {'energy kWh':>11s}"]
     for name, r in results.items():
         lines.append(f"{name:>10s} {r.total_carbon_kg:10.1f} "
-                     f"{r.makespan_s / 3600:11.1f} "
-                     f"{r.mean_wait_s / 3600:12.2f} "
+                     f"{r.makespan_s / units.SECONDS_PER_HOUR:11.1f} "
+                     f"{r.mean_wait_s / units.SECONDS_PER_HOUR:12.2f} "
                      f"{r.total_energy_kwh:11.0f}")
     report("E9 — malleability under a carbon-scaled power budget (§3.2)",
            "\n".join(lines))

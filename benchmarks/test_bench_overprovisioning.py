@@ -18,11 +18,9 @@ uncapped-narrow (sub-linear power/perf curve); malleability adds
 robustness when the workload cannot use the extra width.
 """
 
-import copy
-
-import pytest
-
 from benchmarks.conftest import report
+from repro import units
+from repro.parallel.scenarios import node_model
 from repro.powerstack import SiteController, StaticBudgetPolicy
 from repro.scheduler import (
     RJMS,
@@ -32,21 +30,19 @@ from repro.scheduler import (
 )
 from repro.simulator import (
     Cluster,
-    ComponentPowerModel,
-    NodePowerModel,
     WorkloadConfig,
     WorkloadGenerator,
 )
 
-HOUR = 3600.0
-PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
+PM = node_model()
 #: site budget: 12 nodes flat out (plus nothing for idle headroom)
 BUDGET_W = 12 * PM.peak_watts
 
 
 def make_workload(malleable: bool):
     cfg = WorkloadConfig(n_jobs=80, mean_interarrival_s=1800.0,
-                         max_nodes_log2=3, runtime_median_s=3 * HOUR,
+                         max_nodes_log2=3,
+                         runtime_median_s=3 * units.SECONDS_PER_HOUR,
                          malleable_fraction=1.0 if malleable else 0.0,
                          parallel_fraction=0.995)
     return WorkloadGenerator(cfg, seed=37).generate()
@@ -88,14 +84,15 @@ def test_bench_overprovisioning(benchmark):
     assert over.makespan_s < exact.makespan_s
     assert over_m.makespan_s < exact.makespan_s
 
-    lines = [f"site power budget: {BUDGET_W / 1e3:.1f} kW "
+    lines = [f"site power budget: {BUDGET_W / units.WATTS_PER_KW:.1f} kW "
              "(feeds 12 nodes uncapped)",
              "",
              f"{'variant':>28s} {'makespan h':>11s} {'wait h':>8s} "
              f"{'energy kWh':>11s}"]
     for name, r in results.items():
-        lines.append(f"{name:>28s} {r.makespan_s / 3600:11.1f} "
-                     f"{r.mean_wait_s / 3600:8.2f} "
+        lines.append(f"{name:>28s} "
+                     f"{r.makespan_s / units.SECONDS_PER_HOUR:11.1f} "
+                     f"{r.mean_wait_s / units.SECONDS_PER_HOUR:8.2f} "
                      f"{r.total_energy_kwh:11.0f}")
     speedup = exact.makespan_s / over.makespan_s
     lines.append("")

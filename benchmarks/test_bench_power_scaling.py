@@ -7,8 +7,10 @@ energy-neutral by construction: the linear policy's anchors are set so
 its time-average budget matches the static one.
 
 The three policy scenarios run as a one-parameter grid through the
-parallel sweep executor (``workers=2``) — each cell is a full seeded
-simulation rebuilt from scratch inside its worker process.
+parallel sweep executor (``workers=2``) — each cell
+(``repro.parallel.scenarios.power_cell``) is a full seeded simulation of
+the ``power_site`` world, rebuilt from scratch inside its worker
+process.
 
 Expected shape: the carbon-aware policy cuts carbon relative to the
 static budget at equal(ish) delivered work, with a modest makespan cost;
@@ -17,101 +19,15 @@ signal is smaller than under the *marginal* signal — the paper's
 marginal-vs-average distinction [2].
 """
 
-import pytest
-
 from benchmarks.conftest import report
-from repro.grid import SyntheticProvider
 from repro.parallel import run_sweep
-from repro.powerstack import (
-    LinearScalingPolicy,
-    PowerBudgetPolicy,
-    SiteController,
-    StaticBudgetPolicy,
-)
-from repro.scheduler import RJMS, EasyBackfillPolicy
-from repro.simulator import (
-    Cluster,
-    ComponentPowerModel,
-    NodePowerModel,
-    WorkloadConfig,
-    WorkloadGenerator,
-)
+from repro.parallel.scenarios import POWER_BUDGETS, power_cell
 
-HOUR = 3600.0
-PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
-N_NODES = 16
 N_JOBS = 90
 
 
-def make_workload():
-    cfg = WorkloadConfig(n_jobs=N_JOBS, mean_interarrival_s=2200.0,
-                         max_nodes_log2=3, runtime_median_s=3 * HOUR,
-                         runtime_sigma=0.8)
-    return WorkloadGenerator(cfg, seed=17).generate()
-
-
-class _MarginalAsSpot:
-    """Expose the provider's *average* signal as the spot intensity —
-    the ablation where the policy watches the damped signal."""
-
-    def __init__(self, provider):
-        self._p = provider
-        self.zone_code = provider.zone_code
-
-    def intensity_at(self, t):
-        return self._p.average_intensity_at(t)
-
-    def history(self, a, b):
-        return self._p.history(a, b)
-
-
-class _Watching(PowerBudgetPolicy):
-    """Budget policy that watches ``provider`` instead of the one the
-    RJMS accounts carbon against (the signal ablation)."""
-
-    def __init__(self, policy, provider):
-        self.policy, self.provider = policy, provider
-
-    def budget(self, provider, now):
-        return self.policy.budget(self.provider, now)
-
-
-def _budget_policy(name):
-    peak, idle = PM.peak_watts, PM.idle_watts
-    # static budget ~70% of max dynamic capacity
-    static_b = 11 * peak + 5 * idle
-    # linear anchors chosen so the time-average budget over the DE CI
-    # distribution matches the static budget (energy-neutral comparison)
-    lo = 7 * peak + 9 * idle
-    hi = 15 * peak + 1 * idle
-    if name == "static":
-        return StaticBudgetPolicy(static_b)
-    policy = LinearScalingPolicy(lo, hi, 350.0, 490.0)
-    if name == "carbon-avg-signal":
-        return _Watching(policy,
-                         _MarginalAsSpot(SyntheticProvider("DE", seed=23)))
-    return policy
-
-
-def power_cell(policy):
-    """Module-level (picklable) sweep cell: one full PowerStack run."""
-    cluster = Cluster(N_NODES, PM)
-    accounting = SyntheticProvider("DE", seed=23)
-    rjms = RJMS(cluster, make_workload(), EasyBackfillPolicy(),
-                provider=accounting)
-    rjms.register_manager(SiteController(_budget_policy(policy), cluster))
-    r = rjms.run()
-    return {"carbon_kg": r.total_carbon_kg,
-            "energy_kwh": r.total_energy_kwh,
-            "makespan_h": r.makespan_s / HOUR,
-            "completed": float(len(r.completed_jobs))}
-
-
-POLICIES = ["static", "carbon-linear", "carbon-avg-signal"]
-
-
 def run_policies():
-    return run_sweep(power_cell, grid={"policy": POLICIES},
+    return run_sweep(power_cell, grid={"policy": list(POWER_BUDGETS)},
                      metric_names=["carbon_kg", "energy_kwh",
                                    "makespan_h", "completed"],
                      workers=2)
@@ -147,7 +63,7 @@ def test_bench_power_scaling(benchmark):
                      f"{row['makespan_h']:11.1f} {saving:7.1f}%")
     lines.append("")
     lines.append(f"sweep: {table.stats.n_cells} cells, "
-                 f"{table.stats.mode}, workers={table.stats.workers}, "
-                 f"{table.stats.wall_s:.1f} s wall")
+                 f"{table.stats.mode}, workers={table.stats.workers}")
+    benchmark.extra_info["sweep_wall_s"] = table.stats.wall_s
     report("E8 — carbon-aware power budget scaling (§3.1)",
            "\n".join(lines))

@@ -15,6 +15,7 @@ in the same conversation.
 import pytest
 
 from benchmarks.conftest import report
+from repro import units
 from repro.core import (
     FacilityModel,
     PUE_AIR_COOLED,
@@ -22,16 +23,15 @@ from repro.core import (
     PUE_WARM_WATER,
 )
 from repro.grid import SyntheticProvider
+from repro.parallel.scenarios import node_model
 from repro.scheduler import RJMS, EasyBackfillPolicy
 from repro.simulator import (
     Cluster,
-    ComponentPowerModel,
-    NodePowerModel,
     WorkloadConfig,
     WorkloadGenerator,
 )
 
-PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
+PM = node_model()
 
 FACILITIES = {
     "warm-water": FacilityModel(pue=PUE_WARM_WATER),
@@ -44,13 +44,14 @@ FACILITIES = {
 
 def run_and_scale():
     cfg = WorkloadConfig(n_jobs=60, mean_interarrival_s=2500.0,
-                         max_nodes_log2=3, runtime_median_s=2 * 3600.0)
+                         max_nodes_log2=3,
+                         runtime_median_s=2 * units.SECONDS_PER_HOUR)
     jobs = WorkloadGenerator(cfg, seed=15).generate()
     provider = SyntheticProvider("DE", seed=2)
     result = RJMS(Cluster(16, PM), jobs, EasyBackfillPolicy(),
                   provider=provider).run()
     it_kwh = result.total_energy_kwh
-    mean_ci = result.total_carbon_kg * 1000.0 / it_kwh
+    mean_ci = result.total_carbon_kg * units.GRAMS_PER_KG / it_kwh
     return result, {
         name: fac.facility_carbon_kg(it_kwh, mean_ci)
         for name, fac in FACILITIES.items()

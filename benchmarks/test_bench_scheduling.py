@@ -9,70 +9,22 @@ Expected shape:
 * carbon-aware backfill cuts total carbon vs EASY at a queue-wait cost;
 * the saving is ordered by forecast quality: persistence (flat forecast
   never finds a better window: 0 saving) <= AR/seasonal-naive <= oracle.
-"""
 
-import copy
+The world is ``repro.parallel.scenarios.backfill_world``.
+"""
 
 import pytest
 
 from benchmarks.conftest import report
-from repro.grid import SyntheticProvider
-from repro.grid.forecast import (
-    ARForecaster,
-    OracleForecaster,
-    PersistenceForecaster,
-    SeasonalNaiveForecaster,
-)
-from repro.scheduler import (
-    RJMS,
-    CarbonBackfillPolicy,
-    EasyBackfillPolicy,
-    FCFSPolicy,
-)
-from repro.simulator import (
-    Cluster,
-    ComponentPowerModel,
-    NodePowerModel,
-    WorkloadConfig,
-    WorkloadGenerator,
-)
+from repro import units
+from repro.parallel.scenarios import backfill_world
 
-HOUR = 3600.0
-DAY = 86400.0
-PM = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50.0, 240.0),) * 2)
-ZONE, SEED = "ES", 7
-
-
-def make_workload():
-    cfg = WorkloadConfig(n_jobs=250, mean_interarrival_s=4000.0,
-                         max_nodes_log2=4, runtime_median_s=2 * HOUR,
-                         runtime_sigma=0.8)
-    return WorkloadGenerator(cfg, seed=3).generate()
-
-
-def carbon_policy(forecaster=None):
-    return CarbonBackfillPolicy(forecaster=forecaster, max_delay_s=DAY,
-                                min_saving_fraction=0.03)
+SCENARIOS = ["fcfs", "easy", "carbon-persist", "carbon-sn", "carbon-ar",
+             "carbon-oracle"]
 
 
 def run_all():
-    jobs = make_workload()
-    scenarios = {
-        "fcfs": FCFSPolicy(),
-        "easy": EasyBackfillPolicy(),
-        "carbon-persist": carbon_policy(PersistenceForecaster()),
-        "carbon-sn": carbon_policy(SeasonalNaiveForecaster()),
-        "carbon-ar": carbon_policy(ARForecaster(order=4)),
-        "carbon-oracle": carbon_policy(
-            OracleForecaster(SyntheticProvider(ZONE, seed=SEED))),
-    }
-    out = {}
-    for name, policy in scenarios.items():
-        cluster = Cluster(32, PM, idle_power_off=True)
-        provider = SyntheticProvider(ZONE, seed=SEED)
-        out[name] = RJMS(cluster, copy.deepcopy(jobs), policy,
-                         provider=provider).run()
-    return out
+    return {name: backfill_world(name).run() for name in SCENARIOS}
 
 
 def test_bench_scheduling(benchmark):
@@ -102,7 +54,8 @@ def test_bench_scheduling(benchmark):
              f"{'mean wait h':>12s}"]
     for name, r in results.items():
         saving = (easy - r.total_carbon_kg) / easy * 100
+        wait_h = r.mean_wait_s / units.SECONDS_PER_HOUR
         lines.append(f"{name:>15s} {r.total_carbon_kg:10.1f} "
-                     f"{saving:7.1f}% {r.mean_wait_s / 3600:12.2f}")
+                     f"{saving:7.1f}% {wait_h:12.2f}")
     report("E10 — carbon-aware backfill + forecast ablation (§3.3)",
            "\n".join(lines))

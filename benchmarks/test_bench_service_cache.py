@@ -17,14 +17,15 @@ observed hit/miss split.
 import numpy as np
 
 from benchmarks.conftest import report
+from repro import units
 from repro.grid import SyntheticProvider
 from repro.service import CarbonService, SlowProvider
 
-MINUTE = 60.0
-DAY = 86400.0
+#: milliseconds per second, for the report's latencies
+MS_PER_S = 1000.0
 
 N_QUERIES = 2000
-QUANTIZE_S = 5 * MINUTE
+QUANTIZE_S = 5 * units.SECONDS_PER_MINUTE
 BACKEND_LATENCY_S = 0.0005  # 0.5 ms simulated round trip
 WORKING_SET = 32
 REPEAT_FRACTION = 0.95  # scheduler passes mostly re-query "now-ish"
@@ -40,7 +41,7 @@ def query_stream(seed=0):
         if recent and rng.random() < REPEAT_FRACTION:
             times.append(recent[rng.integers(len(recent))])
         else:
-            t = float(rng.uniform(0.0, 2 * DAY))
+            t = float(rng.uniform(0.0, 2 * units.SECONDS_PER_DAY))
             times.append(t)
             recent.append(t)
             if len(recent) > WORKING_SET:
@@ -94,15 +95,17 @@ def test_bench_service_cache(benchmark):
     assert backend.calls == unique_bins(times)
     assert len(values) == N_QUERIES
 
+    quantize_min = QUANTIZE_S / units.SECONDS_PER_MINUTE
+    latency_ms = BACKEND_LATENCY_S * MS_PER_S
     report(
         "E20 — serving-layer cache win (extension)",
         "\n".join([
             f"queries                 {N_QUERIES}",
-            f"quantization            {QUANTIZE_S / MINUTE:.0f} min bins",
+            f"quantization            {quantize_min:.0f} min bins",
             f"unique bins             {unique_bins(times)}",
-            f"backend latency         {BACKEND_LATENCY_S * 1e3:.2f} ms/call",
-            f"uncached wall time      {uncached_s * 1e3:8.1f} ms",
-            f"cached wall time        {cached_s * 1e3:8.1f} ms",
+            f"backend latency         {latency_ms:.2f} ms/call",
+            f"uncached wall time      {uncached_s * MS_PER_S:8.1f} ms",
+            f"cached wall time        {cached_s * MS_PER_S:8.1f} ms",
             f"speedup                 {speedup:8.1f}x",
             f"hit rate                {service.cache.hit_rate:8.1%}",
             f"backend calls           {backend.calls}",

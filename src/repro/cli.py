@@ -207,36 +207,11 @@ def _cmd_audit(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    from repro.grid import SyntheticProvider
-    from repro.scheduler import (
-        RJMS,
-        CarbonBackfillPolicy,
-        EasyBackfillPolicy,
-        FCFSPolicy,
-    )
-    from repro.simulator import (
-        Cluster,
-        ComponentPowerModel,
-        NodePowerModel,
-        WorkloadConfig,
-        WorkloadGenerator,
-    )
+    from repro.parallel.scenarios import demo_world
 
-    policies = {"fcfs": FCFSPolicy, "easy": EasyBackfillPolicy,
-                "carbon": CarbonBackfillPolicy}
-    import math
-
-    pm = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50, 240),) * 2)
-    cluster = Cluster(args.nodes, pm, idle_power_off=True)
-    # jobs must fit the cluster: cap sizes at the largest power of two
-    # that fits (the RJMS rejects guaranteed-deadlock workloads)
-    max_log2 = min(5, int(math.log2(args.nodes)))
-    jobs = WorkloadGenerator(
-        WorkloadConfig(n_jobs=args.jobs, max_nodes_log2=max_log2),
-        seed=args.seed).generate()
-    provider = SyntheticProvider(args.zone, seed=args.seed)
-    result = RJMS(cluster, jobs, policies[args.policy](),
-                  provider=provider).run()
+    result = demo_world(args.policy, n_nodes=args.nodes, n_jobs=args.jobs,
+                        zone=args.zone, workload_seed=args.seed,
+                        provider_seed=args.seed).run()
     print(f"policy={args.policy} zone={args.zone} "
           f"nodes={args.nodes} jobs={args.jobs}")
     print(result.summary())
@@ -272,13 +247,13 @@ def _cmd_forecast(args) -> None:
 
 def _cmd_advise(args) -> None:
     from repro.accounting.advisor import recommend_allocation
-    from repro.simulator import ComponentPowerModel, NodePowerModel, SpeedupModel
+    from repro.parallel.scenarios import node_model
+    from repro.simulator import SpeedupModel
 
-    pm = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50, 240),) * 2)
     advice = recommend_allocation(
         work_1node_s=args.work_hours * units.SECONDS_PER_HOUR,
         speedup=SpeedupModel(args.parallel_fraction),
-        power_model=pm,
+        power_model=node_model(),
         max_nodes=args.max_nodes,
         objective=args.objective,
         deadline_s=(args.deadline_hours * units.SECONDS_PER_HOUR

@@ -60,28 +60,13 @@ def run_trace(args) -> int:
 
 def run_stats(args) -> int:
     """``repro obs stats``: instrumented run -> Prometheus exposition."""
-    import math
-
-    from repro.grid import SyntheticProvider
-    from repro.scheduler import RJMS, CarbonBackfillPolicy
-    from repro.simulator import (
-        Cluster,
-        ComponentPowerModel,
-        NodePowerModel,
-        WorkloadConfig,
-        WorkloadGenerator,
-    )
+    from repro.parallel.scenarios import demo_world
 
     obs.reset()
     with obs.scope() as tracer:
-        pm = NodePowerModel(cpus=(ComponentPowerModel("cpu", 50, 240),) * 2)
-        cluster = Cluster(args.nodes, pm, idle_power_off=True)
-        max_log2 = min(5, int(math.log2(args.nodes)))
-        jobs = WorkloadGenerator(
-            WorkloadConfig(n_jobs=args.jobs, max_nodes_log2=max_log2),
-            seed=args.seed).generate()
-        RJMS(cluster, jobs, CarbonBackfillPolicy(),
-             provider=SyntheticProvider(args.zone, seed=args.seed)).run()
+        demo_world("carbon", n_nodes=args.nodes, n_jobs=args.jobs,
+                   zone=args.zone, workload_seed=args.seed,
+                   provider_seed=args.seed).run()
         spans = tracer.drain()
 
     reg = obs.metrics()

@@ -1,4 +1,5 @@
-"""Meta-test: the linter, self-applied, finds nothing in ``src/repro``.
+"""Meta-test: the linter, self-applied, finds nothing in ``src/repro``
+or in ``benchmarks/``.
 
 This is the CI gate the issue asks for — any new unit-mixing bug,
 unsuffixed quantity field, or reintroduced magic constant fails the
@@ -11,7 +12,9 @@ from pathlib import Path
 
 from repro.lint import lint_paths, render_text
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def test_source_tree_exists():
@@ -22,6 +25,16 @@ def test_repo_has_zero_unsuppressed_findings():
     findings = lint_paths([SRC])
     assert not findings, (
         "repro.lint found unit-consistency problems in src/repro:\n"
+        + render_text(findings))
+
+
+def test_benchmarks_have_zero_unsuppressed_findings():
+    """The benches print the paper-vs-measured record, so their unit
+    conversions go through ``repro.units`` like the library's."""
+    assert len(list(BENCHMARKS.glob("test_bench_*.py"))) > 20
+    findings = lint_paths([BENCHMARKS])
+    assert not findings, (
+        "repro.lint found unit-consistency problems in benchmarks/:\n"
         + render_text(findings))
 
 
