@@ -10,10 +10,8 @@ Paper claims (§2.1, via ACT) regenerated here:
 * fab siting (step 1 of the paper's flow) moves embodied carbon.
 """
 
-import pytest
-
 from benchmarks.conftest import report
-from repro.embodied import DesignPoint, enumerate_designs, explore
+from repro.embodied import enumerate_designs, explore
 from repro.embodied.act import FabProcess, logic_die_carbon
 
 WORK = 1e10  # giga-ops

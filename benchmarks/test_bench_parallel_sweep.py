@@ -13,8 +13,6 @@ one); the parity assertion is unconditional — it *is* the contract.
 
 import os
 
-import pytest
-
 from benchmarks.conftest import report
 from repro.parallel import run_sweep
 from repro.parallel.scenarios import spin_cell

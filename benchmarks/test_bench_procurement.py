@@ -9,8 +9,6 @@ Paper claims regenerated here:
   changes the order's absolute numbers.
 """
 
-import pytest
-
 from benchmarks.conftest import report
 from repro.analysis import render_carbon500
 from repro.embodied import (

@@ -9,7 +9,6 @@ Paper claims regenerated here:
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import report
 from repro.core import DatacenterProfile, FootprintModel, embodied_share_curve

@@ -14,14 +14,12 @@ import pytest
 from benchmarks.conftest import report
 from repro.embodied import (
     ComponentLifecycle,
-    HDD_KG_PER_GB,
     SUPERMUC_NG,
     lifetime_extension_savings,
     reuse_vs_recycle_factor,
     system_embodied_breakdown,
 )
 from repro.embodied.lifecycle import (
-    RECYCLE_RECOVERY,
     REUSE_EFFECTIVENESS,
     memory_reuse_scenario,
 )

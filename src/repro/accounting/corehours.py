@@ -10,7 +10,7 @@ reports can itemize it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 from repro import units
 

@@ -15,10 +15,9 @@ documented here so downstream parsers can rely on them.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Sequence, TextIO, Union
 
 from repro.accounting.corehours import CoreHourLedger
 from repro.accounting.reports import JobCarbonReport

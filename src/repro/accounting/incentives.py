@@ -16,9 +16,9 @@ accounting" the paper wants when combined with carbon-aware scheduling
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.grid.green import GreenPeriod, find_green_periods
+from repro.grid.green import find_green_periods
 from repro.grid.intensity import CarbonIntensityTrace
 from repro import units
 

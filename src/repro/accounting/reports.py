@@ -15,7 +15,6 @@ produces the text block a user would see appended to their job output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro import units
 from repro.accounting.analogies import describe

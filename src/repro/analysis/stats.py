@@ -13,9 +13,7 @@ so paper-vs-measured comparisons are unambiguous:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping
-
-import numpy as np
+from typing import Dict, Iterable, List
 
 from repro.grid.intensity import CarbonIntensityTrace
 from repro.grid.synthetic import generate_month

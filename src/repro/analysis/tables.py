@@ -8,9 +8,7 @@ never from literals — rendering and asserting share the same source.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from repro.analysis.stats import zone_statistics_table
 from repro.embodied.carbon500 import Carbon500Entry

@@ -1,20 +1,20 @@
-"""Core carbon accounting: scopes, power traces, footprint, budgets, metrics.
+"""Core carbon accounting: scopes, footprint, budgets, metrics.
 
 This package is the paper's conceptual contribution turned into code:
 
 * :mod:`repro.core.scopes` — GHG-protocol Scope 1/2/3 classification (§1);
-* :mod:`repro.core.operational` — the power-trace container; operational
-  carbon, the time integral of carbon intensity x power (§3.1), is
-  charged by the RJMS accrual on each exact power step;
 * :mod:`repro.core.footprint` — total footprint = amortized embodied +
   operational; renewable-share analysis (§2, the 70-75% -> ~50% rule);
 * :mod:`repro.core.budget` — carbon budgets and the embodied<->operational
   trade-off of §2.2;
 * :mod:`repro.core.metrics` — carbon-efficiency metrics (CDP, CEP, ...) of §2.1.
+
+Operational carbon of a simulated run, the time integral of carbon
+intensity x power (§3.1), is charged by the RJMS accrual
+(:mod:`repro.scheduler.rjms`) on each exact power step.
 """
 
 from repro.core.scopes import Scope, EmissionSource, EmissionsInventory, classify
-from repro.core.operational import PowerTrace
 from repro.core.footprint import (
     DatacenterProfile,
     FootprintModel,
@@ -48,7 +48,6 @@ __all__ = [
     "EmissionSource",
     "EmissionsInventory",
     "classify",
-    "PowerTrace",
     "DatacenterProfile",
     "FootprintModel",
     "FootprintReport",

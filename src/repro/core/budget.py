@@ -17,7 +17,7 @@ budget into extra sustained power — the quantitative core of bench E7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import units
 

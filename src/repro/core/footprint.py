@@ -20,7 +20,7 @@ rule-of-thumb curve (bench E4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 __all__ = ["Scope", "EmissionSource", "EmissionsInventory", "classify"]
 

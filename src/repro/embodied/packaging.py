@@ -19,7 +19,7 @@ fundamental carbon trade-off of disintegration explored by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.embodied.act import FabProcess, die_yield, wafer_carbon_per_cm2
 

@@ -18,7 +18,7 @@ opportunity, end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro import units
 from repro.core.budget import operational_headroom_watts

@@ -16,7 +16,6 @@ would corrupt carbon accounting).
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
 from typing import TextIO, Union
 

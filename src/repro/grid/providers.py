@@ -31,7 +31,7 @@ import numpy as np
 from repro import units
 from repro.grid.intensity import CarbonIntensityTrace
 from repro.grid.synthetic import SyntheticGridModel
-from repro.grid.zones import ZoneProfile, get_zone
+from repro.grid.zones import ZoneProfile
 
 __all__ = [
     "CarbonIntensityProvider",

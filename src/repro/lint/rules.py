@@ -9,7 +9,6 @@ values and keeps :mod:`repro.lint.engine` purely about syntax.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 

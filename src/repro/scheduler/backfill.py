@@ -14,7 +14,7 @@ baseline the carbon-aware plugin (§3.3) extends.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.scheduler.rjms import SchedulerPolicy, SchedulingContext, StartDecision
 from repro.simulator.jobs import Job, JobKind

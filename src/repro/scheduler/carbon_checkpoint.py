@@ -26,7 +26,7 @@ job), and a maximum total suspended time per job (bounded stretch).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.grid.intensity import CarbonIntensityTrace
 from repro.grid.providers import TrailingHistory

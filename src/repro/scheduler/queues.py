@@ -14,7 +14,7 @@ and supplies the priority key the RJMS keeps the pending queue ordered by.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.simulator.jobs import Job
 from repro import units

@@ -49,12 +49,11 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 import numpy as np
 
 from repro import obs, units
-from repro.core.operational import PowerTrace
 from repro.grid.providers import CarbonIntensityProvider, StaticProvider
 from repro.service.core import CarbonService
 from repro.scheduler.queues import QueueSet
 from repro.simulator.checkpoint import CheckpointModel
-from repro.simulator.cluster import Cluster, PowerSegment, resample_power
+from repro.simulator.cluster import Cluster, PowerSegment
 from repro.simulator.engine import Event, SimulationEngine
 from repro.simulator.jobs import Job, JobKind, JobState
 from repro.simulator.node import NodeState
@@ -167,11 +166,6 @@ class SimulationResult:
     #: the rest of each step's record, entry *i* for ``power_segments[i]``
     steps: List[AccrualStep]
     provider: CarbonIntensityProvider
-
-    @functools.cached_property
-    def power_trace(self) -> PowerTrace:
-        """The power log resampled to 300 s bins, built on first read."""
-        return resample_power(self.power_segments)
 
     @functools.cached_property
     def telemetry(self) -> TelemetryDB:

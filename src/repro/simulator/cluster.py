@@ -10,9 +10,9 @@ Power accounting: cluster power is piecewise constant between events,
 so :meth:`Cluster.accrue` (called by the RJMS before *every* state
 change) integrates energy exactly and appends one ``(t0, t1, watts)``
 tuple to the power log.  That log is the only stored record of cluster
-power; the RJMS charges carbon on each step as it is appended, and
-:func:`resample_power` turns it into a binned
-:class:`~repro.core.operational.PowerTrace` only when one is asked for.
+power: the RJMS charges carbon on each step as it is appended, and its
+telemetry view (:func:`repro.scheduler.rjms.step_telemetry`) is built
+from it on read.
 
 Node and job draws and the node counts change only through
 :class:`Cluster` methods, which keep each node's draw, each job's draw
@@ -24,47 +24,16 @@ There is no cache; the kept sums are the same bits as a scan.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import units
-from repro.core.operational import PowerTrace
 from repro.simulator.node import Node, NodeState
 from repro.simulator.power import NodePowerModel
 
-__all__ = ["Cluster", "resample_power"]
+__all__ = ["Cluster"]
 
 #: one piecewise-constant power interval ``(t0, t1, watts)``
 PowerSegment = Tuple[float, float, float]
-#: bin width (s) of a resampled power trace
-POWER_TRACE_STEP_S = 300.0
-
-
-def resample_power(segments: Sequence[PowerSegment],
-                   step_seconds: float = POWER_TRACE_STEP_S) -> PowerTrace:
-    """Resample a piecewise-constant power log to a trace.
-
-    Each output sample holds the *energy-weighted mean* power of its
-    bin, so the trace's total energy equals the integrated energy
-    (up to the last full bin).
-    """
-    if not segments:
-        raise ValueError("no power history recorded yet")
-    t_end = segments[-1][1]
-    t_start = segments[0][0]
-    n = max(1, int(np.ceil((t_end - t_start) / step_seconds)))
-    energy = np.zeros(n)
-    for t0, t1, watts in segments:
-        i0 = int((t0 - t_start) // step_seconds)
-        i1 = int(np.ceil((t1 - t_start) / step_seconds))
-        for i in range(i0, min(i1, n)):
-            b0 = t_start + i * step_seconds
-            b1 = b0 + step_seconds
-            overlap = max(0.0, min(t1, b1) - max(t0, b0))
-            energy[i] += watts * overlap
-    return PowerTrace(energy / step_seconds, step_seconds, t_start,
-                      label="cluster")
 
 
 class Cluster:
@@ -160,15 +129,6 @@ class Cluster:
 
     def _scan_power(self) -> float:
         return sum(nd.current_power() for nd in self.nodes)
-
-    def max_power(self) -> float:
-        """Upper bound: every node busy at full utilization, uncapped."""
-        return self.n_nodes * self.power_model.peak_watts
-
-    def min_power(self) -> float:
-        """Lower bound: all nodes idle (or 0 with idle_power_off)."""
-        return 0.0 if self.idle_power_off \
-            else self.n_nodes * self.power_model.idle_watts
 
     # -- allocation ------------------------------------------------------------
 
@@ -314,10 +274,6 @@ class Cluster:
         the previous one ended.
         """
         return list(self._segments)
-
-    def power_trace(self, step_seconds: float = POWER_TRACE_STEP_S) -> PowerTrace:
-        """The power log resampled by :func:`resample_power`."""
-        return resample_power(self._segments, step_seconds)
 
     def check_invariants(self) -> None:
         """Assert allocation bookkeeping consistency and that the kept

@@ -9,7 +9,7 @@ cluster-level power integrator sums between events.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.simulator.power import NodePowerModel

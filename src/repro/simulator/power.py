@@ -18,8 +18,8 @@ knobs' effect on both power and performance:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = [
     "POWER_PERF_GAMMA",

@@ -9,7 +9,7 @@ carbon accounting layer needs:
 
 * :class:`Sensor` — a named, unit-carrying series;
 * :class:`TelemetryDB` — sensor series, built whole in one constructor
-  call, with windowed queries (mean/max/sum/integral).
+  call, with windowed aggregates (mean/max/min/sum/last).
 
 The RJMS builds one from its accrual steps when its telemetry is read.
 Series are kept as lists and converted to NumPy on query.
@@ -103,20 +103,3 @@ class TelemetryDB:
         except KeyError:
             raise ValueError(f"unknown aggregation {how!r}; "
                              f"use one of {sorted(ops)}") from None
-
-    def integrate(self, name: str,
-                  t0: Optional[float] = None,
-                  t1: Optional[float] = None) -> float:
-        """Zero-order-hold time integral (value-units x seconds).
-
-        For a power sensor in watts this yields joules.  The last sample
-        in the window extends to ``t1`` (or to its own timestamp if no
-        end given, contributing nothing).
-        """
-        times, vals = self.series(name, t0, t1)
-        if vals.size == 0:
-            raise ValueError(f"no {name!r} readings in window")
-        end = t1 if t1 is not None else times[-1]
-        bounds = np.append(times, end)
-        widths = np.clip(np.diff(bounds), 0.0, None)
-        return float(np.dot(vals, widths))

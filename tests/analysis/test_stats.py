@@ -1,10 +1,9 @@
 """Tests for the analysis statistics helpers."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import daily_statistics, relative_saving, zone_ratio, zone_statistics_table
-from repro.grid import CarbonIntensityTrace, generate_month
+from repro.grid import generate_month
 
 
 class TestDailyStatistics:

@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.analysis.sweep import SweepCellError
 from repro.chaos import ChaosInjectedError, ChaosPlan, FaultSpec
-from repro.chaos.journal import JournalError, SweepJournal
+from repro.chaos.journal import JournalError
 from repro.parallel import run_sweep
 
 GRID = {"lane": [0, 1, 2, 3, 4, 5], "rep": [0, 1]}

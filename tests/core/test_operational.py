@@ -1,4 +1,4 @@
-"""Tests for PowerTrace and the §3.1 operational carbon integral.
+"""Tests for the §3.1 operational carbon integral.
 
 The simulator computes ∫ CI·P dt in one place: the RJMS accrual charges
 each piecewise-constant power step with the provider's exact intensity
@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import units
-from repro.core import PowerTrace
 from repro.grid import CarbonIntensityTrace, TraceProvider
 from repro.scheduler import RJMS, FCFSPolicy
 from repro.simulator import Cluster, ComponentPowerModel, Job, NodePowerModel
@@ -42,38 +41,6 @@ def run_loads(ci, loads, n_nodes=1, watts=1000.0, tick_seconds=900.0,
 
 def carbon_g(result):
     return result.total_carbon_kg * units.GRAMS_PER_KG
-
-
-class TestPowerTrace:
-    def test_basic(self):
-        p = PowerTrace(np.array([1000.0, 2000.0]), HOUR)
-        assert len(p) == 2
-        assert p.energy_kwh() == pytest.approx(3.0)
-        assert p.mean_power() == 1500.0
-        assert p.peak_power() == 2000.0
-
-    def test_immutable(self):
-        p = PowerTrace(np.array([1.0]), HOUR)
-        with pytest.raises(ValueError):
-            p.values[0] = 5.0
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            PowerTrace(np.array([-1.0]), HOUR)
-
-    def test_rejects_empty_and_nan(self):
-        with pytest.raises(ValueError):
-            PowerTrace(np.array([]), HOUR)
-        with pytest.raises(ValueError):
-            PowerTrace(np.array([np.nan]), HOUR)
-
-    def test_constant(self):
-        p = PowerTrace.constant(500.0, 2 * HOUR)
-        assert p.energy_kwh() == pytest.approx(1.0)
-
-    def test_times(self):
-        p = PowerTrace(np.array([1.0, 2.0]), HOUR, start_time=10.0)
-        np.testing.assert_allclose(p.times, [10.0, 10.0 + HOUR])
 
 
 class TestOperationalCarbon:

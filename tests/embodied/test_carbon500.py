@@ -50,7 +50,7 @@ class TestRanking:
         assert entries[0].perf_pflops == 100.0
 
     def test_missing_perf_raises(self):
-        from repro.embodied.systems import SUPERMUC_NG, SystemInventory
+        from repro.embodied.systems import SUPERMUC_NG
         from dataclasses import replace
         mystery = replace(SUPERMUC_NG, name="Mystery Machine")
         with pytest.raises(KeyError, match="performance"):

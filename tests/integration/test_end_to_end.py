@@ -2,7 +2,6 @@
 
 import copy
 
-import numpy as np
 import pytest
 
 from repro.accounting import (
@@ -14,7 +13,7 @@ from repro.accounting import (
 )
 from repro.core import FootprintModel
 from repro.embodied import system_embodied_breakdown, SUPERMUC_NG
-from repro.grid import SyntheticProvider, find_green_periods
+from repro.grid import SyntheticProvider
 from repro.powerstack import LinearScalingPolicy, SiteController
 from repro.scheduler import (
     RJMS,
@@ -23,7 +22,7 @@ from repro.scheduler import (
     EasyBackfillPolicy,
     MalleabilityManager,
 )
-from repro.simulator import Cluster, JobState, WorkloadConfig, WorkloadGenerator
+from repro.simulator import Cluster, WorkloadConfig, WorkloadGenerator
 
 HOUR = 3600.0
 

@@ -407,9 +407,8 @@ class TestCarbonAccountingInvariants:
 
     @given(seed=st.integers(0, 300))
     @SIM_SETTINGS
-    def test_power_trace_energy_equals_total(self, seed):
-        """The reconstructed power trace carries exactly the total energy,
-        and the telemetry carries the total energy and carbon, idle nodes
+    def test_telemetry_reconciles_totals(self, seed):
+        """The telemetry carries the total energy and carbon, idle nodes
         included.  A 10-min signal puts intensity changes inside the
         15-min ticks, so a step's mean differs from its spot value."""
         jobs = workload(seed, n_jobs=15)
@@ -418,8 +417,6 @@ class TestCarbonAccountingInvariants:
                     provider=SyntheticProvider("DE", seed=seed,
                                                step_seconds=600.0))
         result = rjms.run()
-        assert result.power_trace.energy_kwh() == pytest.approx(
-            result.total_energy_kwh, rel=1e-6)
         assert result.total_carbon_kg > 0
         assert_telemetry_reconciles(result, cluster.last_accrual)
 

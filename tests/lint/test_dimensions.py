@@ -6,7 +6,6 @@ from repro import units
 from repro.lint.dimensions import (
     ATOMIC_UNITS,
     DIMENSIONLESS,
-    Unit,
     is_conversion_literal,
     parse_name,
     unit_of_call,

@@ -1,5 +1,6 @@
 """Meta-test: the linter, self-applied, finds nothing in ``src/repro``
-or in ``benchmarks/``.
+or in ``benchmarks/``, and no module there or in ``examples/`` imports a
+name it never reads.
 
 This is the CI gate the issue asks for — any new unit-mixing bug,
 unsuffixed quantity field, or reintroduced magic constant fails the
@@ -15,6 +16,7 @@ from repro.lint import lint_paths, render_text
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 BENCHMARKS = ROOT / "benchmarks"
+EXAMPLES = ROOT / "examples"
 
 
 def test_source_tree_exists():
@@ -42,6 +44,73 @@ def test_linter_actually_scanned_the_tree():
     """Guard against a silently-empty run (e.g. wrong path, skip-all)."""
     py_files = list(SRC.rglob("*.py"))
     assert len(py_files) > 50, "suspiciously few files scanned"
+
+
+def unused_imports(source, filename="<string>"):
+    """``(line, name)`` of each imported name the module never reads.
+
+    A name counts as read when it appears as a name anywhere, is listed
+    in ``__all__``, or is named inside a string annotation (a
+    ``TYPE_CHECKING`` import is read only there)."""
+    tree = ast.parse(source, filename)
+    bound, used, quoted = {}, set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.partition(".")[0],
+                                 node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            quoted.append(node.value)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            quoted.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            quoted.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            quoted.append(node.returns)
+    for expr in quoted:
+        for const in ast.walk(expr):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                used.update(n.id for n in ast.walk(
+                    ast.parse(const.value, mode="eval"))
+                    if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    """Every non-package module of the library, the benches and the
+    examples reads each name it imports."""
+    paths = [p for root in (SRC, BENCHMARKS, EXAMPLES)
+             for p in sorted(root.rglob("*.py")) if p.name != "__init__.py"]
+    assert len(paths) > 100
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                 for path in paths
+                 for line, name in unused_imports(path.read_text(), str(path))]
+    assert not offenders, "imported but never read:\n" + "\n".join(offenders)
+
+
+def test_unused_import_scan_reads_every_use():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING, Dict, List\n"
+        "if TYPE_CHECKING:\n"
+        "    from x import Later\n"
+        "from y import Exported, Unread\n"
+        "__all__ = ['Exported']\n"
+        "def f(a: 'Later', b: Dict) -> None:\n"
+        "    return os.path.join(np.pi)\n")
+    assert unused_imports(source) == [(4, "List"), (7, "Unread")]
 
 
 def test_no_deprecation_shims():

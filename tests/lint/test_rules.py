@@ -7,10 +7,8 @@ rule is dead code (acceptance criterion of the linter issue).
 
 import textwrap
 
-import pytest
-
 from repro.lint import RULES, lint_source
-from repro.lint.dimensions import ATOMIC_UNITS, parse_name
+from repro.lint.dimensions import ATOMIC_UNITS
 from repro.lint.rules import (
     check_additive,
     check_assignment,

@@ -45,10 +45,10 @@ class TestFloorsAndDemands:
 
 
 class TestDistribute:
-    def test_plentiful_budget_uncaps_everyone(self, setup):
+    def test_plentiful_budget_uncaps_everyone(self, setup, node_power_model):
         cluster, jobs = setup
         mgr = SystemPowerManager(cluster)
-        grants = mgr.distribute(cluster.max_power(), jobs)
+        grants = mgr.distribute(16 * node_power_model.peak_watts, jobs)
         for j in jobs:
             assert grants[j.job_id] == pytest.approx(
                 mgr.job_demand_watts(j))
@@ -100,10 +100,10 @@ class TestDistribute:
         assert grants[1] > mgr.job_floor_watts(jobs[0])
         assert grants[2] == pytest.approx(mgr.job_floor_watts(jobs[1]))
 
-    def test_empty_job_list(self, setup):
+    def test_empty_job_list(self, setup, node_power_model):
         cluster, _ = setup
         mgr = SystemPowerManager(cluster)
-        assert mgr.distribute(cluster.max_power(), []) == {}
+        assert mgr.distribute(16 * node_power_model.peak_watts, []) == {}
 
     @given(extra=st.floats(0.0, 20000.0))
     @settings(max_examples=30)

@@ -1,7 +1,5 @@
 """Tests for node failures: fail_node and the failure injector."""
 
-import copy
-
 import pytest
 
 from repro.accounting import build_job_report

@@ -12,7 +12,6 @@ from repro.scheduler import (
 from repro.simulator import (
     Cluster,
     ComponentPowerModel,
-    JobState,
     NodePowerModel,
     WorkloadConfig,
     WorkloadGenerator,

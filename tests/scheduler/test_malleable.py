@@ -1,17 +1,12 @@
 """Tests for the malleability manager (§3.2)."""
 
-import copy
-
-import numpy as np
 import pytest
 
-from repro.grid import SyntheticProvider
 from repro.scheduler import EasyBackfillPolicy, MalleabilityManager, RJMS
 from repro.simulator import (
     Cluster,
     Job,
     JobKind,
-    JobState,
     SpeedupModel,
     WorkloadConfig,
     WorkloadGenerator,

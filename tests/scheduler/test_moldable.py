@@ -4,7 +4,6 @@ import pytest
 
 from repro.scheduler import (
     RJMS,
-    EasyBackfillPolicy,
     MalleabilityManager,
     MoldableEasyBackfillPolicy,
 )

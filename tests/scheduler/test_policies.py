@@ -5,7 +5,7 @@ import pytest
 from repro.scheduler import RJMS, EasyBackfillPolicy, FCFSPolicy
 from repro.scheduler.backfill import head_reservation
 from repro.scheduler.rjms import SchedulingContext
-from repro.simulator import Cluster, Job, JobState
+from repro.simulator import Cluster, Job
 
 HOUR = 3600.0
 

@@ -1,23 +1,15 @@
 """Tests for SimulationResult metrics and reporting surfaces."""
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from repro.grid import StaticProvider, SyntheticProvider
-from repro.scheduler import (
-    RJMS,
-    CarbonBackfillPolicy,
-    EasyBackfillPolicy,
-    FCFSPolicy,
-)
-from repro.simulator import Cluster, Job, WorkloadConfig, WorkloadGenerator
+from repro.scheduler import RJMS, EasyBackfillPolicy
+from repro.simulator import Cluster, Job
 
 HOUR = 3600.0
 
 
-def run_two_jobs(node_power_model, provider=None):
+def run_two_jobs(node_power_model, provider=None, cluster=None):
     jobs = [
         Job(job_id=1, submit_time=0.0, nodes_requested=4,
             runtime_estimate=2 * HOUR, work_seconds=HOUR,
@@ -26,7 +18,7 @@ def run_two_jobs(node_power_model, provider=None):
             runtime_estimate=2 * HOUR, work_seconds=HOUR,
             utilization=1.0),
     ]
-    rjms = RJMS(Cluster(8, node_power_model), jobs,
+    rjms = RJMS(cluster or Cluster(8, node_power_model), jobs,
                 EasyBackfillPolicy(), provider=provider)
     return rjms.run()
 
@@ -50,10 +42,12 @@ class TestSimulationResult:
         assert result.p95_wait_s <= HOUR + 1.0
         assert result.p95_wait_s >= result.mean_wait_s
 
-    def test_power_trace_label(self, node_power_model):
-        result = run_two_jobs(node_power_model)
-        assert result.power_trace.label == "cluster"
-        assert result.power_trace.peak_power() <= \
+    def test_power_log_and_telemetry_peak(self, node_power_model):
+        cluster = Cluster(8, node_power_model)
+        result = run_two_jobs(node_power_model, cluster=cluster)
+        assert result.power_segments == cluster.power_segments()
+        assert result.telemetry.unit_of("cluster.power") == "W"
+        assert result.telemetry.aggregate("cluster.power", "max") <= \
             8 * node_power_model.peak_watts + 1e-9
 
     def test_telemetry_intensity_sensor(self, node_power_model):
@@ -89,48 +83,3 @@ class TestSimulationResult:
         result = run_two_jobs(node_power_model, service)
         assert result.provider is service
         assert not isinstance(result.provider.backend, CarbonService)
-
-
-class TestPowerTraceOnRead:
-    """The run stores only the cluster's power log; the resampled trace
-    is built the first time the result is asked for it."""
-
-    @pytest.mark.parametrize("policy", [FCFSPolicy, EasyBackfillPolicy,
-                                        CarbonBackfillPolicy])
-    def test_run_builds_no_trace(self, node_power_model, monkeypatch,
-                                 policy):
-        calls = []
-        resample = Cluster.power_trace
-
-        def counted(self, *args):
-            calls.append(args)
-            return resample(self, *args)
-        monkeypatch.setattr(Cluster, "power_trace", counted)
-        jobs = WorkloadGenerator(WorkloadConfig(n_jobs=12, max_nodes_log2=3),
-                                 seed=5).generate()
-        cluster = Cluster(8, node_power_model)
-        result = RJMS(cluster, jobs, policy(),
-                      provider=SyntheticProvider("DE", seed=1)).run()
-        assert calls == []
-        assert result.power_segments == cluster.power_segments()
-
-    def test_trace_is_built_once_and_equals_the_cluster_trace(
-            self, node_power_model):
-        jobs = [Job(job_id=1, submit_time=0.0, nodes_requested=4,
-                    runtime_estimate=2 * HOUR, work_seconds=HOUR)]
-        cluster = Cluster(8, node_power_model)
-        result = RJMS(cluster, jobs, EasyBackfillPolicy()).run()
-        trace = result.power_trace
-        assert result.power_trace is trace
-        expected = cluster.power_trace()
-        np.testing.assert_array_equal(trace.values, expected.values)
-        assert (trace.step_seconds, trace.start_time, trace.label) == \
-            (expected.step_seconds, expected.start_time, expected.label)
-
-    def test_replaced_result_still_has_the_trace(self, node_power_model):
-        result = run_two_jobs(node_power_model, StaticProvider(500.0))
-        copy = dataclasses.replace(result, total_carbon_kg=0.0)
-        np.testing.assert_array_equal(copy.power_trace.values,
-                                      result.power_trace.values)
-        assert copy.power_trace.energy_kwh() == pytest.approx(
-            copy.total_energy_kwh, rel=1e-9)

@@ -1,9 +1,9 @@
 """Tests for cluster allocation bookkeeping and the power integrator."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import units
 from repro.simulator import (
     Cluster,
     ComponentPowerModel,
@@ -112,16 +112,20 @@ class TestPowerAccounting:
 
     def test_power_trace_energy_consistent(self, small_cluster):
         small_cluster.allocate(1, 4, 0.9)
+        small_cluster.accrue(1000.0)
+        small_cluster.release(1)
         small_cluster.accrue(3000.0)
-        trace = small_cluster.power_trace(step_seconds=300.0)
-        assert trace.energy_kwh() == pytest.approx(
-            small_cluster.energy_kwh, rel=1e-9)
+        joules = sum(watts * (t1 - t0)
+                     for t0, t1, watts in small_cluster.power_segments())
+        assert joules / units.JOULES_PER_KWH == pytest.approx(
+            small_cluster.energy_kwh, rel=1e-12)
 
     def test_power_bounds(self, small_cluster, node_power_model):
-        assert small_cluster.min_power() == 8 * node_power_model.idle_watts
-        assert small_cluster.max_power() == 8 * node_power_model.peak_watts
+        assert small_cluster.current_power() == pytest.approx(
+            8 * node_power_model.idle_watts)
         small_cluster.allocate(1, 8, 1.0)
-        assert small_cluster.current_power() <= small_cluster.max_power()
+        assert small_cluster.current_power() <= \
+            8 * node_power_model.peak_watts
 
 
 class TestIdlePowerOff:

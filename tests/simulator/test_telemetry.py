@@ -1,6 +1,5 @@
 """Tests for the DCDB-style telemetry store."""
 
-import numpy as np
 import pytest
 
 from repro.simulator import Sensor, TelemetryDB
@@ -87,16 +86,3 @@ class TestQueries:
     def test_empty_window_raises(self, db):
         with pytest.raises(ValueError, match="readings"):
             db.aggregate("power", "mean", 100.0, 200.0)
-
-    def test_integrate_zoh(self, db):
-        # 100*10 + 200*10 + 300*10 + 400*10 (last extends to t1=40)
-        assert db.integrate("power", 0.0, 40.0) == pytest.approx(10000.0)
-
-    def test_integrate_without_end(self, db):
-        # last sample contributes zero width
-        assert db.integrate("power") == pytest.approx(
-            100 * 10 + 200 * 10 + 300 * 10)
-
-    def test_integrate_partial_window(self, db):
-        assert db.integrate("power", 10.0, 25.0) == pytest.approx(
-            200 * 10 + 300 * 5)
